@@ -336,8 +336,7 @@ int main(int argc, char** argv) {
   const fft::EngineFlags entry_flags = fft::engine_flags();
   std::printf("kernel backend: %s (simd %savailable)\n", active_backend.c_str(),
               backend::simd_available() ? "" : "un");
-  std::printf("fft engine: radix4=%d fused=%d batched_rows=%d\n", entry_flags.radix4,
-              entry_flags.fused, entry_flags.batched_rows);
+  std::printf("fft engine: radix4=%d fused=%d\n", entry_flags.radix4, entry_flags.fused);
 
   std::printf("building %s dataset...\n", spec.c_str());
   const Dataset dataset = bench::build_repro_dataset(spec);
@@ -489,8 +488,7 @@ int main(int argc, char** argv) {
        << "  \"simd_backend\": \"" << (have_simd ? backend::simd_kernels()->name : "none")
        << "\",\n"
        << "  \"fft_engine\": {\"radix4\": " << (entry_flags.radix4 ? "true" : "false")
-       << ", \"fused\": " << (entry_flags.fused ? "true" : "false")
-       << ", \"batched_rows\": " << (entry_flags.batched_rows ? "true" : "false") << "},\n"
+       << ", \"fused\": " << (entry_flags.fused ? "true" : "false") << "},\n"
        << "  \"sweep_probes_per_sec_1t\": " << rate_1t << ",\n"
        << "  \"sweep_probes_per_sec_1t_unfused\": " << rate_1t_unfused << ",\n"
        << "  \"sweep_fusion_speedup\": " << rate_1t / rate_1t_unfused << ",\n"

@@ -1,6 +1,8 @@
 #include "fft/fft2d.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
@@ -20,12 +22,7 @@ void note_transform(usize rows, usize cols) {
 }
 }  // namespace
 
-Fft2D::Fft2D(usize rows, usize cols)
-    : rows_(rows),
-      cols_(cols),
-      batched_rows_(engine_flags().batched_rows),
-      row_plan_(cols),
-      col_plan_(rows) {
+Fft2D::Fft2D(usize rows, usize cols) : rows_(rows), cols_(cols), row_plan_(cols), col_plan_(rows) {
   PTYCHO_REQUIRE(rows >= 1 && cols >= 1, "Fft2D extents must be >= 1");
 }
 
@@ -44,98 +41,11 @@ Fft2D::ScratchLease Fft2D::acquire_scratch() const {
     }
   }
   auto scratch = std::make_unique<Scratch>();
-  scratch->tile.resize(rows_ * static_cast<usize>(kColBlock));
-  scratch->bluestein.resize(col_plan_.strided_scratch_size(static_cast<usize>(kColBlock)));
-  if (batched_rows_) {
-    scratch->row_tile.resize(cols_ * static_cast<usize>(kRowBatch));
-    scratch->row_bluestein.resize(row_plan_.strided_scratch_size(static_cast<usize>(kRowBatch)));
-  }
+  scratch->lanes.resize(rows_ * cols_);
+  // The column pass batches all cols_ lanes, the row pass all rows_ lanes.
+  scratch->bluestein.resize(std::max(col_plan_.strided_scratch_size(cols_),
+                                     row_plan_.strided_scratch_size(rows_)));
   return ScratchLease(*this, std::move(scratch));
-}
-
-void Fft2D::transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale) const {
-  const backend::Kernels& kern = backend::kernels();
-  const auto cols = static_cast<usize>(field.cols());
-  if (!batched_rows_) {
-    for (index_t y = 0; y < field.rows(); ++y) {
-      cplx* row = field.row(y);
-      if (fwd) {
-        row_plan_.forward(row);
-      } else {
-        row_plan_.inverse(row);
-      }
-      if (post_scale != nullptr) kern.scale_lanes(row, row, *post_scale, cols);
-    }
-    return;
-  }
-  // Batched: transpose kRowBatch rows into a lane-major tile, transform all
-  // of them through one strided call (every butterfly stage vectorizes
-  // across the row lanes, twiddle loads amortize over the batch), and
-  // transpose back. The tile stays cache-resident between the passes.
-  const ScratchLease lease = acquire_scratch();
-  cplx* tile = lease.get().row_tile.data();
-  cplx* pad = lease.get().row_bluestein.empty() ? nullptr : lease.get().row_bluestein.data();
-  const index_t rows = field.rows();
-  for (index_t y0 = 0; y0 < rows; y0 += kRowBatch) {
-    const index_t batch = std::min(kRowBatch, rows - y0);
-    const auto b = static_cast<usize>(batch);
-    for (index_t lane = 0; lane < batch; ++lane) {
-      const cplx* row = field.row(y0 + lane);
-      cplx* t = tile + static_cast<usize>(lane);
-      for (usize x = 0; x < cols; ++x) t[x * b] = row[x];
-    }
-    if (fwd) {
-      row_plan_.forward_strided(tile, b, b, pad);
-    } else {
-      row_plan_.inverse_strided(tile, b, b, pad);
-    }
-    if (post_scale != nullptr) kern.scale_lanes(tile, tile, *post_scale, cols * b);
-    for (index_t lane = 0; lane < batch; ++lane) {
-      cplx* row = field.row(y0 + lane);
-      const cplx* t = tile + static_cast<usize>(lane);
-      for (usize x = 0; x < cols; ++x) row[x] = t[x * b];
-    }
-  }
-}
-
-void Fft2D::transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul,
-                           const cplx* post_scale) const {
-  const ScratchLease lease = acquire_scratch();
-  cplx* tile = lease.get().tile.data();
-  cplx* pad = lease.get().bluestein.empty() ? nullptr : lease.get().bluestein.data();
-  const backend::Kernels& kern = backend::kernels();
-  const index_t rows = field.rows();
-  const auto urows = static_cast<usize>(rows);
-  const auto field_stride = static_cast<usize>(field.row_stride());
-  for (index_t x0 = 0; x0 < field.cols(); x0 += kColBlock) {
-    const index_t block = std::min(kColBlock, field.cols() - x0);
-    const auto b = static_cast<usize>(block);
-    // Gather the block: row y contributes `block` contiguous elements, so
-    // the pass streams cache lines instead of touching one column stripe.
-    // A pre-multiply runs the point-wise kernel product in the same sweep.
-    if (mul != nullptr && mul->pre) {
-      kern.cmul_rows_tiled(tile, b, field.data() + x0, field_stride, mul->data + x0,
-                           mul->stride, mul->conj, urows, b);
-    } else {
-      for (index_t y = 0; y < rows; ++y) {
-        std::copy_n(field.row(y) + x0, block, tile + static_cast<usize>(y) * b);
-      }
-    }
-    if (fwd) {
-      col_plan_.forward_strided(tile, b, b, pad);
-    } else {
-      col_plan_.inverse_strided(tile, b, b, pad);
-    }
-    // Post-transform fusions act on the cache-resident tile, so the kernel
-    // product / scale costs no extra pass over the field.
-    if (mul != nullptr && !mul->pre) {
-      kern.cmul_rows_tiled(tile, b, tile, b, mul->data + x0, mul->stride, mul->conj, urows, b);
-    }
-    if (post_scale != nullptr) kern.scale_lanes(tile, tile, *post_scale, urows * b);
-    for (index_t y = 0; y < rows; ++y) {
-      std::copy_n(tile + static_cast<usize>(y) * b, block, field.row(y) + x0);
-    }
-  }
 }
 
 namespace {
@@ -144,20 +54,93 @@ void check_shape(View2D<const cplx> field, usize rows, usize cols, const char* w
                    field.cols() == static_cast<index_t>(cols),
                what << " shape does not match plan");
 }
+
+// dst[perm[c] * dst_stride + r] = src[r * src_stride + c] for r < rows,
+// c < cols (perm == nullptr: the identity). Moves 4x4 blocks through
+// registers as 8-byte words (memcpy compiles to plain loads and stores),
+// so each side reads or writes four adjacent elements at a time; ragged
+// edges fall back to element copies.
+void transpose(const cplx* src, usize src_stride, usize rows, usize cols, cplx* dst,
+               usize dst_stride, const usize* perm) {
+  using Word = std::uint64_t;
+  static_assert(sizeof(Word) == sizeof(cplx), "transpose moves one cplx per word");
+  const auto dst_row = [&](usize c) { return dst + (perm != nullptr ? perm[c] : c) * dst_stride; };
+  const usize rows4 = rows & ~usize{3};
+  const usize cols4 = cols & ~usize{3};
+  for (usize r = 0; r < rows4; r += 4) {
+    for (usize c = 0; c < cols4; c += 4) {
+      Word block[4][4];
+      for (usize i = 0; i < 4; ++i) {
+        for (usize j = 0; j < 4; ++j) {
+          std::memcpy(&block[i][j], src + (r + i) * src_stride + c + j, sizeof(Word));
+        }
+      }
+      for (usize j = 0; j < 4; ++j) {
+        cplx* d = dst_row(c + j) + r;
+        for (usize i = 0; i < 4; ++i) {
+          std::memcpy(static_cast<void*>(d + i), &block[i][j], sizeof(Word));
+        }
+      }
+    }
+    for (usize c = cols4; c < cols; ++c) {
+      for (usize i = 0; i < 4; ++i) dst_row(c)[r + i] = src[(r + i) * src_stride + c];
+    }
+  }
+  for (usize r = rows4; r < rows; ++r) {
+    for (usize c = 0; c < cols; ++c) dst_row(c)[r] = src[r * src_stride + c];
+  }
+}
+
+// field[i] *= kernel[i] (or conj) over a possibly strided window.
+void multiply_field(View2D<cplx> field, const cplx* kernel, usize kernel_stride, bool conj) {
+  const auto stride = static_cast<usize>(field.row_stride());
+  backend::kernels().cmul_rows_tiled(field.data(), stride, field.data(), stride, kernel,
+                                     kernel_stride, conj, static_cast<usize>(field.rows()),
+                                     static_cast<usize>(field.cols()));
+}
 }  // namespace
+
+// Lane layout of the row pass: element x of row y sits at lanes[x*rows + y],
+// so signal x-rows are contiguous over all `rows` lanes.
+void Fft2D::run_forward(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const {
+  const ScratchLease lease = acquire_scratch();
+  cplx* lanes = lease.get().lanes.data();
+  cplx* pad = lease.get().bluestein.empty() ? nullptr : lease.get().bluestein.data();
+  const auto stride = static_cast<usize>(field.row_stride());
+  const usize* xrev = row_plan_.bitrev();
+  const usize* yrev = col_plan_.bitrev();
+  transpose(field.data(), stride, rows_, cols_, lanes, rows_, xrev);
+  row_plan_.transform_strided(lanes, rows_, rows_, pad, -1, xrev != nullptr);
+  transpose(lanes, rows_, cols_, rows_, field.data(), stride, yrev);
+  col_plan_.transform_strided(field.data(), stride, cols_, pad, -1, yrev != nullptr);
+  if (mul != nullptr) multiply_field(field, mul->data, mul->stride, mul->conj);
+  if (alpha != nullptr) scale(*alpha, field);
+}
+
+void Fft2D::run_inverse(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const {
+  const ScratchLease lease = acquire_scratch();
+  cplx* lanes = lease.get().lanes.data();
+  cplx* pad = lease.get().bluestein.empty() ? nullptr : lease.get().bluestein.data();
+  const auto stride = static_cast<usize>(field.row_stride());
+  const usize* xrev = row_plan_.bitrev();
+  if (mul != nullptr) multiply_field(field, mul->data, mul->stride, mul->conj);
+  col_plan_.transform_strided(field.data(), stride, cols_, pad, +1, false);
+  transpose(field.data(), stride, rows_, cols_, lanes, rows_, xrev);
+  row_plan_.transform_strided(lanes, rows_, rows_, pad, +1, xrev != nullptr);
+  if (alpha != nullptr) backend::kernels().scale_lanes(lanes, lanes, *alpha, rows_ * cols_);
+  transpose(lanes, rows_, cols_, rows_, field.data(), stride, nullptr);
+}
 
 void Fft2D::forward(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_rows(field, true, nullptr);
-  transform_cols(field, true, nullptr, nullptr);
+  run_forward(field, nullptr, nullptr);
 }
 
 void Fft2D::inverse(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_cols(field, false, nullptr, nullptr);
-  transform_rows(field, false, nullptr);
+  run_inverse(field, nullptr, nullptr);
 }
 
 void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
@@ -165,10 +148,8 @@ void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
   check_shape(field, rows_, cols_, "field");
   check_shape(kernel, rows_, cols_, "kernel");
   note_transform(rows_, cols_);
-  transform_rows(field, true, nullptr);
-  const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel,
-                         /*pre=*/false};
-  transform_cols(field, true, &mul, nullptr);
+  const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel};
+  run_forward(field, &mul, nullptr);
 }
 
 void Fft2D::multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
@@ -176,24 +157,20 @@ void Fft2D::multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
   check_shape(field, rows_, cols_, "field");
   check_shape(kernel, rows_, cols_, "kernel");
   note_transform(rows_, cols_);
-  const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel,
-                         /*pre=*/true};
-  transform_cols(field, false, &mul, nullptr);
-  transform_rows(field, false, nullptr);
+  const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel};
+  run_inverse(field, &mul, nullptr);
 }
 
 void Fft2D::forward_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_rows(field, true, nullptr);
-  transform_cols(field, true, nullptr, &alpha);
+  run_forward(field, nullptr, &alpha);
 }
 
 void Fft2D::inverse_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  transform_cols(field, false, nullptr, nullptr);
-  transform_rows(field, false, &alpha);
+  run_inverse(field, nullptr, &alpha);
 }
 
 void Fft2D::adjoint_forward(View2D<cplx> field) const {

@@ -1,26 +1,42 @@
 // Two-dimensional planned FFT over View2D<cplx>, plus fftshift helpers.
 //
 // The multislice operator transforms each probe-sized wavefield twice per
-// slice, so Fft2D is the hottest kernel in the library. Both passes are
-// cache-blocked through the batched strided Plan1D entry point: columns
-// are gathered kColBlock at a time into a compact scratch tile, and rows
-// are transposed kRowBatch at a time into a lane-major tile, so every
-// butterfly inner loop vectorizes across the batch and every pass over
-// the field moves whole cache lines. The inverse runs columns first, then
-// rows, which lets the fused entry points below fold point-wise spectral
-// work into the tile that is already in cache:
+// slice, so Fft2D is the hottest kernel in the library. Both passes run
+// over the whole window in one lane-major layout, through one batched
+// strided Plan1D call each, so every butterfly inner loop vectorizes
+// across all rows or all columns at once:
 //
-//   forward_multiply  = forward  then field *= kernel   (multiply in the
-//                       last column-pass tile before scatter)
-//   multiply_inverse  = field *= kernel then inverse    (multiply in the
-//                       first column-pass gather)
-//   forward_scale / inverse_scale = the same fusion for a uniform scale
+//   column pass: in place on the caller's field, the lanes being its
+//                `cols` columns (stride = row_stride, so windows of a
+//                larger array work as well);
+//   row pass:    the field is transposed once into a pooled rows x cols
+//                lane-major scratch, transformed, and transposed back.
+//
+// For power-of-two extents the bit-reversal permutation is folded into
+// those transposes instead of running as a separate swap pass:
+//
+//   forward: transpose with bitrev(x) -> row butterflies -> transpose
+//            back with bitrev(y) -> column butterflies in place;
+//   inverse: column pass in place (with its usual swap) -> transpose with
+//            bitrev(x) -> row butterflies -> plain transpose back.
+//
+// Bluestein extents use the same layout without the fold. Every lane runs
+// the exact per-element operation sequence of the contiguous Plan1D
+// transform; only data movement differs. The fused entry points fold
+// point-wise spectral work into the same call:
+//
+//   forward_multiply  = forward  then field *= kernel   (after the column
+//                       pass, on the field)
+//   multiply_inverse  = field *= kernel then inverse    (before the column
+//                       pass, on the field)
+//   forward_scale     = forward then field *= alpha (after the column pass)
+//   inverse_scale     = inverse then field *= alpha (on the row scratch,
+//                       before the transpose back)
 //
 // Each fused call is bitwise identical to its composed two-step sequence
-// (the folded op runs the same dispatched per-element kernels, just on
-// tile-resident data) while costing zero extra full-field passes.
-// Scratch tiles live in a small plan-owned pool (acquired per call), so a
-// single Fft2D is safe to share across concurrently executing workers.
+// (the folded op runs the same dispatched per-element kernels). Scratch
+// lives in a small plan-owned pool (acquired once per call), so a single
+// Fft2D is safe to share across concurrently executing workers.
 #pragma once
 
 #include <memory>
@@ -34,12 +50,6 @@ namespace ptycho::fft {
 
 class Fft2D {
  public:
-  /// Columns per block of the cache-blocked column pass.
-  static constexpr index_t kColBlock = 16;
-  /// Rows per batch of the transposed row pass (when engine_flags()
-  /// enables batched_rows; otherwise rows transform one at a time).
-  static constexpr index_t kRowBatch = 16;
-
   /// Plan for `rows x cols` transforms.
   Fft2D(usize rows, usize cols);
 
@@ -77,24 +87,20 @@ class Fft2D {
   void inverse_scale(View2D<cplx> field, cplx alpha) const;
 
  private:
-  /// Point-wise kernel multiply folded into the column pass: `pre` applies
-  /// it during the gather (before the transform), otherwise before the
-  /// scatter. `data`/`stride` address the kernel's row-major storage.
+  /// Point-wise kernel multiply folded into a transform: `data`/`stride`
+  /// address the kernel's row-major storage.
   struct MultiplySpec {
     const cplx* data;
     usize stride;
     bool conj;
-    bool pre;
   };
 
-  /// Pooled per-call scratch: the column tile (rows x kColBlock), the
-  /// transposed row tile (cols x kRowBatch, batched row pass only) and the
-  /// batched-Bluestein pads (empty for power-of-two extents).
+  /// Pooled per-call scratch: the rows x cols lane-major row-pass buffer
+  /// and the batched-Bluestein pad (empty when both extents are powers of
+  /// two).
   struct Scratch {
-    std::vector<cplx> tile;
+    std::vector<cplx> lanes;
     std::vector<cplx> bluestein;
-    std::vector<cplx> row_tile;
-    std::vector<cplx> row_bluestein;
   };
 
   /// RAII lease of a pooled scratch buffer; returns it on destruction.
@@ -114,15 +120,16 @@ class Fft2D {
 
   [[nodiscard]] ScratchLease acquire_scratch() const;
 
-  void transform_rows(View2D<cplx> field, bool fwd, const cplx* post_scale) const;
-  void transform_cols(View2D<cplx> field, bool fwd, const MultiplySpec* mul,
-                      const cplx* post_scale) const;
+  /// forward(field), then the optional multiply and alpha scale on the field.
+  void run_forward(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const;
+  /// The optional multiply on the field, then inverse(field), then the
+  /// optional alpha scale.
+  void run_inverse(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const;
 
   usize rows_ = 0;
   usize cols_ = 0;
-  bool batched_rows_ = true;  // engine_flags().batched_rows at construction
-  Plan1D row_plan_;           // length cols_ (transforms along x)
-  Plan1D col_plan_;           // length rows_ (transforms along y)
+  Plan1D row_plan_;  // length cols_ (transforms along x)
+  Plan1D col_plan_;  // length rows_ (transforms along y)
 
   // Pool of scratch buffers. Concurrent transforms each lease one
   // (allocating on first use), so sharing one plan across workers is

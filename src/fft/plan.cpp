@@ -24,7 +24,6 @@ EngineFlags& mutable_engine_flags() {
     EngineFlags f;
     f.radix4 = env_flag_on("PTYCHO_FFT_RADIX4");
     f.fused = env_flag_on("PTYCHO_FFT_FUSED");
-    f.batched_rows = env_flag_on("PTYCHO_FFT_BATCHED_ROWS");
     return f;
   }();
   return flags;
@@ -90,11 +89,13 @@ void run_pow2(cplx* data, usize n, int sign, const Tables& t) {
 
 template <typename Tables>
 void run_pow2_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                      const Tables& t) {
+                      const Tables& t, bool input_bitrev = false) {
   if (t.use_radix4) {
-    detail::radix4_transform_strided(data, n, stride, count, sign, t.bitrev, t.radix4);
+    detail::radix4_transform_strided(data, n, stride, count, sign, t.bitrev, t.radix4,
+                                     input_bitrev);
   } else {
-    detail::radix2_transform_strided(data, n, stride, count, sign, t.bitrev, t.twiddles);
+    detail::radix2_transform_strided(data, n, stride, count, sign, t.bitrev, t.twiddles,
+                                     input_bitrev);
   }
 }
 }  // namespace
@@ -184,17 +185,56 @@ usize Plan1D::strided_scratch_size(usize count) const {
   return bluestein_ ? bluestein_->m * count : 0;
 }
 
+const usize* Plan1D::bitrev() const { return radix2_ ? radix2_->bitrev.data() : nullptr; }
+
 void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
+  transform_strided(data, stride, count, scratch, -1, false);
+}
+
+void Plan1D::inverse_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
+  transform_strided(data, stride, count, scratch, +1, false);
+}
+
+void Plan1D::transform_strided(cplx* data, usize stride, usize count, cplx* scratch, int sign,
+                               bool input_bitrev) const {
   PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
+  PTYCHO_CHECK(!input_bitrev || radix2_, "bit-reversed input needs a power-of-two plan");
+  const backend::Kernels& kern = backend::kernels();
   if (radix2_) {
-    run_pow2_strided(data, n_, stride, count, -1, *radix2_);
+    run_pow2_strided(data, n_, stride, count, sign, *radix2_, input_bitrev);
+    if (sign < 0) return;
+    // Direct conjugated-twiddle sweep + normalization, as in the contiguous
+    // inverse. A dense batch (stride == count) scales in one dispatched
+    // call over the whole batch.
+    const cplx inv_n(real(1) / static_cast<real>(n_), 0);
+    if (stride == count) {
+      kern.scale_lanes(data, data, inv_n, n_ * count);
+    } else {
+      for (usize k = 0; k < n_; ++k) {
+        cplx* row = data + k * stride;
+        kern.scale_lanes(row, row, inv_n, count);
+      }
+    }
+    return;
+  }
+  PTYCHO_REQUIRE(scratch != nullptr, "strided batch: Bluestein sizes need caller scratch");
+  if (sign > 0) {
+    // Same conjugation trick as the contiguous Bluestein inverse, lane-wise.
+    const real inv_n = real(1) / static_cast<real>(n_);
+    for (usize k = 0; k < n_; ++k) {
+      cplx* row = data + k * stride;
+      kern.conj_scale_lanes(row, row, real(1), count);
+    }
+    transform_strided(data, stride, count, scratch, -1, false);
+    for (usize k = 0; k < n_; ++k) {
+      cplx* row = data + k * stride;
+      kern.conj_scale_lanes(row, row, inv_n, count);
+    }
     return;
   }
   // Bluestein on the whole batch at once: the padded convolution runs
   // through the strided pow2 kernel with the lanes packed contiguously.
-  PTYCHO_REQUIRE(scratch != nullptr, "strided batch: Bluestein sizes need caller scratch");
   const auto& bt = *bluestein_;
-  const backend::Kernels& kern = backend::kernels();
   std::fill_n(scratch, bt.m * count, cplx{});
   for (usize k = 0; k < n_; ++k) {
     kern.scale_lanes(scratch + k * count, data + k * stride, bt.chirp[k], count);
@@ -208,37 +248,6 @@ void Plan1D::forward_strided(cplx* data, usize stride, usize count, cplx* scratc
   const real inv_m = real(1) / static_cast<real>(bt.m);
   for (usize k = 0; k < n_; ++k) {
     kern.scale_chirp_lanes(data + k * stride, scratch + k * count, inv_m, bt.chirp[k], count);
-  }
-}
-
-void Plan1D::inverse_strided(cplx* data, usize stride, usize count, cplx* scratch) const {
-  PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
-  const backend::Kernels& kern = backend::kernels();
-  const real inv_n = real(1) / static_cast<real>(n_);
-  if (radix2_) {
-    // Direct conjugated-twiddle sweep + normalization, as in the contiguous
-    // inverse. A dense batch (stride == count, the 2-D tile layout) scales
-    // in one dispatched call over the whole tile.
-    run_pow2_strided(data, n_, stride, count, +1, *radix2_);
-    if (stride == count) {
-      kern.scale_lanes(data, data, cplx(inv_n, 0), n_ * count);
-    } else {
-      for (usize k = 0; k < n_; ++k) {
-        cplx* row = data + k * stride;
-        kern.scale_lanes(row, row, cplx(inv_n, 0), count);
-      }
-    }
-    return;
-  }
-  // Same conjugation trick as the contiguous Bluestein inverse, lane-wise.
-  for (usize k = 0; k < n_; ++k) {
-    cplx* row = data + k * stride;
-    kern.conj_scale_lanes(row, row, real(1), count);
-  }
-  forward_strided(data, stride, count, scratch);
-  for (usize k = 0; k < n_; ++k) {
-    cplx* row = data + k * stride;
-    kern.conj_scale_lanes(row, row, inv_n, count);
   }
 }
 

@@ -21,17 +21,15 @@ namespace ptycho::fft {
 
 /// Tunables of the fused spectral engine, initialized once from the
 /// environment (each defaults to on; set the variable to "0" to disable):
-///   PTYCHO_FFT_RADIX4       - fused radix-4 stage pairs on power-of-two sizes
-///   PTYCHO_FFT_FUSED        - fold spectral multiplies/scales into FFT passes
-///                             (the propagator/multislice escape hatch for A/B)
-///   PTYCHO_FFT_BATCHED_ROWS - run the 2-D row pass 16 rows per strided call
-/// Plans snapshot `radix4`/`batched_rows` at construction; `fused` is read
-/// at every propagator apply. Like backend::select, set_engine_flags is a
-/// startup knob: call it before plans are built and worker threads launch.
+///   PTYCHO_FFT_RADIX4 - fused radix-4 stage pairs on power-of-two sizes
+///   PTYCHO_FFT_FUSED  - fold spectral multiplies/scales into FFT passes
+///                       (the propagator/multislice escape hatch for A/B)
+/// Plans snapshot `radix4` at construction; `fused` is read at every
+/// propagator apply. Like backend::select, set_engine_flags is a startup
+/// knob: call it before plans are built and worker threads launch.
 struct EngineFlags {
   bool radix4 = true;
   bool fused = true;
-  bool batched_rows = true;
 };
 
 [[nodiscard]] const EngineFlags& engine_flags();
@@ -65,8 +63,8 @@ class Plan1D {
 
   /// Batched strided transform of `count` interleaved signals: element j of
   /// signal b sits at data[j*stride + b] (stride >= count). The butterflies
-  /// run across the contiguous lane dimension, so a column block gathered
-  /// into this layout vectorizes where the one-column-at-a-time path cannot.
+  /// run across the contiguous lane dimension, so a batch in this layout
+  /// (Fft2D passes whole windows) vectorizes where one signal cannot.
   /// `scratch` must hold strided_scratch_size(count) elements (may be null
   /// when that is 0). Each lane runs the same operation sequence as the
   /// contiguous single-signal transform.
@@ -77,11 +75,24 @@ class Plan1D {
   struct Radix2Tables;
   struct BluesteinTables;
 
+  // Fft2D folds the bit-reversal permutation of its power-of-two passes
+  // into the transposes it already makes, so it needs the permutation and
+  // a strided entry that skips the in-place swap pass.
+  friend class Fft2D;
+
+  /// Bit-reversal table of a power-of-two plan; nullptr for Bluestein sizes.
+  [[nodiscard]] const usize* bitrev() const;
+
+  /// forward_strided (sign -1) / inverse_strided (sign +1). With
+  /// `input_bitrev` the signal rows already sit in bit-reversed order
+  /// (power-of-two plans only), so the permutation pass is skipped; every
+  /// other operation is unchanged.
+  void transform_strided(cplx* data, usize stride, usize count, cplx* scratch, int sign,
+                         bool input_bitrev) const;
+
   usize n_ = 0;
   std::unique_ptr<Radix2Tables> radix2_;        // set when n is a power of two
   std::unique_ptr<BluesteinTables> bluestein_;  // set otherwise
-
-  friend struct PlanAccess;
 };
 
 namespace detail {
@@ -90,13 +101,19 @@ namespace detail {
 void radix2_transform(cplx* data, usize n, int sign, const std::vector<usize>& bitrev,
                       const std::vector<cplx>& twiddles_fwd);
 
+/// Bit-reversal permutation of `count` interleaved signals (layout of
+/// radix2_transform_strided): swaps whole lane rows once per pair.
+void bitrev_permute_strided(cplx* data, usize n, usize stride, usize count,
+                            const std::vector<usize>& bitrev);
+
 /// Batched variant of radix2_transform: `count` interleaved signals with
 /// element j of signal b at data[j*stride + b]. Butterflies loop over the
 /// contiguous lane dimension (unit stride), so the hot inner loop
-/// vectorizes across the batch.
+/// vectorizes across the batch. `input_bitrev` skips the permutation pass
+/// for input whose rows the caller already placed in bit-reversed order.
 void radix2_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
                               const std::vector<usize>& bitrev,
-                              const std::vector<cplx>& twiddles_fwd);
+                              const std::vector<cplx>& twiddles_fwd, bool input_bitrev);
 
 /// Build bit-reversal permutation for size n (pow2).
 [[nodiscard]] std::vector<usize> make_bitrev(usize n);
@@ -135,10 +152,11 @@ struct Radix4Tables {
 void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& bitrev,
                       const Radix4Tables& r4);
 
-/// Batched strided variant of radix4_transform (layout and conventions of
-/// radix2_transform_strided).
+/// Batched strided variant of radix4_transform (layout, conventions and
+/// `input_bitrev` of radix2_transform_strided).
 void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                              const std::vector<usize>& bitrev, const Radix4Tables& r4);
+                              const std::vector<usize>& bitrev, const Radix4Tables& r4,
+                              bool input_bitrev);
 }  // namespace detail
 
 }  // namespace ptycho::fft

@@ -73,10 +73,9 @@ void radix2_transform(cplx* data, usize n, int sign, const std::vector<usize>& b
   }
 }
 
-void radix2_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                              const std::vector<usize>& bitrev,
-                              const std::vector<cplx>& twiddles_fwd) {
-  // Bit-reversal permutation: swap whole lane rows once per pair.
+void bitrev_permute_strided(cplx* data, usize n, usize stride, usize count,
+                            const std::vector<usize>& bitrev) {
+  // Swap whole lane rows once per pair.
   for (usize i = 0; i < n; ++i) {
     const usize j = bitrev[i];
     if (i < j) {
@@ -85,6 +84,12 @@ void radix2_transform_strided(cplx* data, usize n, usize stride, usize count, in
       for (usize lane = 0; lane < count; ++lane) std::swap(a[lane], b[lane]);
     }
   }
+}
+
+void radix2_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
+                              const std::vector<usize>& bitrev,
+                              const std::vector<cplx>& twiddles_fwd, bool input_bitrev) {
+  if (!input_bitrev) bitrev_permute_strided(data, n, stride, count, bitrev);
   // Butterfly stages; the lane dimension is contiguous, so each (base, k)
   // pair is one shared-twiddle butterfly block across the batch.
   const backend::Kernels& kern = backend::kernels();

@@ -104,22 +104,15 @@ void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& b
 }
 
 void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                              const std::vector<usize>& bitrev, const Radix4Tables& r4) {
-  // Bit-reversal permutation: swap whole lane rows once per pair.
-  for (usize i = 0; i < n; ++i) {
-    const usize j = bitrev[i];
-    if (i < j) {
-      cplx* a = data + i * stride;
-      cplx* b = data + j * stride;
-      for (usize lane = 0; lane < count; ++lane) std::swap(a[lane], b[lane]);
-    }
-  }
+                              const std::vector<usize>& bitrev, const Radix4Tables& r4,
+                              bool input_bitrev) {
+  if (!input_bitrev) bitrev_permute_strided(data, n, stride, count, bitrev);
   const bool conj_tw = sign > 0;
   const backend::Kernels& kern = backend::kernels();
   if (r4.leading_radix2) {
     // The same multiply-free add/sub pairs as the contiguous path — not a
     // unit-twiddle cmul, whose 0*x terms would flip signed zeros and break
-    // bitwise parity between the batched and per-row 2-D row passes. The
+    // bitwise parity between the lane-major and contiguous transforms. The
     // plain add/sub loop over the contiguous lane dimension auto-vectorizes.
     for (usize base = 0; base < n; base += 2) {
       cplx* a = data + base * stride;

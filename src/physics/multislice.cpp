@@ -16,14 +16,11 @@ MultisliceWorkspace::MultisliceWorkspace(index_t probe_n, index_t slices,
       scratch(probe_n, probe_n),
       compact_trans(compact_trans_format) {
   psi_in.reserve(static_cast<usize>(slices));
-  trans.reserve(static_cast<usize>(slices));
-  const bool compact = compact_trans != compact::Format::kNone;
-  for (index_t s = 0; s < slices; ++s) {
-    psi_in.emplace_back(probe_n, probe_n);
-    // With a compact cache the f32 planes stay unallocated (0x0) unless a
-    // non-cacheable model later forces them (see compute_transmittance).
-    trans.emplace_back(compact ? 0 : probe_n, compact ? 0 : probe_n);
-  }
+  for (index_t s = 0; s < slices; ++s) psi_in.emplace_back(probe_n, probe_n);
+  // The f32 transmittance planes stay unallocated (0x0) until a kPotential
+  // evaluation without the compact cache needs them (compute_transmittance):
+  // kTransmittance reads the volume directly.
+  trans.resize(static_cast<usize>(slices));
 }
 
 WorkspacePool::WorkspacePool(index_t probe_n, index_t slices, int slots,
@@ -48,8 +45,18 @@ bool MultisliceOperator::compact_cache_active(const MultisliceWorkspace& ws) con
          config_.model == ObjectModel::kPotential && ws.cache_transmittance;
 }
 
-View2D<const cplx> MultisliceOperator::slice_transmittance(MultisliceWorkspace& ws,
+real seed_magnitude(cplx z) {
+  const auto re = static_cast<double>(z.real());
+  const auto im = static_cast<double>(z.imag());
+  const auto mag = static_cast<real>(std::sqrt(re * re + im * im));
+  return std::isfinite(mag) ? mag : std::abs(z);
+}
+
+View2D<const cplx> MultisliceOperator::slice_transmittance(const FramedVolume& volume,
+                                                           const Rect& window,
+                                                           MultisliceWorkspace& ws,
                                                            index_t s) const {
+  if (config_.model == ObjectModel::kTransmittance) return volume.window(s, window);
   const auto us = static_cast<usize>(s);
   if (!compact_cache_active(ws)) return ws.trans[us].view();
   const auto n = static_cast<index_t>(grid_.probe_n);
@@ -64,6 +71,8 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
   const index_t slices = volume.slices();
   PTYCHO_CHECK(ws.trans.size() == static_cast<usize>(slices),
                "workspace slice count mismatch");
+  // t_s = V_s: slice_transmittance hands out the volume window itself.
+  if (config_.model == ObjectModel::kTransmittance) return;
   // kPotential pays exp/cos/sin per voxel; skip the rebuild when the cached
   // tile is provably current (same revision token, same window).
   const bool cacheable = config_.model == ObjectModel::kPotential && ws.cache_transmittance;
@@ -89,17 +98,12 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
   }
   for (index_t s = 0; s < slices; ++s) {
     View2D<const cplx> v = volume.window(s, window);
-    // A compact-configured workspace defers the f32 planes; allocate them
-    // here if a non-cacheable evaluation (e.g. kTransmittance model) needs
-    // one after all.
+    // The f32 planes are allocated on first use (see the workspace
+    // constructor).
     if (!compact && ws.trans[static_cast<usize>(s)].empty()) {
       ws.trans[static_cast<usize>(s)] = CArray2D(n, n);
     }
     View2D<cplx> t = compact ? ws.trans_scratch.view() : ws.trans[static_cast<usize>(s)].view();
-    if (config_.model == ObjectModel::kTransmittance) {
-      copy(v, t);
-      continue;
-    }
     // t = exp(i * sigma * V): exp(i s (a+bi)) = exp(-s b) * (cos(sa) + i sin(sa))
     const real sigma = config_.sigma;
     for (index_t y = 0; y < v.rows(); ++y) {
@@ -144,7 +148,7 @@ void MultisliceOperator::forward(const Probe& probe, const FramedVolume& volume,
   for (index_t s = 0; s < slices; ++s) {
     // Record the wavefield entering the slice (needed for the adjoint).
     copy(ws.psi.view(), ws.psi_in[static_cast<usize>(s)].view());
-    multiply_inplace(slice_transmittance(ws, s), ws.psi.view());
+    multiply_inplace(slice_transmittance(volume, window, ws, s), ws.psi.view());
     if (!fast_spectral || s + 1 < slices) propagator_.apply(ws.psi.view());
   }
   // Unitary far-field transform: |far|^2 integrates to the exit-wave
@@ -223,7 +227,7 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
     const cplx* f = ws.far.row(y);
     cplx* g = ws.grad.row(y);
     for (index_t x = 0; x < n; ++x) {
-      const real mag = std::abs(f[x]);
+      const real mag = seed_magnitude(f[x]);
       if (mag > real(1e-20)) {
         g[x] = real(2) * (mag - ym[x]) / mag * f[x];
       } else {
@@ -273,7 +277,7 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
     if (!fast_spectral || s + 1 < slices) propagator_.apply_adjoint(ws.grad.view());
     const auto us = static_cast<usize>(s);
     View2D<const cplx> psi_in = ws.psi_in[us].view();
-    View2D<const cplx> trans = slice_transmittance(ws, s);
+    View2D<const cplx> trans = slice_transmittance(volume, window, ws, s);
     View2D<cplx> g_slice = grad_out.window(s, window);
     // gt = conj(psi_in) .* g ; gV = gt (transmittance) or conj(i sigma t) .* gt.
     for (index_t y = 0; y < n; ++y) {

@@ -32,7 +32,7 @@ enum class ObjectModel {
 struct MultisliceWorkspace {
   CArray2D psi;                    ///< current wavefield (probe_n x probe_n)
   std::vector<CArray2D> psi_in;    ///< wavefield entering each slice (pre-multiply)
-  std::vector<CArray2D> trans;     ///< transmittance of each slice over the window
+  std::vector<CArray2D> trans;     ///< kPotential transmittance of each slice (lazily sized)
   CArray2D far;                    ///< far-field wavefield FFT(psi_S)
   CArray2D grad;                   ///< backprop wavefield
   CArray2D scratch;
@@ -86,6 +86,14 @@ class WorkspacePool {
   std::vector<MultisliceWorkspace> workspaces_;
 };
 
+/// |z| as the gradient seed computes it: the double-precision
+/// sqrt(re^2 + im^2) rounded to real, which is what glibc's hypotf returns
+/// for finite input at well under half its cost. Non-finite results (inf
+/// or NaN parts, or a magnitude past the float range) fall back to
+/// std::abs, so on glibc the value is bitwise std::abs(z) for every input
+/// (tests/test_physics.cpp checks the edge cases).
+[[nodiscard]] real seed_magnitude(cplx z);
+
 struct MultisliceConfig {
   ObjectModel model = ObjectModel::kTransmittance;
   real sigma = real(1);  ///< interaction constant for ObjectModel::kPotential
@@ -130,17 +138,20 @@ class MultisliceOperator {
 
  private:
   /// Fill ws.trans[s] (or ws.trans_c[s] when the compact cache is active)
-  /// from the volume window.
+  /// from the volume window. A no-op for kTransmittance.
   void compute_transmittance(const FramedVolume& volume, const Rect& window,
                              MultisliceWorkspace& ws) const;
 
   /// True when this evaluation stores/reads the transmittance compactly.
   [[nodiscard]] bool compact_cache_active(const MultisliceWorkspace& ws) const;
 
-  /// Slice transmittance for use in the forward/adjoint chain: the f32
-  /// plane, or a decode of the compact plane into ws.trans_scratch (valid
-  /// until the next slice is requested).
-  [[nodiscard]] View2D<const cplx> slice_transmittance(MultisliceWorkspace& ws,
+  /// Slice transmittance for use in the forward/adjoint chain: the volume
+  /// window itself (kTransmittance), the f32 plane, or a decode of the
+  /// compact plane into ws.trans_scratch (valid until the next slice is
+  /// requested).
+  [[nodiscard]] View2D<const cplx> slice_transmittance(const FramedVolume& volume,
+                                                       const Rect& window,
+                                                       MultisliceWorkspace& ws,
                                                        index_t s) const;
 
   OpticsGrid grid_;

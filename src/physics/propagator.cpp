@@ -29,9 +29,9 @@ Propagator::Propagator(const OpticsGrid& grid)
 
 void Propagator::apply_kernel(View2D<cplx> psi, bool conjugate) const {
   if (fft::engine_flags().fused) {
-    // Fused path: the H (or conj H) product rides in an FFT pass tile —
-    // `apply` folds it into the forward's last column pass, `apply_adjoint`
-    // into the inverse's first, so both fused entry points stay hot in the
+    // Fused path: the H (or conj H) product rides in an FFT call —
+    // `apply` folds it in after the forward's column pass, `apply_adjoint`
+    // before the inverse's, so both fused entry points stay hot in the
     // per-probe loop. Results are bitwise identical to the composed path.
     if (conjugate) {
       fft_.forward(psi);

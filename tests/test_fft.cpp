@@ -1,16 +1,18 @@
 // Unit/property tests for src/fft: fast transforms vs the O(n^2)
-// reference, roundtrips, adjoint identities, shifts, the blocked/batched
-// column paths, the radix-4 stage schedule, the fused spectral entry
-// points, and allocation-freedom of the shift helpers.
+// reference, roundtrips, adjoint identities, shifts, the batched strided
+// paths and the whole-window 2-D layout, the radix-4 stage schedule, the
+// fused spectral entry points, and allocation-freedom of the shift helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <new>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/kernels.hpp"
@@ -451,9 +453,9 @@ TEST(Radix4, AgreesWithRadix2OnBluesteinAdjacentSizes) {
 
 // The fused entry points must be bitwise-equal to their composed two-step
 // sequences under the same radix configuration: the fold moves the same
-// dispatched per-element ops into a tile, it must not change one bit.
-// Shapes cover pow2, Bluestein and mixed extents, including partial
-// kColBlock / kRowBatch edge tiles.
+// dispatched per-element ops into the transform call, it must not change
+// one bit.
+// Shapes cover pow2, Bluestein and mixed extents.
 class FusedEntryPoints : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
 
 TEST_P(FusedEntryPoints, ForwardMultiplyBitwiseEqualsComposed) {
@@ -529,33 +531,154 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FusedEntryPoints,
                                            std::pair<index_t, index_t>{8, 100},
                                            std::pair<index_t, index_t>{17, 64}));
 
-TEST(Fft2DBatchedRows, BitwiseMatchesPerRowPath) {
-  // The transposed batched row pass runs the same per-element operation
-  // sequence as the one-row-at-a-time path (same stage schedule, same
-  // dispatched kernels), so it must agree bitwise on generic data.
-  EngineFlagsGuard guard;
-  for (const auto& [rows, cols] :
-       {std::pair<index_t, index_t>{16, 16}, {20, 8}, {12, 100}, {33, 32}}) {
-    EngineFlags flags = engine_flags();
-    flags.batched_rows = true;
-    set_engine_flags(flags);
-    Fft2D batched(static_cast<usize>(rows), static_cast<usize>(cols));
-    flags.batched_rows = false;
-    set_engine_flags(flags);
-    Fft2D per_row(static_cast<usize>(rows), static_cast<usize>(cols));
-    const CArray2D input = random_field(rows, cols, 930 + static_cast<usize>(rows * cols));
-    CArray2D a = input.clone();
-    CArray2D b = input.clone();
-    batched.forward(a.view());
-    per_row.forward(b.view());
-    EXPECT_TRUE(bitwise_equal(a.data(), b.data(), static_cast<usize>(rows * cols)))
-        << "forward " << rows << "x" << cols;
-    batched.inverse(a.view());
-    per_row.inverse(b.view());
-    EXPECT_TRUE(bitwise_equal(a.data(), b.data(), static_cast<usize>(rows * cols)))
-        << "inverse " << rows << "x" << cols;
+// The reference every Fft2D entry point must reproduce bit for bit: the
+// contiguous Plan1D transform over every row, then over every gathered
+// column (forward), or columns first, then rows (inverse — the order the
+// 2-D inverse runs in). The whole-window lane-major layout and the
+// bit reversal folded into its transposes may only move data.
+void naive_forward(CArray2D& a) {
+  const index_t rows = a.rows();
+  const index_t cols = a.cols();
+  Plan1D row_plan(static_cast<usize>(cols));
+  Plan1D col_plan(static_cast<usize>(rows));
+  for (index_t y = 0; y < rows; ++y) row_plan.forward(a.row(y));
+  std::vector<cplx> column(static_cast<usize>(rows));
+  for (index_t x = 0; x < cols; ++x) {
+    for (index_t y = 0; y < rows; ++y) column[static_cast<usize>(y)] = a(y, x);
+    col_plan.forward(column.data());
+    for (index_t y = 0; y < rows; ++y) a(y, x) = column[static_cast<usize>(y)];
   }
 }
+
+void naive_inverse(CArray2D& a) {
+  const index_t rows = a.rows();
+  const index_t cols = a.cols();
+  Plan1D row_plan(static_cast<usize>(cols));
+  Plan1D col_plan(static_cast<usize>(rows));
+  std::vector<cplx> column(static_cast<usize>(rows));
+  for (index_t x = 0; x < cols; ++x) {
+    for (index_t y = 0; y < rows; ++y) column[static_cast<usize>(y)] = a(y, x);
+    col_plan.inverse(column.data());
+    for (index_t y = 0; y < rows; ++y) a(y, x) = column[static_cast<usize>(y)];
+  }
+  for (index_t y = 0; y < rows; ++y) row_plan.inverse(a.row(y));
+}
+
+void naive_multiply(CArray2D& a, View2D<const cplx> kernel, bool conj) {
+  backend::kernels().cmul_rows_tiled(a.data(), static_cast<usize>(a.cols()), a.data(),
+                                     static_cast<usize>(a.cols()), kernel.data(),
+                                     static_cast<usize>(kernel.row_stride()), conj,
+                                     static_cast<usize>(a.rows()), static_cast<usize>(a.cols()));
+}
+
+class Fft2DLayout : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
+
+TEST_P(Fft2DLayout, EveryEntryPointBitwiseEqualsNaiveComposition) {
+  const auto [rows, cols] = GetParam();
+  const Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
+  const auto seed = static_cast<std::uint64_t>(rows * 1000 + cols);
+  // Non-contiguous operands: windows of larger arrays, offset on both axes.
+  constexpr index_t kPadY = 5;
+  constexpr index_t kPadX = 7;
+  const CArray2D outer = random_field(rows + kPadY, cols + kPadX, seed);
+  const CArray2D kernel_outer = random_field(rows + kPadY, cols + kPadX, seed + 1);
+  const View2D<const cplx> kernel = kernel_outer.sub(3, 4, rows, cols);
+  const cplx alpha(real(0.37), real(-0.81));
+  const cplx size_alpha(static_cast<real>(rows * cols), 0);
+  const cplx inv_size_alpha(real(1) / static_cast<real>(rows * cols), 0);
+
+  struct Case {
+    const char* name;
+    std::function<void(View2D<cplx>)> fast;
+    std::function<void(CArray2D&)> naive;
+  };
+  const std::vector<Case> cases = {
+      {"forward", [&](View2D<cplx> f) { plan.forward(f); }, naive_forward},
+      {"inverse", [&](View2D<cplx> f) { plan.inverse(f); }, naive_inverse},
+      {"forward_multiply", [&](View2D<cplx> f) { plan.forward_multiply(f, kernel); },
+       [&](CArray2D& a) {
+         naive_forward(a);
+         naive_multiply(a, kernel, false);
+       }},
+      {"forward_multiply conj", [&](View2D<cplx> f) { plan.forward_multiply(f, kernel, true); },
+       [&](CArray2D& a) {
+         naive_forward(a);
+         naive_multiply(a, kernel, true);
+       }},
+      {"multiply_inverse", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f); },
+       [&](CArray2D& a) {
+         naive_multiply(a, kernel, false);
+         naive_inverse(a);
+       }},
+      {"multiply_inverse conj", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f, true); },
+       [&](CArray2D& a) {
+         naive_multiply(a, kernel, true);
+         naive_inverse(a);
+       }},
+      {"forward_scale", [&](View2D<cplx> f) { plan.forward_scale(f, alpha); },
+       [&](CArray2D& a) {
+         naive_forward(a);
+         scale(alpha, a.view());
+       }},
+      {"inverse_scale", [&](View2D<cplx> f) { plan.inverse_scale(f, alpha); },
+       [&](CArray2D& a) {
+         naive_inverse(a);
+         scale(alpha, a.view());
+       }},
+      {"adjoint_forward", [&](View2D<cplx> f) { plan.adjoint_forward(f); },
+       [&](CArray2D& a) {
+         naive_inverse(a);
+         scale(size_alpha, a.view());
+       }},
+      {"adjoint_inverse", [&](View2D<cplx> f) { plan.adjoint_inverse(f); },
+       [&](CArray2D& a) {
+         naive_forward(a);
+         scale(inv_size_alpha, a.view());
+       }},
+  };
+  const auto count = static_cast<usize>(rows * cols);
+  for (const Case& c : cases) {
+    CArray2D expected(rows, cols);
+    copy(outer.sub(2, 3, rows, cols), expected.view());
+    c.naive(expected);
+
+    CArray2D dense(rows, cols);
+    copy(outer.sub(2, 3, rows, cols), dense.view());
+    c.fast(dense.view());
+    EXPECT_TRUE(bitwise_equal(dense.data(), expected.data(), count))
+        << c.name << " " << rows << "x" << cols;
+
+    CArray2D strided = outer.clone();
+    c.fast(strided.sub(2, 3, rows, cols));
+    CArray2D window(rows, cols);
+    copy(strided.sub(2, 3, rows, cols), window.view());
+    EXPECT_TRUE(bitwise_equal(window.data(), expected.data(), count))
+        << c.name << " window " << rows << "x" << cols;
+    // Everything outside the window must be untouched.
+    for (index_t y = 0; y < outer.rows(); ++y) {
+      for (index_t x = 0; x < outer.cols(); ++x) {
+        const bool inside = y >= 2 && y < 2 + rows && x >= 3 && x < 3 + cols;
+        if (!inside) {
+          ASSERT_TRUE(bitwise_equal(&strided(y, x), &outer(y, x), 1))
+              << c.name << " wrote outside the window at " << y << "," << x;
+        }
+      }
+    }
+  }
+}
+
+// Power-of-two shapes of both log2 parities (the radix-4 schedule with and
+// without its leading radix-2 stage, on each axis), then Bluestein and
+// mixed pow2/Bluestein shapes.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Fft2DLayout,
+    ::testing::Values(std::pair<index_t, index_t>{4, 4}, std::pair<index_t, index_t>{8, 8},
+                      std::pair<index_t, index_t>{16, 16}, std::pair<index_t, index_t>{32, 32},
+                      std::pair<index_t, index_t>{64, 64}, std::pair<index_t, index_t>{128, 128},
+                      std::pair<index_t, index_t>{256, 256}, std::pair<index_t, index_t>{32, 16},
+                      std::pair<index_t, index_t>{16, 128}, std::pair<index_t, index_t>{24, 20},
+                      std::pair<index_t, index_t>{8, 100}, std::pair<index_t, index_t>{17, 64},
+                      std::pair<index_t, index_t>{100, 100}));
 
 TEST(Fft2D, OnePlanSharedAcrossConcurrentThreads) {
   // One plan, four threads, each transforming its own field: the pooled

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/random.hpp"
 #include "data/synthetic.hpp"
@@ -302,6 +305,64 @@ TEST(Multislice, GradientSupportConfinedToWindow) {
   }
   EXPECT_GT(inside, 0.0);
   EXPECT_EQ(outside, 0.0);  // gradient code writes only the window
+}
+
+TEST(Multislice, SeedMagnitudeBitwiseEqualsStdAbs) {
+  // The gradient seed's |Psi| must be the exact bits std::abs returns, or
+  // every strict-tier volume would change. Cover the IEEE edge cases on
+  // both axes (signed zeros, denormals, the float range limit, inf, NaN)
+  // and a spread of ordinary values.
+  using lim = std::numeric_limits<real>;
+  std::vector<real> parts = {real(0),
+                             -real(0),
+                             lim::denorm_min(),
+                             -lim::denorm_min(),
+                             real(3) * lim::denorm_min(),
+                             lim::min() / real(2),
+                             lim::min(),
+                             -lim::min(),
+                             real(1),
+                             real(-1.5),
+                             real(3e-20),
+                             lim::max(),
+                             -lim::max(),
+                             lim::max() / real(2),
+                             std::nextafter(lim::max(), real(0)),
+                             real(2e19),
+                             lim::infinity(),
+                             -lim::infinity(),
+                             lim::quiet_NaN(),
+                             -lim::quiet_NaN()};
+  Rng rng(77);
+  for (int i = 0; i < 64; ++i) {
+    parts.push_back(static_cast<real>(rng.normal() * std::pow(10.0, rng.uniform() * 60 - 30)));
+  }
+  for (const real re : parts) {
+    for (const real im : parts) {
+      const cplx z(re, im);
+      const real fast = seed_magnitude(z);
+      const real ref = std::abs(z);
+      EXPECT_EQ(std::memcmp(&fast, &ref, sizeof(real)), 0)
+          << "z=(" << re << "," << im << ") seed=" << fast << " abs=" << ref;
+    }
+  }
+}
+
+TEST(Multislice, TransmittanceModelAllocatesNoTransmittancePlanes) {
+  // kTransmittance reads each slice straight from the volume window, so
+  // an evaluation leaves the workspace's f32 planes unallocated.
+  const OpticsGrid grid = test_grid();
+  Probe probe(grid, test_probe_params());
+  MultisliceOperator op(grid);
+  const auto n = static_cast<index_t>(grid.probe_n);
+  const Rect window{0, 0, n, n};
+  FramedVolume object = random_volume(window, 3, 5);
+  MultisliceWorkspace ws(n, 3);
+  RArray2D mag(n, n);
+  op.simulate_magnitude(probe, object, window, ws, mag.view());
+  FramedVolume grad(3, window);
+  (void)op.cost_and_gradient(probe, object, window, mag.view(), grad, ws);
+  for (const CArray2D& plane : ws.trans) EXPECT_TRUE(plane.empty());
 }
 
 TEST(Scan, RasterOrderAndField) {
