@@ -53,7 +53,8 @@ void BM_ProbeGradient(benchmark::State& state) {
   FramedVolume grad(dataset.spec.slices, dataset.field());
   for (auto _ : state) {
     grad.data.fill(cplx{});
-    const double f = engine.probe_gradient(0, volume, grad, ws);
+    const double f = engine.probe_gradient_joint(0, dataset.probe, dataset.measurements[0].view(),
+                                                 volume, grad, ws);
     benchmark::DoNotOptimize(f);
   }
 }
@@ -166,40 +167,15 @@ void BM_BackendAxpy(benchmark::State& state, const backend::Kernels* kern) {
                           static_cast<std::int64_t>(3 * n * sizeof(cplx)));
 }
 
-void BM_BackendButterfly(benchmark::State& state, const backend::Kernels* kern) {
-  const auto n = static_cast<usize>(state.range(0));
-  const std::vector<cplx> a0 = backend_signal(n, 5);
-  const std::vector<cplx> b0 = backend_signal(n, 6);
-  std::vector<cplx> a = a0;
-  std::vector<cplx> b = b0;
-  const cplx w(real(0.70710678), real(-0.70710678));
-  int applications = 0;
-  for (auto _ : state) {
-    // The butterfly doubles signal energy; reset (untimed) before values
-    // can overflow.
-    if (++applications >= 100) {
-      state.PauseTiming();
-      a = a0;
-      b = b0;
-      applications = 0;
-      state.ResumeTiming();
-    }
-    kern->butterfly_lanes(a.data(), b.data(), w, n);
-    benchmark::DoNotOptimize(a.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(4 * n * sizeof(cplx)));
-}
-
 void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern) {
   const auto n = static_cast<usize>(state.range(0));
   const std::vector<cplx> x0_0 = backend_signal(n, 9);
   const std::vector<cplx> x1_0 = backend_signal(n, 10);
   const std::vector<cplx> x2_0 = backend_signal(n, 11);
   const std::vector<cplx> x3_0 = backend_signal(n, 12);
-  // Unit-magnitude twiddles, as in the real transform (and the radix-2
-  // bench): growth per application stays bounded by the 4-point sum, so
-  // the reset below fires long before float32 overflow.
+  // Unit-magnitude twiddles, as in the real transform: growth per
+  // application stays bounded by the 4-point sum, so the reset below fires
+  // long before float32 overflow.
   const auto unit_twiddles = [n](int salt) {
     std::vector<cplx> tw(n);
     for (usize i = 0; i < n; ++i) {
@@ -217,8 +193,8 @@ void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern)
   std::vector<cplx> x3 = x3_0;
   int applications = 0;
   for (auto _ : state) {
-    // Like the radix-2 butterfly, each application grows the signal; reset
-    // (untimed) before values can overflow.
+    // Each application grows the signal; reset (untimed) before values can
+    // overflow.
     if (++applications >= 50) {
       state.PauseTiming();
       x0 = x0_0;
@@ -256,7 +232,6 @@ void register_backend_benches(const backend::Kernels* kern) {
       {"BM_BackendCmul", &BM_BackendCmul},
       {"BM_BackendCmulConj", &BM_BackendCmulConj},
       {"BM_BackendAxpy", &BM_BackendAxpy},
-      {"BM_BackendButterfly", &BM_BackendButterfly},
       {"BM_BackendButterfly4", &BM_BackendButterfly4},
       {"BM_BackendChirpMul", &BM_BackendChirpMul},
   };

@@ -9,12 +9,11 @@
 // bench::best_of_seconds): on shared runners interference only adds time,
 // so the fastest repeat is the comparable number.
 //
-// A/B columns quantify the fused spectral engine next to the plain one:
-// per-backend numbers (scalar vs SIMD kernel tables), radix-4 vs radix-2
-// FFT stage fusion, fused vs unfused propagator passes end-to-end in
-// probes/s, and the strict-vs-fast precision tier (FMA tables +
-// f16-compact measurement storage, self-gated by the cost-trajectory
-// comparator). A `provenance` object (host, cores, compiler) records
+// A/B columns quantify per-backend numbers (scalar vs SIMD kernel
+// tables), the work-stealing scheduler, tracing overhead, the sync vs
+// async checkpoint pipeline, and the strict-vs-fast precision tier (FMA
+// tables + f16-compact measurement storage, self-gated by the
+// cost-trajectory comparator). A `provenance` object (host, cores, compiler) records
 // where the JSON was produced — numbers are only comparable within one
 // host.
 //
@@ -52,8 +51,7 @@ namespace {
 
 /// Probes/sec sweeping every probe of `dataset`: best of `repeat` full
 /// sweeps on `threads` through `schedule`, after one untimed warm-up
-/// sweep. Engine flags are snapshotted by the plans built here, so
-/// callers can A/B them.
+/// sweep.
 double sweep_rate(const Dataset& dataset, int threads, int repeat,
                   SweepSchedule schedule = SweepSchedule::kStatic) {
   GradientEngine engine(dataset);
@@ -215,8 +213,7 @@ struct FftResult {
 
 /// Single-thread 256x256 forward+inverse pairs (best of `repeat` blocks of
 /// `iters` pairs); MB/s counts bytes touched (2 passes over the field per
-/// pair). The plan is built inside, so it snapshots the current engine
-/// flags (radix-4 on/off A/B).
+/// pair). The transforms dispatch through the active kernel table.
 FftResult fft_rate(int iters, int repeat) {
   const index_t n = 256;
   fft::Fft2D plan(static_cast<usize>(n), static_cast<usize>(n));
@@ -248,7 +245,7 @@ FftResult fft_rate(int iters, int repeat) {
 
 struct KernelRates {
   double cmul_mb_per_sec = 0.0;
-  double butterfly_mb_per_sec = 0.0;
+  double butterfly4_mb_per_sec = 0.0;
 };
 
 /// Throughput of the two hottest backend primitives on one table, MB/s of
@@ -257,10 +254,12 @@ struct KernelRates {
 KernelRates kernel_rates(const backend::Kernels& kern, int repeat) {
   const usize n = 4096;
   const int iters = 20000;
-  std::vector<cplx> a(n), b(n), dst(n);
+  std::vector<cplx> a(n), b(n), c(n), d(n), dst(n);
   for (usize i = 0; i < n; ++i) {
     a[i] = cplx(real(0.25) + static_cast<real>(i % 7), static_cast<real>(i % 5) - real(2));
     b[i] = cplx(static_cast<real>(i % 3) - real(1), real(0.5));
+    c[i] = cplx(real(0.5), static_cast<real>(i % 11) - real(5));
+    d[i] = cplx(static_cast<real>(i % 13) - real(6), real(-0.75));
   }
   KernelRates out;
   {
@@ -271,13 +270,18 @@ KernelRates kernel_rates(const backend::Kernels& kern, int repeat) {
         3.0 * iters * static_cast<double>(n) * sizeof(cplx) / seconds / 1e6;
   }
   {
-    // The butterfly doubles signal energy per application (amplitude x
-    // sqrt(2)), so run it in blocks of 100 from a pristine copy — the
-    // resets stay outside the timed regions and values stay finite.
-    const cplx w(real(0.70710678), real(-0.70710678));
+    // The strided FFT's butterfly (butterfly4_lanes, unit-magnitude
+    // twiddles) at most quadruples signal energy per application (amplitude
+    // x 2), so run it in blocks of 50 from a pristine copy — the resets stay
+    // outside the timed regions and values stay finite.
+    const cplx w1(real(0.92387953), real(-0.38268343));
+    const cplx w2(real(0.98078528), real(-0.19509032));
+    const cplx w3(real(0.83146961), real(-0.55557023));
     const std::vector<cplx> a0 = a;
     const std::vector<cplx> b0 = b;
-    const int block = 100;
+    const std::vector<cplx> c0 = c;
+    const std::vector<cplx> d0 = d;
+    const int block = 50;
     const int blocks = iters / block;
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < std::max(1, repeat); ++rep) {
@@ -285,14 +289,18 @@ KernelRates kernel_rates(const backend::Kernels& kern, int repeat) {
       for (int blk = 0; blk < blocks; ++blk) {
         a = a0;
         b = b0;
+        c = c0;
+        d = d0;
         WallTimer timer;
-        for (int i = 0; i < block; ++i) kern.butterfly_lanes(a.data(), b.data(), w, n);
+        for (int i = 0; i < block; ++i) {
+          kern.butterfly4_lanes(a.data(), b.data(), c.data(), d.data(), w1, w2, w3, false, n);
+        }
         seconds += timer.seconds();
       }
       best = std::min(best, seconds);
     }
-    out.butterfly_mb_per_sec =
-        4.0 * blocks * block * static_cast<double>(n) * sizeof(cplx) / best / 1e6;
+    out.butterfly4_mb_per_sec =
+        8.0 * blocks * block * static_cast<double>(n) * sizeof(cplx) / best / 1e6;
   }
   return out;
 }
@@ -333,10 +341,8 @@ int main(int argc, char** argv) {
                  "--backend " << backend_flag << " is not available on this machine");
   }
   const std::string active_backend = backend::active_name();
-  const fft::EngineFlags entry_flags = fft::engine_flags();
   std::printf("kernel backend: %s (simd %savailable)\n", active_backend.c_str(),
               backend::simd_available() ? "" : "un");
-  std::printf("fft engine: radix4=%d fused=%d\n", entry_flags.radix4, entry_flags.fused);
 
   std::printf("building %s dataset...\n", spec.c_str());
   const Dataset dataset = bench::build_repro_dataset(spec);
@@ -358,16 +364,6 @@ int main(int argc, char** argv) {
   const double rate_nt_ws = sweep_rate(dataset, threads, repeat, SweepSchedule::kWorkStealing);
   std::printf("  %d threads ws: %8.1f probes/s (vs static %.2fx)\n", threads, rate_nt_ws,
               rate_nt_ws / rate_nt);
-
-  // Fused-vs-unfused A/B, end to end: same dataset and thread count, with
-  // only the spectral fusion (propagator/multislice folded passes) off.
-  fft::EngineFlags unfused = entry_flags;
-  unfused.fused = false;
-  fft::set_engine_flags(unfused);
-  const double rate_1t_unfused = sweep_rate(dataset, 1, repeat);
-  fft::set_engine_flags(entry_flags);
-  std::printf("  1 thread unfused: %8.1f probes/s (fusion %.2fx)\n", rate_1t_unfused,
-              rate_1t / rate_1t_unfused);
 
   // Traced-vs-untraced A/B: the same 1-thread sweep with the telemetry
   // flags on (spans + counters live). The untraced column above is the
@@ -415,32 +411,21 @@ int main(int argc, char** argv) {
   const bool have_fma = backend::fma_available();
   if (have_fma) {
     kr_fma = kernel_rates(*backend::fma_kernels(), repeat);
-    std::printf("kernels (%s): cmul %.0f MB/s, butterfly %.0f MB/s\n",
+    std::printf("kernels (%s): cmul %.0f MB/s, butterfly4 %.0f MB/s\n",
                 backend::fma_kernels()->name, kr_fma.cmul_mb_per_sec,
-                kr_fma.butterfly_mb_per_sec);
+                kr_fma.butterfly4_mb_per_sec);
   }
 
   const FftResult fft = fft_rate(fft_iters, repeat);
   std::printf("fft 256x256 fwd+inv (%s): %.1f us/pair, %.1f MB/s\n", active_backend.c_str(),
               fft.us_per_pair, fft.mb_per_sec);
 
-  // Radix4-vs-radix2 A/B: plans snapshot the flag at construction, so a
-  // fresh fft_rate run under toggled flags measures the other stage
-  // schedule with everything else identical.
-  fft::EngineFlags radix2_flags = entry_flags;
-  radix2_flags.radix4 = false;
-  fft::set_engine_flags(radix2_flags);
-  const FftResult fft_radix2 = fft_rate(fft_iters, repeat);
-  fft::set_engine_flags(entry_flags);
-  std::printf("fft 256x256 radix2 %.1f MB/s vs radix4 %.1f MB/s (%.2fx)\n",
-              fft_radix2.mb_per_sec, fft.mb_per_sec, fft.mb_per_sec / fft_radix2.mb_per_sec);
-
   // Per-backend comparison: kernel primitives against each table directly,
   // plus the full 2-D FFT with the dispatch temporarily forced. Restore
   // the requested backend afterwards so the numbers above stay honest.
   const KernelRates kr_scalar = kernel_rates(backend::scalar_kernels(), repeat);
-  std::printf("kernels (scalar): cmul %.0f MB/s, butterfly %.0f MB/s\n",
-              kr_scalar.cmul_mb_per_sec, kr_scalar.butterfly_mb_per_sec);
+  std::printf("kernels (scalar): cmul %.0f MB/s, butterfly4 %.0f MB/s\n",
+              kr_scalar.cmul_mb_per_sec, kr_scalar.butterfly4_mb_per_sec);
   KernelRates kr_simd;
   FftResult fft_scalar;
   FftResult fft_simd;
@@ -455,11 +440,11 @@ int main(int argc, char** argv) {
   }
   if (have_simd) {
     kr_simd = kernel_rates(*backend::simd_kernels(), repeat);
-    std::printf("kernels (%s)  : cmul %.0f MB/s (%.2fx), butterfly %.0f MB/s (%.2fx)\n",
+    std::printf("kernels (%s)  : cmul %.0f MB/s (%.2fx), butterfly4 %.0f MB/s (%.2fx)\n",
                 backend::simd_kernels()->name, kr_simd.cmul_mb_per_sec,
                 kr_simd.cmul_mb_per_sec / kr_scalar.cmul_mb_per_sec,
-                kr_simd.butterfly_mb_per_sec,
-                kr_simd.butterfly_mb_per_sec / kr_scalar.butterfly_mb_per_sec);
+                kr_simd.butterfly4_mb_per_sec,
+                kr_simd.butterfly4_mb_per_sec / kr_scalar.butterfly4_mb_per_sec);
     if (active_backend == backend::simd_kernels()->name) {
       fft_simd = fft;
     } else {
@@ -487,11 +472,7 @@ int main(int argc, char** argv) {
        << "  \"backend\": \"" << active_backend << "\",\n"
        << "  \"simd_backend\": \"" << (have_simd ? backend::simd_kernels()->name : "none")
        << "\",\n"
-       << "  \"fft_engine\": {\"radix4\": " << (entry_flags.radix4 ? "true" : "false")
-       << ", \"fused\": " << (entry_flags.fused ? "true" : "false") << "},\n"
        << "  \"sweep_probes_per_sec_1t\": " << rate_1t << ",\n"
-       << "  \"sweep_probes_per_sec_1t_unfused\": " << rate_1t_unfused << ",\n"
-       << "  \"sweep_fusion_speedup\": " << rate_1t / rate_1t_unfused << ",\n"
        << "  \"sweep_probes_per_sec_1t_traced\": " << rate_1t_traced << ",\n"
        << "  \"sweep_trace_overhead\": " << rate_1t / rate_1t_traced << ",\n"
        << "  \"sweep_probes_per_sec_nt\": " << rate_nt << ",\n"
@@ -505,25 +486,23 @@ int main(int argc, char** argv) {
        << "  \"sweep_fast_cost_dev\": " << fast_dev << ",\n"
        << "  \"transmittance_cache_mb\": " << trans_cache_mb << ",\n"
        << "  \"cmul_mb_per_sec_fma\": " << (have_fma ? kr_fma.cmul_mb_per_sec : 0.0) << ",\n"
-       << "  \"butterfly_mb_per_sec_fma\": "
-       << (have_fma ? kr_fma.butterfly_mb_per_sec : 0.0) << ",\n"
+       << "  \"butterfly4_mb_per_sec_fma\": "
+       << (have_fma ? kr_fma.butterfly4_mb_per_sec : 0.0) << ",\n"
        << "  \"sweep_probes_per_sec_sync_ckpt\": " << rate_sync_ckpt << ",\n"
        << "  \"sweep_probes_per_sec_async\": " << rate_async << ",\n"
        << "  \"sweep_async_vs_sync_ckpt\": " << rate_async / rate_sync_ckpt << ",\n"
        << "  \"sweep_async_overlap_ratio\": " << overlap_ratio << ",\n"
        << "  \"fft2d_256_us_per_pair\": " << fft.us_per_pair << ",\n"
        << "  \"fft2d_256_mb_per_sec\": " << fft.mb_per_sec << ",\n"
-       << "  \"fft2d_256_mb_per_sec_radix2\": " << fft_radix2.mb_per_sec << ",\n"
-       << "  \"fft2d_radix4_speedup\": " << fft.mb_per_sec / fft_radix2.mb_per_sec << ",\n"
        << "  \"fft2d_256_mb_per_sec_scalar\": " << fft_scalar.mb_per_sec << ",\n"
        << "  \"fft2d_256_mb_per_sec_simd\": " << (have_simd ? fft_simd.mb_per_sec : 0.0)
        << ",\n"
        << "  \"cmul_mb_per_sec_scalar\": " << kr_scalar.cmul_mb_per_sec << ",\n"
        << "  \"cmul_mb_per_sec_simd\": " << (have_simd ? kr_simd.cmul_mb_per_sec : 0.0)
        << ",\n"
-       << "  \"butterfly_mb_per_sec_scalar\": " << kr_scalar.butterfly_mb_per_sec << ",\n"
-       << "  \"butterfly_mb_per_sec_simd\": "
-       << (have_simd ? kr_simd.butterfly_mb_per_sec : 0.0) << "\n"
+       << "  \"butterfly4_mb_per_sec_scalar\": " << kr_scalar.butterfly4_mb_per_sec << ",\n"
+       << "  \"butterfly4_mb_per_sec_simd\": "
+       << (have_simd ? kr_simd.butterfly4_mb_per_sec : 0.0) << "\n"
        << "}\n";
   std::printf("wrote %s\n", out.c_str());
   return 0;

@@ -54,16 +54,6 @@ struct Kernels {
   /// dst[i] = conj(src[i]) * s; dst may alias src (Bluestein inverse trick).
   void (*conj_scale_lanes)(cplx* dst, const cplx* src, real s, usize n);
 
-  /// Radix-2 butterfly block with one twiddle shared across lanes (the
-  /// strided batched FFT): t = cmul(w, b[i]); b[i] = a[i] - t; a[i] += t.
-  /// a and b must not overlap.
-  void (*butterfly_lanes)(cplx* a, cplx* b, cplx w, usize n);
-
-  /// Radix-2 butterfly block with per-lane twiddles (contiguous FFT stage):
-  /// w = conj_tw ? conj(tw[i]) : tw[i]; t = cmul(w, b[i]);
-  /// b[i] = a[i] - t; a[i] += t. a and b must not overlap.
-  void (*butterfly_block)(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n);
-
   /// Radix-4 butterfly block with per-lane twiddles: the fusion of two
   /// consecutive radix-2 stages (quarter-lengths h and 2h) over one
   /// bit-reversal-ordered block. With w_j = conj_tw ? conj(tw_j[i]) : tw_j[i]:

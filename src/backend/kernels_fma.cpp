@@ -1,4 +1,4 @@
-// Fast-tier (FMA) backend tables: the same 14 primitives as the strict
+// Fast-tier (FMA) backend tables: the same 12 primitives as the strict
 // tables, with every complex multiply's first product fused. This is the
 // only TU built with -mfma (-mavx2 -mfma -mf16c on x86-64 — see
 // CMakeLists.txt); nothing here runs unless dispatch.cpp verified the CPU
@@ -71,25 +71,6 @@ inline void axpy_lanes(cplx* dst, const cplx* src, cplx alpha, usize n) {
 
 inline void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
   for (usize i = 0; i < n; ++i) dst[i] = std::conj(src[i]) * s;
-}
-
-inline void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
-  for (usize i = 0; i < n; ++i) {
-    const cplx t = cmul_bcast_fma(w, b[i]);
-    const cplx u = a[i];
-    a[i] = u + t;
-    b[i] = u - t;
-  }
-}
-
-inline void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  for (usize i = 0; i < n; ++i) {
-    const cplx w = conj_tw ? std::conj(tw[i]) : tw[i];
-    const cplx t = cmul_fma(w, b[i]);
-    const cplx u = a[i];
-    a[i] = u + t;
-    b[i] = u - t;
-  }
 }
 
 inline void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1,
@@ -173,8 +154,6 @@ constexpr Kernels kScalarFma = {
     &fscalar::scale_lanes,
     &fscalar::axpy_lanes,
     &fscalar::conj_scale_lanes,
-    &fscalar::butterfly_lanes,
-    &fscalar::butterfly_block,
     &fscalar::butterfly4_block,
     &fscalar::butterfly4_lanes,
     &fscalar::cmul_rows_tiled,
@@ -286,32 +265,6 @@ void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
     store8(dst + i, _mm256_mul_ps(c, vs));
   }
   fscalar::conj_scale_lanes(dst + i, src + i, s, n - i);
-}
-
-void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
-  const __m256 wr = _mm256_set1_ps(w.real());
-  const __m256 wi = _mm256_set1_ps(w.imag());
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 t = cmul_broadcast8(wr, wi, load8(b + i));
-    const __m256 u = load8(a + i);
-    store8(a + i, _mm256_add_ps(u, t));
-    store8(b + i, _mm256_sub_ps(u, t));
-  }
-  fscalar::butterfly_lanes(a + i, b + i, w, n - i);
-}
-
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 w = _mm256_xor_ps(load8(tw + i), conj_mask);
-    const __m256 t = cmul8(w, load8(b + i));
-    const __m256 u = load8(a + i);
-    store8(a + i, _mm256_add_ps(u, t));
-    store8(b + i, _mm256_sub_ps(u, t));
-  }
-  fscalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
 }
 
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
@@ -431,8 +384,6 @@ constexpr Kernels kAvx2Fma = {
     &scale_lanes,
     &axpy_lanes,
     &conj_scale_lanes,
-    &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,
@@ -553,32 +504,6 @@ void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
   fscalar::conj_scale_lanes(dst + i, src + i, s, n - i);
 }
 
-void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
-  const float32x4_t wr = vdupq_n_f32(w.real());
-  const float32x4_t wi = vdupq_n_f32(w.imag());
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t t = cmul_broadcast4(wr, wi, load4(b + i));
-    const float32x4_t u = load4(a + i);
-    store4(a + i, vaddq_f32(u, t));
-    store4(b + i, vsubq_f32(u, t));
-  }
-  fscalar::butterfly_lanes(a + i, b + i, w, n - i);
-}
-
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t w = flip_signs(load4(tw + i), conj_mask);
-    const float32x4_t t = cmul4(w, load4(b + i));
-    const float32x4_t u = load4(a + i);
-    store4(a + i, vaddq_f32(u, t));
-    store4(b + i, vsubq_f32(u, t));
-  }
-  fscalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
-}
-
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
                       const cplx* tw3, bool conj_tw, usize n) {
   const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
@@ -695,8 +620,6 @@ constexpr Kernels kNeonFma = {
     &scale_lanes,
     &axpy_lanes,
     &conj_scale_lanes,
-    &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,

@@ -16,8 +16,6 @@ const Kernels& scalar_kernels() {
       &scalar::scale_lanes,
       &scalar::axpy_lanes,
       &scalar::conj_scale_lanes,
-      &scalar::butterfly_lanes,
-      &scalar::butterfly_block,
       &scalar::butterfly4_block,
       &scalar::butterfly4_lanes,
       &scalar::cmul_rows_tiled,

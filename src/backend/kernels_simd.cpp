@@ -117,32 +117,6 @@ void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
   scalar::conj_scale_lanes(dst + i, src + i, s, n - i);
 }
 
-void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
-  const __m256 wr = _mm256_set1_ps(w.real());
-  const __m256 wi = _mm256_set1_ps(w.imag());
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 t = cmul_broadcast8(wr, wi, load8(b + i));
-    const __m256 u = load8(a + i);
-    store8(a + i, _mm256_add_ps(u, t));
-    store8(b + i, _mm256_sub_ps(u, t));
-  }
-  scalar::butterfly_lanes(a + i, b + i, w, n - i);
-}
-
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256 w = _mm256_xor_ps(load8(tw + i), conj_mask);
-    const __m256 t = cmul8(w, load8(b + i));
-    const __m256 u = load8(a + i);
-    store8(a + i, _mm256_add_ps(u, t));
-    store8(b + i, _mm256_sub_ps(u, t));
-  }
-  scalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
-}
-
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
                       const cplx* tw3, bool conj_tw, usize n) {
   const __m256 conj_mask = conj_tw ? sign_imag() : _mm256_setzero_ps();
@@ -262,8 +236,6 @@ constexpr Kernels kAvx2 = {
     &scale_lanes,
     &axpy_lanes,
     &conj_scale_lanes,
-    &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,
@@ -380,32 +352,6 @@ void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
     store4(dst + i, vmulq_f32(flip_signs(load4(src + i), sign_imag()), vs));
   }
   scalar::conj_scale_lanes(dst + i, src + i, s, n - i);
-}
-
-void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
-  const float32x4_t wr = vdupq_n_f32(w.real());
-  const float32x4_t wi = vdupq_n_f32(w.imag());
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t t = cmul_broadcast4(wr, wi, load4(b + i));
-    const float32x4_t u = load4(a + i);
-    store4(a + i, vaddq_f32(u, t));
-    store4(b + i, vsubq_f32(u, t));
-  }
-  scalar::butterfly_lanes(a + i, b + i, w, n - i);
-}
-
-void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  const uint32x4_t conj_mask = conj_tw ? sign_imag() : vdupq_n_u32(0u);
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float32x4_t w = flip_signs(load4(tw + i), conj_mask);
-    const float32x4_t t = cmul4(w, load4(b + i));
-    const float32x4_t u = load4(a + i);
-    store4(a + i, vaddq_f32(u, t));
-    store4(b + i, vsubq_f32(u, t));
-  }
-  scalar::butterfly_block(a + i, b + i, tw + i, conj_tw, n - i);
 }
 
 void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, const cplx* tw2,
@@ -525,8 +471,6 @@ constexpr Kernels kNeon = {
     &scale_lanes,
     &axpy_lanes,
     &conj_scale_lanes,
-    &butterfly_lanes,
-    &butterfly_block,
     &butterfly4_block,
     &butterfly4_lanes,
     &cmul_rows_tiled,

@@ -37,25 +37,6 @@ inline void conj_scale_lanes(cplx* dst, const cplx* src, real s, usize n) {
   for (usize i = 0; i < n; ++i) dst[i] = std::conj(src[i]) * s;
 }
 
-inline void butterfly_lanes(cplx* a, cplx* b, cplx w, usize n) {
-  for (usize i = 0; i < n; ++i) {
-    const cplx t = cmul(w, b[i]);
-    const cplx u = a[i];
-    a[i] = u + t;
-    b[i] = u - t;
-  }
-}
-
-inline void butterfly_block(cplx* a, cplx* b, const cplx* tw, bool conj_tw, usize n) {
-  for (usize i = 0; i < n; ++i) {
-    const cplx w = conj_tw ? std::conj(tw[i]) : tw[i];
-    const cplx t = cmul(w, b[i]);
-    const cplx u = a[i];
-    a[i] = u + t;
-    b[i] = u - t;
-  }
-}
-
 inline void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1,
                              const cplx* tw2, const cplx* tw3, bool conj_tw, usize n) {
   for (usize i = 0; i < n; ++i) {

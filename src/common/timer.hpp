@@ -63,21 +63,6 @@ class PhaseProfiler {
   std::map<std::string, double> phases_;
 };
 
-/// RAII helper: times a scope into a profiler phase.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseProfiler& profiler, std::string name)
-      : profiler_(profiler), name_(std::move(name)) {}
-  ~ScopedPhase() { profiler_.add(name_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseProfiler& profiler_;
-  std::string name_;
-  WallTimer timer_;
-};
-
 /// Canonical phase names used by the solvers (keeps Fig. 7b keys consistent).
 namespace phase {
 inline constexpr const char* kCompute = "compute";

@@ -28,8 +28,6 @@ rt::BreakdownEntry ParallelResult::mean_breakdown() const {
   return m;
 }
 
-namespace {
-
 rt::Mesh2D resolve_mesh(const Dataset& dataset, int nranks, int mesh_rows, int mesh_cols) {
   if (mesh_rows > 0 && mesh_cols > 0) {
     PTYCHO_REQUIRE(mesh_rows * mesh_cols == nranks,
@@ -48,8 +46,6 @@ rt::BreakdownEntry breakdown_from(const PhaseProfiler& prof) {
   e.comm = prof.total(phase::kComm);
   return e;
 }
-
-}  // namespace
 
 Partition make_gd_partition(const Dataset& dataset, const GdConfig& config) {
   PartitionConfig pc;

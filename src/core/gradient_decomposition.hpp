@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
+#include "common/timer.hpp"
 #include "core/convergence.hpp"
 #include "core/exec_options.hpp"
 #include "core/gradient_engine.hpp"
@@ -79,5 +80,17 @@ struct ParallelResult {
 
 /// The partition a GdConfig implies (exposed for benches/tests).
 [[nodiscard]] Partition make_gd_partition(const Dataset& dataset, const GdConfig& config);
+
+// Shared by both decomposed solvers (gradient decomposition and the halo
+// voxel exchange baseline).
+
+/// The explicit mesh_rows x mesh_cols mesh when both are set (their product
+/// must be nranks), else the mesh rt::choose_mesh picks for the field.
+[[nodiscard]] rt::Mesh2D resolve_mesh(const Dataset& dataset, int nranks, int mesh_rows,
+                                      int mesh_cols);
+
+/// One rank's compute/wait/comm seconds from its phase profile (update
+/// time counts as compute).
+[[nodiscard]] rt::BreakdownEntry breakdown_from(const PhaseProfiler& prof);
 
 }  // namespace ptycho

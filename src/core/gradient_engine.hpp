@@ -36,16 +36,8 @@ class GradientEngine {
                                dataset_.spec.slices, compact_trans);
   }
 
-  /// f_i plus gradient accumulation into `grad` over the window. Uses the
-  /// dataset's stored measurement for probe i.
-  double probe_gradient(index_t probe_id, const FramedVolume& volume, FramedVolume& grad,
-                        MultisliceWorkspace& ws) const {
-    return op_.cost_and_gradient(dataset_.probe, volume, window(probe_id),
-                                 dataset_.measurements[static_cast<usize>(probe_id)].view(),
-                                 grad, ws);
-  }
-
-  /// Same but against an explicitly provided measurement (rank-local copy).
+  /// f_i plus gradient accumulation into `grad` over the window, against an
+  /// explicitly provided measurement (rank-local copy).
   double probe_gradient_with(index_t probe_id, View2D<const real> measurement,
                              const FramedVolume& volume, FramedVolume& grad,
                              MultisliceWorkspace& ws) const {

@@ -11,29 +11,6 @@
 
 namespace ptycho {
 
-namespace {
-
-rt::Mesh2D resolve_mesh(const Dataset& dataset, int nranks, int mesh_rows, int mesh_cols) {
-  if (mesh_rows > 0 && mesh_cols > 0) {
-    PTYCHO_REQUIRE(mesh_rows * mesh_cols == nranks,
-                   "mesh_rows*mesh_cols must equal nranks");
-    return rt::Mesh2D(mesh_rows, mesh_cols);
-  }
-  const Rect field = dataset.field();
-  const double aspect = static_cast<double>(field.h) / static_cast<double>(field.w);
-  return rt::choose_mesh(nranks, aspect);
-}
-
-rt::BreakdownEntry breakdown_from(const PhaseProfiler& prof) {
-  rt::BreakdownEntry e;
-  e.compute = prof.total(phase::kCompute) + prof.total(phase::kUpdate);
-  e.wait = prof.total(phase::kWait);
-  e.comm = prof.total(phase::kComm);
-  return e;
-}
-
-}  // namespace
-
 Partition make_hve_partition(const Dataset& dataset, const HveConfig& config) {
   PartitionConfig pc;
   pc.mesh = resolve_mesh(dataset, config.nranks, config.mesh_rows, config.mesh_cols);

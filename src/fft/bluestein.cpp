@@ -1,7 +1,7 @@
-// Bluestein's chirp-z transform is implemented inside Plan1D (fft/plan.cpp)
-// because it shares the radix-2 kernels and twiddle tables. This file
-// carries the standalone reference DFT used by tests and by the plan
-// self-check utility.
+// Bluestein's chirp-z transform is implemented inside Plan1D (fft/plan.cpp),
+// where its padded power-of-two convolution runs through the same radix-4
+// kernel as the power-of-two plans. This file carries the standalone
+// reference DFT used by tests and by the plan self-check utility.
 #include <cmath>
 #include <vector>
 

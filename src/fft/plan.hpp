@@ -6,9 +6,10 @@
 // so inverse(forward(x)) == x, and the adjoint of `forward` is
 // n * inverse (used by the gradient engine — see core/gradient_engine.cpp).
 //
-// Power-of-two sizes run the iterative radix-2 Cooley–Tukey kernel; any
-// other size runs Bluestein's chirp-z algorithm on a padded power-of-two
-// plan. Plans are immutable after construction and safe to share across
+// Power-of-two sizes run the iterative Cooley–Tukey kernel in fused
+// radix-4 stage pairs (fft/radix4.cpp); any other size runs Bluestein's
+// chirp-z algorithm on a padded power-of-two transform through the same
+// kernel. Plans are immutable after construction and safe to share across
 // rank threads (scratch is per-thread).
 #pragma once
 
@@ -18,22 +19,6 @@
 #include "common/types.hpp"
 
 namespace ptycho::fft {
-
-/// Tunables of the fused spectral engine, initialized once from the
-/// environment (each defaults to on; set the variable to "0" to disable):
-///   PTYCHO_FFT_RADIX4 - fused radix-4 stage pairs on power-of-two sizes
-///   PTYCHO_FFT_FUSED  - fold spectral multiplies/scales into FFT passes
-///                       (the propagator/multislice escape hatch for A/B)
-/// Plans snapshot `radix4` at construction; `fused` is read at every
-/// propagator apply. Like backend::select, set_engine_flags is a startup
-/// knob: call it before plans are built and worker threads launch.
-struct EngineFlags {
-  bool radix4 = true;
-  bool fused = true;
-};
-
-[[nodiscard]] const EngineFlags& engine_flags();
-void set_engine_flags(const EngineFlags& flags);
 
 [[nodiscard]] constexpr bool is_pow2(usize n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -72,7 +57,7 @@ class Plan1D {
   void inverse_strided(cplx* data, usize stride, usize count, cplx* scratch) const;
 
  private:
-  struct Radix2Tables;
+  struct Pow2Tables;
   struct BluesteinTables;
 
   // Fft2D folds the bit-reversal permutation of its power-of-two passes
@@ -91,43 +76,20 @@ class Plan1D {
                          bool input_bitrev) const;
 
   usize n_ = 0;
-  std::unique_ptr<Radix2Tables> radix2_;        // set when n is a power of two
+  std::unique_ptr<Pow2Tables> pow2_;            // set when n is a power of two
   std::unique_ptr<BluesteinTables> bluestein_;  // set otherwise
 };
 
 namespace detail {
-/// Radix-2 kernel: in-place DIT FFT on pow2-sized data. `sign` is -1 for
-/// forward, +1 for inverse (no normalization applied here).
-void radix2_transform(cplx* data, usize n, int sign, const std::vector<usize>& bitrev,
-                      const std::vector<cplx>& twiddles_fwd);
-
-/// Bit-reversal permutation of `count` interleaved signals (layout of
-/// radix2_transform_strided): swaps whole lane rows once per pair.
-void bitrev_permute_strided(cplx* data, usize n, usize stride, usize count,
-                            const std::vector<usize>& bitrev);
-
-/// Batched variant of radix2_transform: `count` interleaved signals with
-/// element j of signal b at data[j*stride + b]. Butterflies loop over the
-/// contiguous lane dimension (unit stride), so the hot inner loop
-/// vectorizes across the batch. `input_bitrev` skips the permutation pass
-/// for input whose rows the caller already placed in bit-reversed order.
-void radix2_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
-                              const std::vector<usize>& bitrev,
-                              const std::vector<cplx>& twiddles_fwd, bool input_bitrev);
-
-/// Build bit-reversal permutation for size n (pow2).
+/// Bit-reversal permutation for size n (pow2).
 [[nodiscard]] std::vector<usize> make_bitrev(usize n);
 
-/// Twiddle table: for each stage, the roots exp(-2πi k / len).
-[[nodiscard]] std::vector<cplx> make_twiddles(usize n);
-
-/// Radix-4 stage schedule for a pow2 size: consecutive radix-2 stages fused
-/// in pairs over the same bit-reversal ordering and stage-block layout, so
-/// the permutation and twiddle conventions of radix2_transform carry over
-/// unchanged. For odd log2(n) a single radix-2 stage at half-length 1
-/// (twiddle 1, multiply-free) runs first, then every remaining stage pair is
-/// one radix-4 butterfly sweep: half the passes over the data and three
-/// complex multiplies per four outputs instead of four.
+/// Radix-4 stage schedule for a pow2 size: the radix-2 DIT stages over
+/// bit-reversal-ordered data, fused in consecutive pairs. For odd log2(n)
+/// a single radix-2 stage at half-length 1 (twiddle 1, multiply-free) runs
+/// first, then every remaining stage pair is one radix-4 butterfly sweep:
+/// half the passes over the data of a radix-2 sweep and three complex
+/// multiplies per four outputs instead of four.
 struct Radix4Tables {
   /// Quarter-length h and offset of this fused stage's twiddles in `tw`
   /// (layout per stage: w1[0..h) | w2[0..h) | w3[0..h), where
@@ -144,16 +106,17 @@ struct Radix4Tables {
 /// Build the radix-4 schedule + twiddles for pow2 size n (n >= 1).
 [[nodiscard]] Radix4Tables make_radix4_tables(usize n);
 
-/// In-place DIT FFT on pow2-sized data through fused radix-4 stage pairs.
-/// Same conventions as radix2_transform (bit-reversal first, `sign` = -1
-/// forward / +1 inverse, unnormalized); only the association of the
-/// butterfly arithmetic differs, so results match radix2_transform to
-/// rounding, not bitwise.
+/// In-place DIT FFT on pow2-sized data: bit-reversal permutation, then
+/// the radix-4 stage sweeps. `sign` is -1 for forward, +1 for inverse (no
+/// normalization applied here).
 void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& bitrev,
                       const Radix4Tables& r4);
 
-/// Batched strided variant of radix4_transform (layout, conventions and
-/// `input_bitrev` of radix2_transform_strided).
+/// Batched variant of radix4_transform: `count` interleaved signals with
+/// element j of signal b at data[j*stride + b]. Butterflies loop over the
+/// contiguous lane dimension (unit stride), so the hot inner loop
+/// vectorizes across the batch. `input_bitrev` skips the permutation pass
+/// for input whose rows the caller already placed in bit-reversed order.
 void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, int sign,
                               const std::vector<usize>& bitrev, const Radix4Tables& r4,
                               bool input_bitrev);

@@ -1,10 +1,10 @@
-// Fused radix-4 stage pairs for the power-of-two path. Two consecutive
-// radix-2 stages (half-lengths h and 2h) over bit-reversal-ordered data
-// form one radix-4 butterfly sweep: the stage-block layout, permutation
-// and twiddle conventions of radix2.cpp carry over unchanged, but each
-// element is loaded and stored once per pair of stages instead of twice,
-// and the trivial +-i twiddle of the second stage becomes an exact re/im
-// swap, cutting the complex multiplies from four to three per four points.
+// The power-of-two FFT kernel: an iterative decimation-in-time transform
+// over bit-reversal-ordered data whose radix-2 stages run fused in pairs.
+// Two consecutive radix-2 stages (half-lengths h and 2h) form one radix-4
+// butterfly sweep: each element is loaded and stored once per pair of
+// stages instead of twice, and the trivial +-i twiddle of the second stage
+// becomes an exact re/im swap, cutting the complex multiplies from four to
+// three per four points.
 #include <cmath>
 #include <utility>
 
@@ -14,7 +14,36 @@
 
 namespace ptycho::fft::detail {
 
+std::vector<usize> make_bitrev(usize n) {
+  PTYCHO_CHECK(is_pow2(n), "bitrev requires a power-of-two size");
+  std::vector<usize> rev(n, 0);
+  usize bits = 0;
+  while ((usize(1) << bits) < n) ++bits;
+  for (usize i = 0; i < n; ++i) {
+    usize r = 0;
+    for (usize b = 0; b < bits; ++b) {
+      if ((i >> b) & 1u) r |= usize(1) << (bits - 1 - b);
+    }
+    rev[i] = r;
+  }
+  return rev;
+}
+
 namespace {
+/// Bit-reversal permutation of `count` interleaved signals (layout of
+/// radix4_transform_strided): swaps whole lane rows once per pair.
+void bitrev_permute_strided(cplx* data, usize n, usize stride, usize count,
+                            const std::vector<usize>& bitrev) {
+  for (usize i = 0; i < n; ++i) {
+    const usize j = bitrev[i];
+    if (i < j) {
+      cplx* a = data + i * stride;
+      cplx* b = data + j * stride;
+      for (usize lane = 0; lane < count; ++lane) std::swap(a[lane], b[lane]);
+    }
+  }
+}
+
 cplx unit_root(double numerator, double denominator) {
   const double angle = -2.0 * 3.14159265358979323846 * numerator / denominator;
   return cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
@@ -125,8 +154,7 @@ void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, in
       }
     }
   }
-  // Each (base, k) pair touches four lane rows per call — a quarter of the
-  // dispatched calls of the radix-2 strided sweep for the same data.
+  // Each (base, k) pair is one shared-twiddle butterfly over four lane rows.
   for (const Radix4Tables::Stage& st : r4.stages) {
     const usize h = st.h;
     const cplx* tw1 = r4.tw.data() + st.offset;

@@ -154,26 +154,15 @@ void MultisliceOperator::forward(const Probe& probe, const FramedVolume& volume,
   // Unitary far-field transform: |far|^2 integrates to the exit-wave
   // energy (Parseval), so measurement magnitudes and gradients are
   // independent of the window size. The 1/n normalization rides in the
-  // transform's last pass on the fused engine.
+  // transform's last pass.
   const cplx unitary(real(1) / static_cast<real>(grid_.probe_n), 0);
-  const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
   if (fast_spectral) {
-    const backend::Kernels& kern = backend::kernels();
-    const CArray2D& h = propagator_.kernel();
-    if (fft::engine_flags().fused) {
-      propagator_.fft().forward_multiply(ws.psi.view(), h.view());
-    } else {
-      propagator_.fft().forward(ws.psi.view());
-      kern.cmul_lanes(ws.psi.data(), ws.psi.data(), h.data(), lanes);
-    }
-    kern.scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
-  } else if (fft::engine_flags().fused) {
-    copy(ws.psi.view(), ws.far.view());
-    propagator_.fft().forward_scale(ws.far.view(), unitary);
+    const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
+    propagator_.fft().forward_multiply(ws.psi.view(), propagator_.kernel().view());
+    backend::kernels().scale_lanes(ws.far.data(), ws.psi.data(), unitary, lanes);
   } else {
     copy(ws.psi.view(), ws.far.view());
-    propagator_.fft().forward(ws.far.view());
-    scale(unitary, ws.far.view());
+    propagator_.fft().forward_scale(ws.far.view(), unitary);
   }
 }
 
@@ -239,9 +228,9 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
   }
 
   // Back through the unitary far-field transform: the adjoint of (1/n)*F
-  // is (1/n)*F^H = n * inverse. The fused engine applies the combined
-  // factor in the inverse's last pass (n^2 * 1/n collapses to n, exact for
-  // the power-of-two probe windows).
+  // is (1/n)*F^H = n * inverse. The combined factor rides in the inverse's
+  // last pass (n^2 * 1/n collapses to n, exact for the power-of-two probe
+  // windows).
   //
   // Fast tier: the adjoint at the last slice starts with a forward FFT
   // that exactly undoes this inverse, so the tier folds the pair into
@@ -252,23 +241,10 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
       backend::active_precision() == backend::Precision::kFast && slices > 0;
   const backend::Kernels& kern = backend::kernels();
   if (fast_spectral) {
-    const CArray2D& h = propagator_.kernel();
     const auto lanes = static_cast<usize>(n) * static_cast<usize>(n);
-    kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), h.data(), lanes);
-    if (fft::engine_flags().fused) {
-      propagator_.fft().inverse_scale(ws.grad.view(),
-                                      cplx(static_cast<real>(grid_.probe_n), 0));
-    } else {
-      propagator_.fft().adjoint_forward(ws.grad.view());
-      scale(cplx(real(1) / static_cast<real>(grid_.probe_n), 0), ws.grad.view());
-    }
-  } else if (fft::engine_flags().fused) {
-    propagator_.fft().inverse_scale(ws.grad.view(),
-                                    cplx(static_cast<real>(grid_.probe_n), 0));
-  } else {
-    propagator_.fft().adjoint_forward(ws.grad.view());
-    scale(cplx(real(1) / static_cast<real>(grid_.probe_n), 0), ws.grad.view());
+    kern.cmul_conj_lanes(ws.grad.data(), ws.grad.data(), propagator_.kernel().data(), lanes);
   }
+  propagator_.fft().inverse_scale(ws.grad.view(), cplx(static_cast<real>(grid_.probe_n), 0));
 
   const real sigma = config_.sigma;
   for (index_t s = slices - 1; s >= 0; --s) {

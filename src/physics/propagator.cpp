@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "backend/kernels.hpp"
-
 namespace ptycho {
 
 Propagator::Propagator(const OpticsGrid& grid)
@@ -28,29 +26,17 @@ Propagator::Propagator(const OpticsGrid& grid)
 }
 
 void Propagator::apply_kernel(View2D<cplx> psi, bool conjugate) const {
-  if (fft::engine_flags().fused) {
-    // Fused path: the H (or conj H) product rides in an FFT call —
-    // `apply` folds it in after the forward's column pass, `apply_adjoint`
-    // before the inverse's, so both fused entry points stay hot in the
-    // per-probe loop. Results are bitwise identical to the composed path.
-    if (conjugate) {
-      fft_.forward(psi);
-      fft_.multiply_inverse(kernel_.view(), psi, /*conj_kernel=*/true);
-    } else {
-      fft_.forward_multiply(psi, kernel_.view());
-      fft_.inverse(psi);
-    }
-    return;
+  // The H (or conj H) product rides in an FFT call: `apply` folds it in
+  // after the forward's column pass, `apply_adjoint` before the inverse's,
+  // so both fused entry points stay hot in the per-probe loop. Results are
+  // bitwise identical to the composed forward / multiply / inverse.
+  if (conjugate) {
+    fft_.forward(psi);
+    fft_.multiply_inverse(kernel_.view(), psi, /*conj_kernel=*/true);
+  } else {
+    fft_.forward_multiply(psi, kernel_.view());
+    fft_.inverse(psi);
   }
-  // Unfused escape hatch (PTYCHO_FFT_FUSED=0): a standalone full-field
-  // spectral multiply between the two transforms, for A/B benchmarking.
-  fft_.forward(psi);
-  const backend::Kernels& kern = backend::kernels();
-  kern.cmul_rows_tiled(psi.data(), static_cast<usize>(psi.row_stride()), psi.data(),
-                       static_cast<usize>(psi.row_stride()), kernel_.data(),
-                       static_cast<usize>(kernel_.cols()), conjugate,
-                       static_cast<usize>(psi.rows()), static_cast<usize>(psi.cols()));
-  fft_.inverse(psi);
 }
 
 void Propagator::apply(View2D<cplx> psi) const { apply_kernel(psi, false); }

@@ -4,9 +4,9 @@
 //   psi <- IFFT( FFT(psi) * H ),   H(k) = exp(-i*pi*lambda*dz*|k|^2)
 // with a 2/3-Nyquist band limit (standard multislice anti-aliasing).
 // The adjoint (needed by the gradient engine) is the same sandwich with
-// conj(H) — see the normalization argument in fft/plan.hpp. On the fused
-// engine (fft::engine_flags().fused) the H product rides inside an FFT
-// pass instead of a standalone full-field sweep, bitwise-identically.
+// conj(H) — see the normalization argument in fft/plan.hpp. The H product
+// rides inside an FFT call (Fft2D::forward_multiply / multiply_inverse)
+// instead of a standalone full-field sweep, bitwise-identically.
 #pragma once
 
 #include "fft/fft2d.hpp"

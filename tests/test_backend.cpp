@@ -148,50 +148,6 @@ TEST(BackendBitwise, ConjScaleLanes) {
   }
 }
 
-TEST(BackendBitwise, ButterflyLanes) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const cplx w(real(0.70710678), real(-0.70710678));
-  // The butterfly writes both operands; run it on (dst, b) pairs copied
-  // per backend.
-  const Kernels& sc = scalar_kernels();
-  const Kernels& vec = *simd_kernels();
-  for (const usize n : kSizes) {
-    for (const usize offset : {usize{0}, usize{1}}) {
-      const std::vector<cplx> a0 = random_lanes(n + offset, 7 * n + 11);
-      const std::vector<cplx> b0 = random_lanes(n + offset, 13 * n + 5);
-      std::vector<cplx> a_sc = a0;
-      std::vector<cplx> b_sc = b0;
-      std::vector<cplx> a_vec = a0;
-      std::vector<cplx> b_vec = b0;
-      sc.butterfly_lanes(a_sc.data() + offset, b_sc.data() + offset, w, n);
-      vec.butterfly_lanes(a_vec.data() + offset, b_vec.data() + offset, w, n);
-      EXPECT_TRUE(bitwise_equal(a_sc.data(), a_vec.data(), n + offset)) << "n=" << n;
-      EXPECT_TRUE(bitwise_equal(b_sc.data(), b_vec.data(), n + offset)) << "n=" << n;
-    }
-  }
-}
-
-TEST(BackendBitwise, ButterflyBlock) {
-  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const Kernels& sc = scalar_kernels();
-  const Kernels& vec = *simd_kernels();
-  for (const usize n : kSizes) {
-    for (const bool conj_tw : {false, true}) {
-      const std::vector<cplx> tw = random_lanes(n, 3 * n + 29);
-      const std::vector<cplx> a0 = random_lanes(n, 5 * n + 1);
-      const std::vector<cplx> b0 = random_lanes(n, 5 * n + 2);
-      std::vector<cplx> a_sc = a0;
-      std::vector<cplx> b_sc = b0;
-      std::vector<cplx> a_vec = a0;
-      std::vector<cplx> b_vec = b0;
-      sc.butterfly_block(a_sc.data(), b_sc.data(), tw.data(), conj_tw, n);
-      vec.butterfly_block(a_vec.data(), b_vec.data(), tw.data(), conj_tw, n);
-      EXPECT_TRUE(bitwise_equal(a_sc.data(), a_vec.data(), n)) << "n=" << n;
-      EXPECT_TRUE(bitwise_equal(b_sc.data(), b_vec.data(), n)) << "n=" << n;
-    }
-  }
-}
-
 TEST(BackendBitwise, Butterfly4Block) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   const Kernels& sc = scalar_kernels();

@@ -108,7 +108,9 @@ TEST(FftHelpers, FftFreqOrdering) {
 }
 
 // Property sweep: forward transform matches the direct DFT for power-of-
-// two (radix-2 path) and composite/prime (Bluestein path) sizes.
+// two (radix-4 path, both log2 parities so the leading radix-2 stage is
+// covered) and composite/prime (Bluestein path) sizes. 513 pads to 2048,
+// an odd-log2 Bluestein transform.
 class Plan1DMatchesReference : public ::testing::TestWithParam<usize> {};
 
 TEST_P(Plan1DMatchesReference, Forward) {
@@ -144,7 +146,7 @@ TEST_P(Plan1DMatchesReference, ParsevalEnergy) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DMatchesReference,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 27, 32, 45, 64, 97,
-                                           128, 100, 256));
+                                           128, 100, 256, 512, 1024, 513));
 
 TEST(Plan1D, ImpulseGivesFlatSpectrum) {
   Plan1D plan(16);
@@ -379,16 +381,9 @@ TEST_P(BlockedColumns, Fft2DMatchesNaivePerColumnPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Pow2AndBluestein, BlockedColumns,
-                         ::testing::Values(8, 64, 100));  // radix-2 and chirp-z paths
+                         ::testing::Values(8, 64, 100));  // pow2 and chirp-z paths
 
-// ---- radix-4 stage schedule and the fused spectral entry points ------------
-
-/// Restores the process-wide engine flags when a test exits (plans snapshot
-/// them at construction, so each test builds its plans after setting them).
-struct EngineFlagsGuard {
-  EngineFlags saved = engine_flags();
-  ~EngineFlagsGuard() { set_engine_flags(saved); }
-};
+// ---- the fused spectral entry points ---------------------------------------
 
 bool bitwise_equal(const cplx* a, const cplx* b, usize n) {
   return n == 0 || std::memcmp(a, b, n * sizeof(cplx)) == 0;
@@ -403,52 +398,6 @@ CArray2D random_field(index_t rows, index_t cols, std::uint64_t seed) {
     }
   }
   return field;
-}
-
-// Radix-4 vs the direct DFT across every power of two 4..1024 — both log2
-// parities, so the leading radix-2 fallback stage is covered.
-class Radix4MatchesReference : public ::testing::TestWithParam<usize> {};
-
-TEST_P(Radix4MatchesReference, ForwardAndRoundtrip) {
-  EngineFlagsGuard guard;
-  EngineFlags flags = engine_flags();
-  flags.radix4 = true;
-  set_engine_flags(flags);
-  const usize n = GetParam();
-  Plan1D plan(n);
-  const std::vector<cplx> original = random_signal(n, 4000 + n);
-  std::vector<cplx> x = original;
-  const std::vector<cplx> expected = reference_dft(x, -1);
-  plan.forward(x.data());
-  EXPECT_LT(rel_error(x, expected), 2e-5) << "n=" << n;
-  plan.inverse(x.data());
-  EXPECT_LT(rel_error(x, original), 2e-5) << "n=" << n;
-}
-
-INSTANTIATE_TEST_SUITE_P(Pow2Sizes4To1024, Radix4MatchesReference,
-                         ::testing::Values(4, 8, 16, 32, 64, 128, 256, 512, 1024));
-
-TEST(Radix4, AgreesWithRadix2OnBluesteinAdjacentSizes) {
-  // Non-pow2 sizes run Bluestein whose padded inner transforms also switch
-  // to radix-4; the two stage schedules must agree to rounding for the
-  // same input — pow2 of both parities, primes and odd composites.
-  EngineFlagsGuard guard;
-  for (const usize n : {usize{4}, usize{8}, usize{12}, usize{16}, usize{97}, usize{100},
-                        usize{128}, usize{513}}) {
-    EngineFlags flags = engine_flags();
-    flags.radix4 = true;
-    set_engine_flags(flags);
-    Plan1D plan4(n);
-    flags.radix4 = false;
-    set_engine_flags(flags);
-    Plan1D plan2(n);
-    const std::vector<cplx> input = random_signal(n, 5000 + n);
-    std::vector<cplx> via4 = input;
-    std::vector<cplx> via2 = input;
-    plan4.forward(via4.data());
-    plan2.forward(via2.data());
-    EXPECT_LT(rel_error(via4, via2), 2e-5) << "n=" << n;
-  }
 }
 
 // The fused entry points must be bitwise-equal to their composed two-step

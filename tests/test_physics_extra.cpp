@@ -28,7 +28,7 @@ CArray2D random_field(index_t rows, index_t cols, std::uint64_t seed) {
   return a;
 }
 
-// 2-D roundtrip across mixed radix-2/Bluestein extents.
+// 2-D roundtrip across mixed power-of-two/Bluestein extents.
 class Fft2DSizes : public ::testing::TestWithParam<std::pair<index_t, index_t>> {};
 
 TEST_P(Fft2DSizes, RoundtripAndParseval) {

@@ -143,18 +143,49 @@ TEST(PrecisionBitwise, ScalarFmaMatchesVectorFma) {
       });
     }
   }
-  // butterfly_block (two outputs) and potential_backprop (four operands).
+  // The two radix-4 butterflies the fast-tier FFT runs (four outputs
+  // each) and potential_backprop (four operands).
+  const cplx w1(real(0.92387953), real(-0.38268343));
+  const cplx w2(real(0.98078528), real(-0.19509032));
+  const cplx w3(real(0.83146961), real(-0.55557023));
   for (const usize n : {usize{5}, usize{16}, usize{100}}) {
-    for (const bool conj_tw : {false, true}) {
-      const std::vector<cplx> tw = random_lanes(n, 3 * n + 29);
-      std::vector<cplx> a_sc = random_lanes(n, 5 * n + 1);
-      std::vector<cplx> b_sc = random_lanes(n, 5 * n + 2);
-      std::vector<cplx> a_vec = a_sc;
-      std::vector<cplx> b_vec = b_sc;
-      sc.butterfly_block(a_sc.data(), b_sc.data(), tw.data(), conj_tw, n);
-      vec.butterfly_block(a_vec.data(), b_vec.data(), tw.data(), conj_tw, n);
-      EXPECT_TRUE(bitwise_equal(a_sc.data(), a_vec.data(), n)) << "n=" << n;
-      EXPECT_TRUE(bitwise_equal(b_sc.data(), b_vec.data(), n)) << "n=" << n;
+    for (const usize offset : {usize{0}, usize{1}}) {
+      for (const bool conj_tw : {false, true}) {
+        const usize len = n + offset;
+        const std::vector<cplx> tw1 = random_lanes(len, 3 * n + 29);
+        const std::vector<cplx> tw2 = random_lanes(len, 3 * n + 30);
+        const std::vector<cplx> tw3 = random_lanes(len, 3 * n + 31);
+        const std::vector<cplx> x[4] = {random_lanes(len, 5 * n + 1), random_lanes(len, 5 * n + 2),
+                                        random_lanes(len, 5 * n + 3), random_lanes(len, 5 * n + 4)};
+        const auto expect_same = [&](const std::vector<cplx> (&out_sc)[4],
+                                     const std::vector<cplx> (&out_vec)[4], const char* what) {
+          for (int q = 0; q < 4; ++q) {
+            EXPECT_TRUE(bitwise_equal(out_sc[q].data(), out_vec[q].data(), len))
+                << what << " n=" << n << " offset=" << offset << " conj=" << conj_tw
+                << " quarter=" << q;
+          }
+        };
+        std::vector<cplx> blk_sc[4] = {x[0], x[1], x[2], x[3]};
+        std::vector<cplx> blk_vec[4] = {x[0], x[1], x[2], x[3]};
+        sc.butterfly4_block(blk_sc[0].data() + offset, blk_sc[1].data() + offset,
+                            blk_sc[2].data() + offset, blk_sc[3].data() + offset,
+                            tw1.data() + offset, tw2.data() + offset, tw3.data() + offset,
+                            conj_tw, n);
+        vec.butterfly4_block(blk_vec[0].data() + offset, blk_vec[1].data() + offset,
+                             blk_vec[2].data() + offset, blk_vec[3].data() + offset,
+                             tw1.data() + offset, tw2.data() + offset, tw3.data() + offset,
+                             conj_tw, n);
+        expect_same(blk_sc, blk_vec, "butterfly4_block");
+        std::vector<cplx> lanes_sc[4] = {x[0], x[1], x[2], x[3]};
+        std::vector<cplx> lanes_vec[4] = {x[0], x[1], x[2], x[3]};
+        sc.butterfly4_lanes(lanes_sc[0].data() + offset, lanes_sc[1].data() + offset,
+                            lanes_sc[2].data() + offset, lanes_sc[3].data() + offset, w1, w2, w3,
+                            conj_tw, n);
+        vec.butterfly4_lanes(lanes_vec[0].data() + offset, lanes_vec[1].data() + offset,
+                             lanes_vec[2].data() + offset, lanes_vec[3].data() + offset, w1, w2,
+                             w3, conj_tw, n);
+        expect_same(lanes_sc, lanes_vec, "butterfly4_lanes");
+      }
     }
     const std::vector<cplx> psi = random_lanes(n, 7 * n + 1);
     const std::vector<cplx> trans = random_lanes(n, 7 * n + 2);

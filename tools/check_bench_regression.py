@@ -6,37 +6,40 @@ the tolerance.
     check_bench_regression.py --baseline BENCH_sweep.json --fresh fresh.json \
         [--tolerance 0.25] [--keys sweep_probes_per_sec_1t,fft2d_256_mb_per_sec]
 
-The guarded metrics default to the single-thread throughputs (gradient
-sweep probes/sec and 256x256 FFT MB/s, each also in its fallback-engine
-variant): they are the least noisy numbers bench_sweep emits — no
-thread-scheduling variance, and since PR 4 every one is a warmed
-best-of-N measurement, so a tolerance as tight as 25% is meaningful on
-shared CI runners. The fused-engine numbers (sweep_probes_per_sec_1t,
-fft2d_256_mb_per_sec) guard the hot path; the *_unfused and *_radix2
-variants guard the PTYCHO_FFT_FUSED=0 / PTYCHO_FFT_RADIX4=0 escape
-hatches so the A/B baseline itself cannot silently rot, and
-sweep_probes_per_sec_ws guards the work-stealing scheduler (at 1 thread
-it must stay within noise of the static path), and
-sweep_probes_per_sec_1t_traced guards the telemetry-on sweep so span
-tracing + metrics cannot silently become expensive, and the
-sweep_probes_per_sec_{sync_ckpt,async} pair guards the checkpointed
-end-to-end pipeline in both scheduling modes (async regressing toward
-or below sync means the background slot stopped hiding the shard
-I/O), and the fast-tier columns guard the --precision fast path:
-sweep_probes_per_sec_1t_fast (the end-to-end FMA + compact-storage
-sweep), cmul_mb_per_sec_fma (the FMA kernel table directly) and
-transmittance_cache_mb (a lower-is-better footprint: the compact cache
-growing back toward f32 size is a regression even if throughput holds).
+The guarded metrics default to the least noisy numbers bench_sweep
+emits, each a warmed best-of-N measurement, so a tolerance as tight as
+25% is meaningful on shared CI runners:
+
+  sweep_probes_per_sec_1t, fft2d_256_mb_per_sec
+      the single-thread gradient sweep and 256x256 FFT pair: the hot path;
+  sweep_probes_per_sec_ws
+      the work-stealing scheduler (at 1 thread it must stay within noise
+      of the static path);
+  sweep_probes_per_sec_1t_traced
+      the telemetry-on sweep, so span tracing + metrics cannot silently
+      become expensive;
+  sweep_probes_per_sec_{sync_ckpt,async}
+      the checkpointed end-to-end pipeline in both scheduling modes (async
+      regressing toward or below sync means the background slot stopped
+      hiding the shard I/O);
+  sweep_speedup
+      the N-thread sweep over the 1-thread one (see below);
+  sweep_probes_per_sec_1t_fast, cmul_mb_per_sec_fma, transmittance_cache_mb
+      the --precision fast path: the end-to-end FMA + compact-storage
+      sweep, the FMA kernel table directly, and a lower-is-better
+      footprint (the compact cache growing back toward f32 size is a
+      regression even if throughput holds).
 
 Multi-thread speedup columns (sweep_speedup and friends) are guarded
-only when the baseline was produced on a multi-core host: on a 1-core
-runner (provenance.hardware_concurrency == 1) the "speedup" is pure
-scheduling noise around 1.0, so those keys are skipped with an
-annotation instead of being silently compared.
+only when neither run was produced on a 1-core host: there
+(provenance.hardware_concurrency == 1) the "speedup" is pure scheduling
+noise around 1.0, so those keys are skipped with an annotation instead
+of being silently compared.
 
-Keys missing from either file are reported and skipped, so adding
-metrics to bench_sweep never breaks older baselines (the pre-PR-4
-baseline simply skips the new keys).
+A guarded key missing from the fresh file fails the gate: a column that
+bench_sweep stopped emitting must not read as a pass. A key missing only
+from the baseline is reported and skipped, so adding a metric to
+bench_sweep never breaks an older baseline.
 
 Exit status: 0 when every guarded metric is within tolerance, 1 otherwise.
 """
@@ -47,7 +50,6 @@ import sys
 
 DEFAULT_KEYS = (
     "sweep_probes_per_sec_1t,fft2d_256_mb_per_sec,"
-    "sweep_probes_per_sec_1t_unfused,fft2d_256_mb_per_sec_radix2,"
     "sweep_probes_per_sec_ws,sweep_probes_per_sec_1t_traced,"
     "sweep_probes_per_sec_sync_ckpt,sweep_probes_per_sec_async,"
     "sweep_speedup,"
@@ -103,6 +105,7 @@ def main() -> int:
 
     failed = False
     compared = 0
+    missing = []
     for key in [k for k in args.keys.split(",") if k]:
         if key in MULTITHREAD_SPEEDUP_KEYS and single_core:
             print(
@@ -110,8 +113,12 @@ def main() -> int:
                 "speedup is scheduling noise there, not a guarded metric"
             )
             continue
-        if key not in baseline or key not in fresh:
-            print(f"  SKIP {key}: missing from {'baseline' if key not in baseline else 'fresh'}")
+        if key not in fresh:
+            print(f"  FAIL {key}: missing from fresh")
+            missing.append(key)
+            continue
+        if key not in baseline:
+            print(f"  SKIP {key}: missing from baseline")
             continue
         base, now = float(baseline[key]), float(fresh[key])
         if base <= 0:
@@ -128,6 +135,13 @@ def main() -> int:
         compared += 1
         print(f"  {verdict:4} {key}: baseline {base:.6g} -> fresh {now:.6g} ({ratio:.2f}x){direction}")
 
+    if missing:
+        print(
+            f"bench regression gate FAILED: guarded metric(s) {', '.join(missing)} missing\n"
+            "from the fresh JSON. If a column was deliberately retired, drop it from\n"
+            "DEFAULT_KEYS (and from BENCH_sweep.json) in the same change."
+        )
+        return 1
     if compared == 0:
         # All-skip means the gate compared nothing — a renamed metric or a
         # truncated JSON must not read as a pass.
