@@ -212,6 +212,54 @@ void BM_BackendButterfly4(benchmark::State& state, const backend::Kernels* kern)
                           static_cast<std::int64_t>(8 * n * sizeof(cplx)));
 }
 
+/// One radix-4 stage (h = 4) of the lane-major FFT over 64 points x
+/// n/64 lanes, as the 2-D FFT's column and row passes run it.
+void BM_BackendButterfly4Stage(benchmark::State& state, const backend::Kernels* kern) {
+  const auto n = static_cast<usize>(state.range(0));
+  const usize points = 64;
+  const usize lanes = n / points;
+  const usize h = 4;
+  std::vector<cplx> tw(3 * h);
+  for (usize i = 0; i < tw.size(); ++i) {
+    const double angle = -0.3 * static_cast<double>(i);
+    tw[i] = cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
+  }
+  const std::vector<cplx> x0 = backend_signal(points * lanes, 16);
+  std::vector<cplx> x = x0;
+  int applications = 0;
+  for (auto _ : state) {
+    // Each application can double the amplitude; reset (untimed) before
+    // values can overflow.
+    if (++applications >= 50) {
+      state.PauseTiming();
+      x = x0;
+      applications = 0;
+      state.ResumeTiming();
+    }
+    kern->butterfly4_stage(x.data(), points, lanes, lanes, h, tw.data(), false);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * points * lanes * sizeof(cplx)));
+}
+
+/// The 2-D FFT's scaled transpose into a padded lane layout: a square
+/// sqrt(n) x sqrt(n) block, destination stride side + 4, one scale.
+void BM_BackendTranspose(benchmark::State& state, const backend::Kernels* kern) {
+  const auto n = static_cast<usize>(state.range(0));
+  usize side = 1;
+  while ((side + 1) * (side + 1) <= n) ++side;
+  const std::vector<cplx> src = backend_signal(side * side, 17);
+  std::vector<cplx> dst(side * (side + 4));
+  const cplx scale(real(1) / static_cast<real>(side), 0);
+  for (auto _ : state) {
+    kern->transpose_scale(dst.data(), side + 4, nullptr, src.data(), side, side, side, &scale, 1);
+    benchmark::DoNotOptimize(dst.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * side * side * sizeof(cplx)));
+}
+
 void BM_BackendChirpMul(benchmark::State& state, const backend::Kernels* kern) {
   const auto n = static_cast<usize>(state.range(0));
   const std::vector<cplx> src = backend_signal(n, 7);
@@ -233,6 +281,8 @@ void register_backend_benches(const backend::Kernels* kern) {
       {"BM_BackendCmulConj", &BM_BackendCmulConj},
       {"BM_BackendAxpy", &BM_BackendAxpy},
       {"BM_BackendButterfly4", &BM_BackendButterfly4},
+      {"BM_BackendButterfly4Stage", &BM_BackendButterfly4Stage},
+      {"BM_BackendTranspose", &BM_BackendTranspose},
       {"BM_BackendChirpMul", &BM_BackendChirpMul},
   };
   for (const auto& [name, fn] : benches) {

@@ -245,7 +245,7 @@ FftResult fft_rate(int iters, int repeat) {
 
 struct KernelRates {
   double cmul_mb_per_sec = 0.0;
-  double butterfly4_mb_per_sec = 0.0;
+  double butterfly4_stage_mb_per_sec = 0.0;
 };
 
 /// Throughput of the two hottest backend primitives on one table, MB/s of
@@ -270,37 +270,39 @@ KernelRates kernel_rates(const backend::Kernels& kern, int repeat) {
         3.0 * iters * static_cast<double>(n) * sizeof(cplx) / seconds / 1e6;
   }
   {
-    // The strided FFT's butterfly (butterfly4_lanes, unit-magnitude
-    // twiddles) at most quadruples signal energy per application (amplitude
-    // x 2), so run it in blocks of 50 from a pristine copy — the resets stay
-    // outside the timed regions and values stay finite.
-    const cplx w1(real(0.92387953), real(-0.38268343));
-    const cplx w2(real(0.98078528), real(-0.19509032));
-    const cplx w3(real(0.83146961), real(-0.55557023));
-    const std::vector<cplx> a0 = a;
-    const std::vector<cplx> b0 = b;
-    const std::vector<cplx> c0 = c;
-    const std::vector<cplx> d0 = d;
+    // One radix-4 stage of the lane-major FFT (butterfly4_stage: 64 points
+    // x 64 lanes, h = 4, unit-magnitude twiddles) at most quadruples
+    // signal energy per application (amplitude x 2), so run it in blocks
+    // of 50 from a pristine copy — the resets stay outside the timed
+    // regions and values stay finite.
+    const usize points = 64;
+    const usize lanes = 64;
+    const usize h = 4;
+    std::vector<cplx> tw(3 * h);
+    for (usize i = 0; i < tw.size(); ++i) {
+      const double angle = -0.3 * static_cast<double>(i);
+      tw[i] = cplx(static_cast<real>(std::cos(angle)), static_cast<real>(std::sin(angle)));
+    }
+    std::vector<cplx> x0(points * lanes);
+    for (usize i = 0; i < x0.size(); ++i) x0[i] = a[i % n];
+    std::vector<cplx> x = x0;
     const int block = 50;
     const int blocks = iters / block;
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < std::max(1, repeat); ++rep) {
       double seconds = 0.0;
       for (int blk = 0; blk < blocks; ++blk) {
-        a = a0;
-        b = b0;
-        c = c0;
-        d = d0;
+        x = x0;
         WallTimer timer;
         for (int i = 0; i < block; ++i) {
-          kern.butterfly4_lanes(a.data(), b.data(), c.data(), d.data(), w1, w2, w3, false, n);
+          kern.butterfly4_stage(x.data(), points, lanes, lanes, h, tw.data(), false);
         }
         seconds += timer.seconds();
       }
       best = std::min(best, seconds);
     }
-    out.butterfly4_mb_per_sec =
-        8.0 * blocks * block * static_cast<double>(n) * sizeof(cplx) / best / 1e6;
+    out.butterfly4_stage_mb_per_sec =
+        2.0 * blocks * block * static_cast<double>(points * lanes) * sizeof(cplx) / best / 1e6;
   }
   return out;
 }
@@ -411,9 +413,9 @@ int main(int argc, char** argv) {
   const bool have_fma = backend::fma_available();
   if (have_fma) {
     kr_fma = kernel_rates(*backend::fma_kernels(), repeat);
-    std::printf("kernels (%s): cmul %.0f MB/s, butterfly4 %.0f MB/s\n",
+    std::printf("kernels (%s): cmul %.0f MB/s, butterfly4_stage %.0f MB/s\n",
                 backend::fma_kernels()->name, kr_fma.cmul_mb_per_sec,
-                kr_fma.butterfly4_mb_per_sec);
+                kr_fma.butterfly4_stage_mb_per_sec);
   }
 
   const FftResult fft = fft_rate(fft_iters, repeat);
@@ -424,8 +426,8 @@ int main(int argc, char** argv) {
   // plus the full 2-D FFT with the dispatch temporarily forced. Restore
   // the requested backend afterwards so the numbers above stay honest.
   const KernelRates kr_scalar = kernel_rates(backend::scalar_kernels(), repeat);
-  std::printf("kernels (scalar): cmul %.0f MB/s, butterfly4 %.0f MB/s\n",
-              kr_scalar.cmul_mb_per_sec, kr_scalar.butterfly4_mb_per_sec);
+  std::printf("kernels (scalar): cmul %.0f MB/s, butterfly4_stage %.0f MB/s\n",
+              kr_scalar.cmul_mb_per_sec, kr_scalar.butterfly4_stage_mb_per_sec);
   KernelRates kr_simd;
   FftResult fft_scalar;
   FftResult fft_simd;
@@ -440,11 +442,11 @@ int main(int argc, char** argv) {
   }
   if (have_simd) {
     kr_simd = kernel_rates(*backend::simd_kernels(), repeat);
-    std::printf("kernels (%s)  : cmul %.0f MB/s (%.2fx), butterfly4 %.0f MB/s (%.2fx)\n",
+    std::printf("kernels (%s)  : cmul %.0f MB/s (%.2fx), butterfly4_stage %.0f MB/s (%.2fx)\n",
                 backend::simd_kernels()->name, kr_simd.cmul_mb_per_sec,
                 kr_simd.cmul_mb_per_sec / kr_scalar.cmul_mb_per_sec,
-                kr_simd.butterfly4_mb_per_sec,
-                kr_simd.butterfly4_mb_per_sec / kr_scalar.butterfly4_mb_per_sec);
+                kr_simd.butterfly4_stage_mb_per_sec,
+                kr_simd.butterfly4_stage_mb_per_sec / kr_scalar.butterfly4_stage_mb_per_sec);
     if (active_backend == backend::simd_kernels()->name) {
       fft_simd = fft;
     } else {
@@ -486,8 +488,8 @@ int main(int argc, char** argv) {
        << "  \"sweep_fast_cost_dev\": " << fast_dev << ",\n"
        << "  \"transmittance_cache_mb\": " << trans_cache_mb << ",\n"
        << "  \"cmul_mb_per_sec_fma\": " << (have_fma ? kr_fma.cmul_mb_per_sec : 0.0) << ",\n"
-       << "  \"butterfly4_mb_per_sec_fma\": "
-       << (have_fma ? kr_fma.butterfly4_mb_per_sec : 0.0) << ",\n"
+       << "  \"butterfly4_stage_mb_per_sec_fma\": "
+       << (have_fma ? kr_fma.butterfly4_stage_mb_per_sec : 0.0) << ",\n"
        << "  \"sweep_probes_per_sec_sync_ckpt\": " << rate_sync_ckpt << ",\n"
        << "  \"sweep_probes_per_sec_async\": " << rate_async << ",\n"
        << "  \"sweep_async_vs_sync_ckpt\": " << rate_async / rate_sync_ckpt << ",\n"
@@ -500,9 +502,10 @@ int main(int argc, char** argv) {
        << "  \"cmul_mb_per_sec_scalar\": " << kr_scalar.cmul_mb_per_sec << ",\n"
        << "  \"cmul_mb_per_sec_simd\": " << (have_simd ? kr_simd.cmul_mb_per_sec : 0.0)
        << ",\n"
-       << "  \"butterfly4_mb_per_sec_scalar\": " << kr_scalar.butterfly4_mb_per_sec << ",\n"
-       << "  \"butterfly4_mb_per_sec_simd\": "
-       << (have_simd ? kr_simd.butterfly4_mb_per_sec : 0.0) << "\n"
+       << "  \"butterfly4_stage_mb_per_sec_scalar\": " << kr_scalar.butterfly4_stage_mb_per_sec
+       << ",\n"
+       << "  \"butterfly4_stage_mb_per_sec_simd\": "
+       << (have_simd ? kr_simd.butterfly4_stage_mb_per_sec : 0.0) << "\n"
        << "}\n";
   std::printf("wrote %s\n", out.c_str());
   return 0;

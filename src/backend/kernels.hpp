@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD kernel backend.
 //
-// Every hot complex inner loop in the library (FFT butterflies, Bluestein
-// chirp products, Hadamard/axpy tensor ops, propagator and multislice
-// backprop kernels) calls through the `Kernels` table returned by
-// `kernels()`. The table is selected once, lazily, from:
+// Every hot complex inner loop in the library (FFT butterflies and the
+// 2-D FFT's transposes, Bluestein chirp products, Hadamard/axpy tensor
+// ops, propagator and multislice backprop kernels) calls through the
+// `Kernels` table returned by `kernels()`. The table is selected once, lazily, from:
 //
 //   1. an explicit `select("scalar"|"simd"|"auto")` call (CLI `--backend`),
 //   2. else the `PTYCHO_BACKEND` environment variable,
@@ -65,11 +65,29 @@ struct Kernels {
   void (*butterfly4_block)(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1,
                            const cplx* tw2, const cplx* tw3, bool conj_tw, usize n);
 
-  /// Radix-4 butterfly block with twiddles shared across lanes (the strided
-  /// batched FFT). Callers pass already-conjugated twiddles for the inverse;
-  /// `conj_rot` selects the +i rotation (same exactness note as above).
-  void (*butterfly4_lanes)(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
-                           bool conj_rot, usize n);
+  /// One whole radix-4 stage of the lane-major batched FFT
+  /// (fft/radix4.cpp): `count` interleaved signals of length `n`, element
+  /// j of signal b at data[j*stride + b]. `tw` holds the stage's twiddles
+  /// as w1[0..h) | w2[0..h) | w3[0..h). For every base in [0, n) step 4h
+  /// and k < h, the twiddles w_q = tw[(q-1)*h + k] (conjugated when
+  /// `conj_tw`) are shared by all lanes of the four rows
+  /// x_q = data + (base + k + q*h)*stride, and each lane runs
+  /// butterfly4_block's sequence with cmul(w_q, x_q[i]). One call per
+  /// stage, so no dispatch sits inside the (base, k) loops.
+  void (*butterfly4_stage)(cplx* data, usize n, usize stride, usize count, usize h,
+                           const cplx* tw, bool conj_tw);
+
+  /// Blocked transpose with an optional destination row permutation and
+  /// up to two scales (the 2-D FFT's lane-layout moves): for r < rows,
+  /// c < cols,
+  ///   dst[p(c)*dst_stride + r] = S(src[r*src_stride + c]),
+  /// p(c) = perm ? perm[c] : c, where S multiplies by scales[0], then by
+  /// scales[1] (the first `n_scales` <= 2 of them), each with the
+  /// per-element operation of this table's scale_lanes. src and dst must
+  /// not overlap.
+  void (*transpose_scale)(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                          usize src_stride, usize rows, usize cols, const cplx* scales,
+                          usize n_scales);
 
   /// Row-tiled Hadamard product between two strided 2-D tiles (the fused
   /// spectral multiply of the 2-D FFT): for r < rows, c < cols

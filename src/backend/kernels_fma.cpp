@@ -1,4 +1,4 @@
-// Fast-tier (FMA) backend tables: the same 12 primitives as the strict
+// Fast-tier (FMA) backend tables: the same 13 primitives as the strict
 // tables, with every complex multiply's first product fused. This is the
 // only TU built with -mfma (-mavx2 -mfma -mf16c on x86-64 — see
 // CMakeLists.txt); nothing here runs unless dispatch.cpp verified the CPU
@@ -23,6 +23,8 @@
 // the strict tables (an ODR trap that would silently break the strict
 // bitwise contract).
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "backend/kernels.hpp"
 
@@ -114,6 +116,70 @@ inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cp
   }
 }
 
+inline void butterfly4_stage(cplx* data, usize n, usize stride, usize count, usize h,
+                             const cplx* tw, bool conj_tw) {
+  for (usize base = 0; base < n; base += 4 * h) {
+    for (usize k = 0; k < h; ++k) {
+      const cplx w1 = conj_tw ? std::conj(tw[k]) : tw[k];
+      const cplx w2 = conj_tw ? std::conj(tw[h + k]) : tw[h + k];
+      const cplx w3 = conj_tw ? std::conj(tw[2 * h + k]) : tw[2 * h + k];
+      cplx* p0 = data + (base + k) * stride;
+      butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1, w2,
+                       w3, conj_tw, count);
+    }
+  }
+}
+
+/// scale_lanes's fused per-element multiply by each scale in turn.
+inline cplx scale_chain(cplx v, const cplx* scales, usize n_scales) {
+  for (usize s = 0; s < n_scales; ++s) v = cmul_bcast_fma(scales[s], v);
+  return v;
+}
+
+inline void transpose_scale_edge(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                                 usize src_stride, usize r0, usize r1, usize c0, usize c1,
+                                 const cplx* scales, usize n_scales) {
+  for (usize c = c0; c < c1; ++c) {
+    cplx* d = dst + (perm != nullptr ? perm[c] : c) * dst_stride;
+    for (usize r = r0; r < r1; ++r) d[r] = scale_chain(src[r * src_stride + c], scales, n_scales);
+  }
+}
+
+/// The strict scalar table's word-block transpose with the fused scales.
+inline void transpose_scale(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                            usize src_stride, usize rows, usize cols, const cplx* scales,
+                            usize n_scales) {
+  using Word = std::uint64_t;
+  static_assert(sizeof(Word) == sizeof(cplx), "transpose moves one cplx per word");
+  const usize rows4 = rows & ~usize{3};
+  const usize cols4 = cols & ~usize{3};
+  for (usize r = 0; r < rows4; r += 4) {
+    for (usize c = 0; c < cols4; c += 4) {
+      if (n_scales != 0) {
+        transpose_scale_edge(dst, dst_stride, perm, src, src_stride, r, r + 4, c, c + 4, scales,
+                             n_scales);
+        continue;
+      }
+      Word block[4][4];
+      for (usize i = 0; i < 4; ++i) {
+        for (usize j = 0; j < 4; ++j) {
+          std::memcpy(&block[i][j], src + (r + i) * src_stride + c + j, sizeof(Word));
+        }
+      }
+      for (usize j = 0; j < 4; ++j) {
+        cplx* d = dst + (perm != nullptr ? perm[c + j] : c + j) * dst_stride + r;
+        for (usize i = 0; i < 4; ++i) {
+          std::memcpy(static_cast<void*>(d + i), &block[i][j], sizeof(Word));
+        }
+      }
+    }
+    transpose_scale_edge(dst, dst_stride, perm, src, src_stride, r, r + 4, cols4, cols, scales,
+                         n_scales);
+  }
+  transpose_scale_edge(dst, dst_stride, perm, src, src_stride, rows4, rows, 0, cols, scales,
+                       n_scales);
+}
+
 inline void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride,
                             const cplx* b, usize b_stride, bool conj_b, usize rows,
                             usize cols) {
@@ -155,7 +221,8 @@ constexpr Kernels kScalarFma = {
     &fscalar::axpy_lanes,
     &fscalar::conj_scale_lanes,
     &fscalar::butterfly4_block,
-    &fscalar::butterfly4_lanes,
+    &fscalar::butterfly4_stage,
+    &fscalar::transpose_scale,
     &fscalar::cmul_rows_tiled,
     &fscalar::chirp_mul_lanes,
     &fscalar::scale_chirp_lanes,
@@ -295,8 +362,9 @@ void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, c
                             n - i);
 }
 
-void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
-                      bool conj_rot, usize n) {
+/// One shared-twiddle butterfly over four lane rows (the body of a stage).
+inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
+                             bool conj_rot, usize n) {
   const __m256 w1r = _mm256_set1_ps(w1.real());
   const __m256 w1i = _mm256_set1_ps(w1.imag());
   const __m256 w2r = _mm256_set1_ps(w2.real());
@@ -321,6 +389,71 @@ void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, 
     store8(x3 + i, _mm256_sub_ps(s1, r));
   }
   fscalar::butterfly4_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
+}
+
+void butterfly4_stage(cplx* data, usize n, usize stride, usize count, usize h, const cplx* tw,
+                      bool conj_tw) {
+  for (usize base = 0; base < n; base += 4 * h) {
+    for (usize k = 0; k < h; ++k) {
+      const cplx w1 = conj_tw ? std::conj(tw[k]) : tw[k];
+      const cplx w2 = conj_tw ? std::conj(tw[h + k]) : tw[h + k];
+      const cplx w3 = conj_tw ? std::conj(tw[2 * h + k]) : tw[2 * h + k];
+      cplx* p0 = data + (base + k) * stride;
+      butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1, w2,
+                       w3, conj_tw, count);
+    }
+  }
+}
+
+/// The strict AVX2 table's unpack/permute2f128 4x4 transpose, with each
+/// scale through the fused cmul_broadcast8 of scale_lanes.
+template <usize kScales>
+void transpose_blocks(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                      usize src_stride, usize rows, usize cols, const cplx* scales) {
+  __m256 sr[kScales > 0 ? kScales : 1];
+  __m256 si[kScales > 0 ? kScales : 1];
+  for (usize s = 0; s < kScales; ++s) {
+    sr[s] = _mm256_set1_ps(scales[s].real());
+    si[s] = _mm256_set1_ps(scales[s].imag());
+  }
+  const usize rows4 = rows & ~usize{3};
+  const usize cols4 = cols & ~usize{3};
+  for (usize r = 0; r < rows4; r += 4) {
+    const cplx* s0 = src + r * src_stride;
+    for (usize c = 0; c < cols4; c += 4) {
+      const __m256d a0 = _mm256_castps_pd(load8(s0 + c));
+      const __m256d a1 = _mm256_castps_pd(load8(s0 + src_stride + c));
+      const __m256d a2 = _mm256_castps_pd(load8(s0 + 2 * src_stride + c));
+      const __m256d a3 = _mm256_castps_pd(load8(s0 + 3 * src_stride + c));
+      const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
+      const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
+      const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
+      const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
+      __m256 o[4] = {_mm256_castpd_ps(_mm256_permute2f128_pd(t0, t2, 0x20)),
+                     _mm256_castpd_ps(_mm256_permute2f128_pd(t1, t3, 0x20)),
+                     _mm256_castpd_ps(_mm256_permute2f128_pd(t0, t2, 0x31)),
+                     _mm256_castpd_ps(_mm256_permute2f128_pd(t1, t3, 0x31))};
+      for (usize j = 0; j < 4; ++j) {
+        for (usize s = 0; s < kScales; ++s) o[j] = cmul_broadcast8(sr[s], si[s], o[j]);
+        store8(dst + (perm != nullptr ? perm[c + j] : c + j) * dst_stride + r, o[j]);
+      }
+    }
+    fscalar::transpose_scale_edge(dst, dst_stride, perm, src, src_stride, r, r + 4, cols4, cols,
+                                  scales, kScales);
+  }
+  fscalar::transpose_scale_edge(dst, dst_stride, perm, src, src_stride, rows4, rows, 0, cols,
+                                scales, kScales);
+}
+
+void transpose_scale(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                     usize src_stride, usize rows, usize cols, const cplx* scales,
+                     usize n_scales) {
+  switch (n_scales) {
+    case 0: return transpose_blocks<0>(dst, dst_stride, perm, src, src_stride, rows, cols, scales);
+    case 1: return transpose_blocks<1>(dst, dst_stride, perm, src, src_stride, rows, cols, scales);
+    default:
+      return transpose_blocks<2>(dst, dst_stride, perm, src, src_stride, rows, cols, scales);
+  }
 }
 
 void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride, const cplx* b,
@@ -385,7 +518,8 @@ constexpr Kernels kAvx2Fma = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly4_block,
-    &butterfly4_lanes,
+    &butterfly4_stage,
+    &transpose_scale,
     &cmul_rows_tiled,
     &chirp_mul_lanes,
     &scale_chirp_lanes,
@@ -531,8 +665,9 @@ void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, c
                             n - i);
 }
 
-void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
-                      bool conj_rot, usize n) {
+/// One shared-twiddle butterfly over four lane rows (the body of a stage).
+inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
+                             bool conj_rot, usize n) {
   const float32x4_t w1r = vdupq_n_f32(w1.real());
   const float32x4_t w1i = vdupq_n_f32(w1.imag());
   const float32x4_t w2r = vdupq_n_f32(w2.real());
@@ -557,6 +692,20 @@ void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, 
     store4(x3 + i, vsubq_f32(s1, r));
   }
   fscalar::butterfly4_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
+}
+
+void butterfly4_stage(cplx* data, usize n, usize stride, usize count, usize h, const cplx* tw,
+                      bool conj_tw) {
+  for (usize base = 0; base < n; base += 4 * h) {
+    for (usize k = 0; k < h; ++k) {
+      const cplx w1 = conj_tw ? std::conj(tw[k]) : tw[k];
+      const cplx w2 = conj_tw ? std::conj(tw[h + k]) : tw[h + k];
+      const cplx w3 = conj_tw ? std::conj(tw[2 * h + k]) : tw[2 * h + k];
+      cplx* p0 = data + (base + k) * stride;
+      butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1, w2,
+                       w3, conj_tw, count);
+    }
+  }
 }
 
 void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride, const cplx* b,
@@ -621,7 +770,10 @@ constexpr Kernels kNeonFma = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly4_block,
-    &butterfly4_lanes,
+    &butterfly4_stage,
+    // The scalar-fma word-block transpose: its scale_chain is the fused
+    // per-element sequence of this table's scale_lanes.
+    &fscalar::transpose_scale,
     &cmul_rows_tiled,
     &chirp_mul_lanes,
     &scale_chirp_lanes,

@@ -17,7 +17,8 @@ const Kernels& scalar_kernels() {
       &scalar::axpy_lanes,
       &scalar::conj_scale_lanes,
       &scalar::butterfly4_block,
-      &scalar::butterfly4_lanes,
+      &scalar::butterfly4_stage,
+      &scalar::transpose_scale,
       &scalar::cmul_rows_tiled,
       &scalar::chirp_mul_lanes,
       &scalar::scale_chirp_lanes,

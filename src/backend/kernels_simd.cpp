@@ -145,8 +145,9 @@ void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, c
                            n - i);
 }
 
-void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
-                      bool conj_rot, usize n) {
+/// One shared-twiddle butterfly over four lane rows (the body of a stage).
+inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
+                             bool conj_rot, usize n) {
   const __m256 w1r = _mm256_set1_ps(w1.real());
   const __m256 w1i = _mm256_set1_ps(w1.imag());
   const __m256 w2r = _mm256_set1_ps(w2.real());
@@ -171,6 +172,72 @@ void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, 
     store8(x3 + i, _mm256_sub_ps(s1, r));
   }
   scalar::butterfly4_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
+}
+
+void butterfly4_stage(cplx* data, usize n, usize stride, usize count, usize h, const cplx* tw,
+                      bool conj_tw) {
+  for (usize base = 0; base < n; base += 4 * h) {
+    for (usize k = 0; k < h; ++k) {
+      const cplx w1 = conj_tw ? std::conj(tw[k]) : tw[k];
+      const cplx w2 = conj_tw ? std::conj(tw[h + k]) : tw[h + k];
+      const cplx w3 = conj_tw ? std::conj(tw[2 * h + k]) : tw[2 * h + k];
+      cplx* p0 = data + (base + k) * stride;
+      butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1, w2,
+                       w3, conj_tw, count);
+    }
+  }
+}
+
+/// 4x4 complex blocks: each complex is one 64-bit lane, so the block is a
+/// 4x4 double transpose (unpack within 128-bit halves, then swap halves).
+/// Shuffles move bits only; each scale is scale_lanes's cmul_broadcast8.
+template <usize kScales>
+void transpose_blocks(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                      usize src_stride, usize rows, usize cols, const cplx* scales) {
+  __m256 sr[kScales > 0 ? kScales : 1];
+  __m256 si[kScales > 0 ? kScales : 1];
+  for (usize s = 0; s < kScales; ++s) {
+    sr[s] = _mm256_set1_ps(scales[s].real());
+    si[s] = _mm256_set1_ps(scales[s].imag());
+  }
+  const usize rows4 = rows & ~usize{3};
+  const usize cols4 = cols & ~usize{3};
+  for (usize r = 0; r < rows4; r += 4) {
+    const cplx* s0 = src + r * src_stride;
+    for (usize c = 0; c < cols4; c += 4) {
+      const __m256d a0 = _mm256_castps_pd(load8(s0 + c));
+      const __m256d a1 = _mm256_castps_pd(load8(s0 + src_stride + c));
+      const __m256d a2 = _mm256_castps_pd(load8(s0 + 2 * src_stride + c));
+      const __m256d a3 = _mm256_castps_pd(load8(s0 + 3 * src_stride + c));
+      const __m256d t0 = _mm256_unpacklo_pd(a0, a1);  // [a0.0 a1.0 a0.2 a1.2]
+      const __m256d t1 = _mm256_unpackhi_pd(a0, a1);  // [a0.1 a1.1 a0.3 a1.3]
+      const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
+      const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
+      __m256 o[4] = {_mm256_castpd_ps(_mm256_permute2f128_pd(t0, t2, 0x20)),
+                     _mm256_castpd_ps(_mm256_permute2f128_pd(t1, t3, 0x20)),
+                     _mm256_castpd_ps(_mm256_permute2f128_pd(t0, t2, 0x31)),
+                     _mm256_castpd_ps(_mm256_permute2f128_pd(t1, t3, 0x31))};
+      for (usize j = 0; j < 4; ++j) {
+        for (usize s = 0; s < kScales; ++s) o[j] = cmul_broadcast8(sr[s], si[s], o[j]);
+        store8(dst + (perm != nullptr ? perm[c + j] : c + j) * dst_stride + r, o[j]);
+      }
+    }
+    scalar::transpose_scale_edge(dst, dst_stride, perm, src, src_stride, r, r + 4, cols4, cols,
+                                 scales, kScales);
+  }
+  scalar::transpose_scale_edge(dst, dst_stride, perm, src, src_stride, rows4, rows, 0, cols,
+                               scales, kScales);
+}
+
+void transpose_scale(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                     usize src_stride, usize rows, usize cols, const cplx* scales,
+                     usize n_scales) {
+  switch (n_scales) {
+    case 0: return transpose_blocks<0>(dst, dst_stride, perm, src, src_stride, rows, cols, scales);
+    case 1: return transpose_blocks<1>(dst, dst_stride, perm, src, src_stride, rows, cols, scales);
+    default:
+      return transpose_blocks<2>(dst, dst_stride, perm, src, src_stride, rows, cols, scales);
+  }
 }
 
 void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride, const cplx* b,
@@ -237,7 +304,8 @@ constexpr Kernels kAvx2 = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly4_block,
-    &butterfly4_lanes,
+    &butterfly4_stage,
+    &transpose_scale,
     &cmul_rows_tiled,
     &chirp_mul_lanes,
     &scale_chirp_lanes,
@@ -382,8 +450,9 @@ void butterfly4_block(cplx* x0, cplx* x1, cplx* x2, cplx* x3, const cplx* tw1, c
                            n - i);
 }
 
-void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
-                      bool conj_rot, usize n) {
+/// One shared-twiddle butterfly over four lane rows (the body of a stage).
+inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, cplx w3,
+                             bool conj_rot, usize n) {
   const float32x4_t w1r = vdupq_n_f32(w1.real());
   const float32x4_t w1i = vdupq_n_f32(w1.imag());
   const float32x4_t w2r = vdupq_n_f32(w2.real());
@@ -408,6 +477,20 @@ void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cplx w2, 
     store4(x3 + i, vsubq_f32(s1, r));
   }
   scalar::butterfly4_lanes(x0 + i, x1 + i, x2 + i, x3 + i, w1, w2, w3, conj_rot, n - i);
+}
+
+void butterfly4_stage(cplx* data, usize n, usize stride, usize count, usize h, const cplx* tw,
+                      bool conj_tw) {
+  for (usize base = 0; base < n; base += 4 * h) {
+    for (usize k = 0; k < h; ++k) {
+      const cplx w1 = conj_tw ? std::conj(tw[k]) : tw[k];
+      const cplx w2 = conj_tw ? std::conj(tw[h + k]) : tw[h + k];
+      const cplx w3 = conj_tw ? std::conj(tw[2 * h + k]) : tw[2 * h + k];
+      cplx* p0 = data + (base + k) * stride;
+      butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1, w2,
+                       w3, conj_tw, count);
+    }
+  }
 }
 
 void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride, const cplx* b,
@@ -472,7 +555,10 @@ constexpr Kernels kNeon = {
     &axpy_lanes,
     &conj_scale_lanes,
     &butterfly4_block,
-    &butterfly4_lanes,
+    &butterfly4_stage,
+    // The scalar word-block transpose: its scale_chain is the per-element
+    // sequence of this table's scale_lanes.
+    &scalar::transpose_scale,
     &cmul_rows_tiled,
     &chirp_mul_lanes,
     &scale_chirp_lanes,

@@ -9,6 +9,9 @@
 // the association the bitwise contract in kernels.hpp is defined against.
 #pragma once
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/types.hpp"
 
 namespace ptycho::backend::scalar {
@@ -77,6 +80,75 @@ inline void butterfly4_lanes(cplx* x0, cplx* x1, cplx* x2, cplx* x3, cplx w1, cp
     x1[i] = s1 + r;
     x3[i] = s1 - r;
   }
+}
+
+inline void butterfly4_stage(cplx* data, usize n, usize stride, usize count, usize h,
+                             const cplx* tw, bool conj_tw) {
+  for (usize base = 0; base < n; base += 4 * h) {
+    for (usize k = 0; k < h; ++k) {
+      const cplx w1 = conj_tw ? std::conj(tw[k]) : tw[k];
+      const cplx w2 = conj_tw ? std::conj(tw[h + k]) : tw[h + k];
+      const cplx w3 = conj_tw ? std::conj(tw[2 * h + k]) : tw[2 * h + k];
+      cplx* p0 = data + (base + k) * stride;
+      butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1, w2,
+                       w3, conj_tw, count);
+    }
+  }
+}
+
+/// scale_lanes's per-element multiply by each of the first `n_scales`
+/// scales in turn (the vector tables' transpose edges run this too).
+inline cplx scale_chain(cplx v, const cplx* scales, usize n_scales) {
+  for (usize s = 0; s < n_scales; ++s) v = cmul(v, scales[s]);
+  return v;
+}
+
+/// The element-copy edges of a blocked transpose: rows [r0, r1) x
+/// cols [c0, c1) of the transpose_scale contract.
+inline void transpose_scale_edge(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                                 usize src_stride, usize r0, usize r1, usize c0, usize c1,
+                                 const cplx* scales, usize n_scales) {
+  for (usize c = c0; c < c1; ++c) {
+    cplx* d = dst + (perm != nullptr ? perm[c] : c) * dst_stride;
+    for (usize r = r0; r < r1; ++r) d[r] = scale_chain(src[r * src_stride + c], scales, n_scales);
+  }
+}
+
+/// Moves 4x4 blocks through registers as 8-byte words (memcpy compiles to
+/// plain loads and stores), so each side reads or writes four adjacent
+/// elements at a time; scaled blocks run scale_chain per element.
+inline void transpose_scale(cplx* dst, usize dst_stride, const usize* perm, const cplx* src,
+                            usize src_stride, usize rows, usize cols, const cplx* scales,
+                            usize n_scales) {
+  using Word = std::uint64_t;
+  static_assert(sizeof(Word) == sizeof(cplx), "transpose moves one cplx per word");
+  const usize rows4 = rows & ~usize{3};
+  const usize cols4 = cols & ~usize{3};
+  for (usize r = 0; r < rows4; r += 4) {
+    for (usize c = 0; c < cols4; c += 4) {
+      if (n_scales != 0) {
+        transpose_scale_edge(dst, dst_stride, perm, src, src_stride, r, r + 4, c, c + 4, scales,
+                             n_scales);
+        continue;
+      }
+      Word block[4][4];
+      for (usize i = 0; i < 4; ++i) {
+        for (usize j = 0; j < 4; ++j) {
+          std::memcpy(&block[i][j], src + (r + i) * src_stride + c + j, sizeof(Word));
+        }
+      }
+      for (usize j = 0; j < 4; ++j) {
+        cplx* d = dst + (perm != nullptr ? perm[c + j] : c + j) * dst_stride + r;
+        for (usize i = 0; i < 4; ++i) {
+          std::memcpy(static_cast<void*>(d + i), &block[i][j], sizeof(Word));
+        }
+      }
+    }
+    transpose_scale_edge(dst, dst_stride, perm, src, src_stride, r, r + 4, cols4, cols, scales,
+                         n_scales);
+  }
+  transpose_scale_edge(dst, dst_stride, perm, src, src_stride, rows4, rows, 0, cols, scales,
+                       n_scales);
 }
 
 inline void cmul_rows_tiled(cplx* dst, usize dst_stride, const cplx* a, usize a_stride,

@@ -24,4 +24,11 @@ enum class UpdateMode {
 void apply_gradient(FramedVolume& volume, const FramedVolume& grad, const Rect& region,
                     real step);
 
+/// The SGD per-probe update in one row-by-row pass over `region`:
+/// accbuf += grad, then V -= step * grad on the same row, with the
+/// per-element operations of AccumulationBuffer::accumulate followed by
+/// apply_gradient (bitwise identical to that pair) and one revision bump.
+void accumulate_and_apply_gradient(FramedVolume& accbuf, FramedVolume& volume,
+                                   const FramedVolume& grad, const Rect& region, real step);
+
 }  // namespace ptycho

@@ -196,8 +196,8 @@ void SweepPass::on_chunk(SolverState& state, const StepPoint& point) {
       state.sweep_cost += engine_.probe_gradient_joint(
           id, *state.probe, meas, *state.volume, *grad_scratch_, *workspace_,
           refine_now ? &pg_view : nullptr);
-      state.accbuf->accumulate(*grad_scratch_, grad_scratch_->frame);
-      apply_gradient(*state.volume, *grad_scratch_, grad_scratch_->frame, state.step);
+      accumulate_and_apply_gradient(state.accbuf->volume(), *state.volume, *grad_scratch_,
+                                    grad_scratch_->frame, state.step);
     }
   }
 }

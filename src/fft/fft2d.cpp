@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
@@ -20,9 +19,18 @@ void note_transform(usize rows, usize cols) {
   transforms.add(1);
   bytes.add(static_cast<std::uint64_t>(rows) * cols * sizeof(cplx));
 }
+
+/// Row-pass scratch stride: rows padded by 4 when a multiple of 16, so
+/// the transposes' strided column walks spread over the L1 sets.
+usize padded_lane_stride(usize rows) { return rows % 16 == 0 ? rows + 4 : rows; }
 }  // namespace
 
-Fft2D::Fft2D(usize rows, usize cols) : rows_(rows), cols_(cols), row_plan_(cols), col_plan_(rows) {
+Fft2D::Fft2D(usize rows, usize cols)
+    : rows_(rows),
+      cols_(cols),
+      lane_stride_(padded_lane_stride(rows)),
+      row_plan_(cols),
+      col_plan_(rows) {
   PTYCHO_REQUIRE(rows >= 1 && cols >= 1, "Fft2D extents must be >= 1");
 }
 
@@ -41,7 +49,7 @@ Fft2D::ScratchLease Fft2D::acquire_scratch() const {
     }
   }
   auto scratch = std::make_unique<Scratch>();
-  scratch->lanes.resize(rows_ * cols_);
+  scratch->lanes.resize(cols_ * lane_stride_);
   // The column pass batches all cols_ lanes, the row pass all rows_ lanes.
   scratch->bluestein.resize(std::max(col_plan_.strided_scratch_size(cols_),
                                      row_plan_.strided_scratch_size(rows_)));
@@ -55,42 +63,6 @@ void check_shape(View2D<const cplx> field, usize rows, usize cols, const char* w
                what << " shape does not match plan");
 }
 
-// dst[perm[c] * dst_stride + r] = src[r * src_stride + c] for r < rows,
-// c < cols (perm == nullptr: the identity). Moves 4x4 blocks through
-// registers as 8-byte words (memcpy compiles to plain loads and stores),
-// so each side reads or writes four adjacent elements at a time; ragged
-// edges fall back to element copies.
-void transpose(const cplx* src, usize src_stride, usize rows, usize cols, cplx* dst,
-               usize dst_stride, const usize* perm) {
-  using Word = std::uint64_t;
-  static_assert(sizeof(Word) == sizeof(cplx), "transpose moves one cplx per word");
-  const auto dst_row = [&](usize c) { return dst + (perm != nullptr ? perm[c] : c) * dst_stride; };
-  const usize rows4 = rows & ~usize{3};
-  const usize cols4 = cols & ~usize{3};
-  for (usize r = 0; r < rows4; r += 4) {
-    for (usize c = 0; c < cols4; c += 4) {
-      Word block[4][4];
-      for (usize i = 0; i < 4; ++i) {
-        for (usize j = 0; j < 4; ++j) {
-          std::memcpy(&block[i][j], src + (r + i) * src_stride + c + j, sizeof(Word));
-        }
-      }
-      for (usize j = 0; j < 4; ++j) {
-        cplx* d = dst_row(c + j) + r;
-        for (usize i = 0; i < 4; ++i) {
-          std::memcpy(static_cast<void*>(d + i), &block[i][j], sizeof(Word));
-        }
-      }
-    }
-    for (usize c = cols4; c < cols; ++c) {
-      for (usize i = 0; i < 4; ++i) dst_row(c)[r + i] = src[(r + i) * src_stride + c];
-    }
-  }
-  for (usize r = rows4; r < rows; ++r) {
-    for (usize c = 0; c < cols; ++c) dst_row(c)[r] = src[r * src_stride + c];
-  }
-}
-
 // field[i] *= kernel[i] (or conj) over a possibly strided window.
 void multiply_field(View2D<cplx> field, const cplx* kernel, usize kernel_stride, bool conj) {
   const auto stride = static_cast<usize>(field.row_stride());
@@ -98,49 +70,95 @@ void multiply_field(View2D<cplx> field, const cplx* kernel, usize kernel_stride,
                                      kernel_stride, conj, static_cast<usize>(field.rows()),
                                      static_cast<usize>(field.cols()));
 }
+
+// Row y becomes row yrev[y] of field ⊙ kernel: the spectral multiply with
+// the inverse column pass's bit-reversal swap folded in, pair by pair
+// through the one-row buffer `tmp`. The per-element multiply is
+// cmul_rows_tiled's.
+void multiply_field_bitrev(View2D<cplx> field, const cplx* kernel, usize kernel_stride,
+                           bool conj, const usize* yrev, cplx* tmp) {
+  const backend::Kernels& kern = backend::kernels();
+  const auto multiply = conj ? kern.cmul_conj_lanes : kern.cmul_lanes;
+  const auto rows = static_cast<usize>(field.rows());
+  const auto cols = static_cast<usize>(field.cols());
+  const auto field_row = [&](usize y) { return field.row(static_cast<index_t>(y)); };
+  for (usize y = 0; y < rows; ++y) {
+    const usize j = yrev[y];
+    if (j < y) continue;
+    cplx* a = field_row(y);
+    if (j == y) {
+      multiply(a, a, kernel + y * kernel_stride, cols);
+      continue;
+    }
+    cplx* b = field_row(j);
+    multiply(tmp, a, kernel + y * kernel_stride, cols);
+    multiply(a, b, kernel + j * kernel_stride, cols);
+    std::copy_n(tmp, cols, b);
+  }
+}
 }  // namespace
 
-// Lane layout of the row pass: element x of row y sits at lanes[x*rows + y],
-// so signal x-rows are contiguous over all `rows` lanes.
-void Fft2D::run_forward(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const {
-  const ScratchLease lease = acquire_scratch();
-  cplx* lanes = lease.get().lanes.data();
-  cplx* pad = lease.get().bluestein.empty() ? nullptr : lease.get().bluestein.data();
+// Lane layout of the row pass: element x of row y sits at
+// lanes[x*lane_stride_ + y], so signal x-rows are contiguous over all
+// `rows` lanes.
+void Fft2D::run_forward(View2D<cplx> field, Scratch& scratch, const MultiplySpec* mul,
+                        const cplx* alpha) const {
+  const backend::Kernels& kern = backend::kernels();
+  cplx* lanes = scratch.lanes.data();
+  cplx* pad = scratch.bluestein.empty() ? nullptr : scratch.bluestein.data();
   const auto stride = static_cast<usize>(field.row_stride());
   const usize* xrev = row_plan_.bitrev();
   const usize* yrev = col_plan_.bitrev();
-  transpose(field.data(), stride, rows_, cols_, lanes, rows_, xrev);
-  row_plan_.transform_strided(lanes, rows_, rows_, pad, -1, xrev != nullptr);
-  transpose(lanes, rows_, cols_, rows_, field.data(), stride, yrev);
+  kern.transpose_scale(lanes, lane_stride_, xrev, field.data(), stride, rows_, cols_, nullptr, 0);
+  row_plan_.transform_strided(lanes, lane_stride_, rows_, pad, -1, xrev != nullptr);
+  kern.transpose_scale(field.data(), stride, yrev, lanes, lane_stride_, cols_, rows_, nullptr, 0);
   col_plan_.transform_strided(field.data(), stride, cols_, pad, -1, yrev != nullptr);
   if (mul != nullptr) multiply_field(field, mul->data, mul->stride, mul->conj);
   if (alpha != nullptr) scale(*alpha, field);
 }
 
-void Fft2D::run_inverse(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const {
-  const ScratchLease lease = acquire_scratch();
-  cplx* lanes = lease.get().lanes.data();
-  cplx* pad = lease.get().bluestein.empty() ? nullptr : lease.get().bluestein.data();
+void Fft2D::run_inverse(View2D<cplx> field, Scratch& scratch, const cplx* alpha,
+                        bool rows_bitrev) const {
+  const backend::Kernels& kern = backend::kernels();
+  cplx* lanes = scratch.lanes.data();
+  cplx* pad = scratch.bluestein.empty() ? nullptr : scratch.bluestein.data();
   const auto stride = static_cast<usize>(field.row_stride());
   const usize* xrev = row_plan_.bitrev();
-  if (mul != nullptr) multiply_field(field, mul->data, mul->stride, mul->conj);
-  col_plan_.transform_strided(field.data(), stride, cols_, pad, +1, false);
-  transpose(field.data(), stride, rows_, cols_, lanes, rows_, xrev);
-  row_plan_.transform_strided(lanes, rows_, rows_, pad, +1, xrev != nullptr);
-  if (alpha != nullptr) backend::kernels().scale_lanes(lanes, lanes, *alpha, rows_ * cols_);
-  transpose(lanes, rows_, cols_, rows_, field.data(), stride, nullptr);
+  // A power-of-two axis runs its butterflies unnormalized; its 1/n rides
+  // in the next transpose as the scale the plan would have applied.
+  cplx to_lanes[1];
+  usize n_to_lanes = 0;
+  if (col_plan_.bitrev() != nullptr) {
+    col_plan_.inverse_strided_unnormalized(field.data(), stride, cols_, rows_bitrev);
+    to_lanes[n_to_lanes++] = cplx(real(1) / static_cast<real>(rows_), 0);
+  } else {
+    col_plan_.transform_strided(field.data(), stride, cols_, pad, +1, false);
+  }
+  kern.transpose_scale(lanes, lane_stride_, xrev, field.data(), stride, rows_, cols_, to_lanes,
+                       n_to_lanes);
+  cplx back[2];
+  usize n_back = 0;
+  if (xrev != nullptr) {
+    row_plan_.inverse_strided_unnormalized(lanes, lane_stride_, rows_, true);
+    back[n_back++] = cplx(real(1) / static_cast<real>(cols_), 0);
+  } else {
+    row_plan_.transform_strided(lanes, lane_stride_, rows_, pad, +1, false);
+  }
+  if (alpha != nullptr) back[n_back++] = *alpha;
+  kern.transpose_scale(field.data(), stride, nullptr, lanes, lane_stride_, cols_, rows_, back,
+                       n_back);
 }
 
 void Fft2D::forward(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_forward(field, nullptr, nullptr);
+  run_forward(field, acquire_scratch().get(), nullptr, nullptr);
 }
 
 void Fft2D::inverse(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_inverse(field, nullptr, nullptr);
+  run_inverse(field, acquire_scratch().get(), nullptr, false);
 }
 
 void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
@@ -149,36 +167,39 @@ void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
   check_shape(kernel, rows_, cols_, "kernel");
   note_transform(rows_, cols_);
   const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel};
-  run_forward(field, &mul, nullptr);
+  run_forward(field, acquire_scratch().get(), &mul, nullptr);
 }
 
-void Fft2D::multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
-                             bool conj_kernel) const {
+void Fft2D::convolve(View2D<cplx> field, View2D<const cplx> kernel, bool conj_kernel) const {
   check_shape(field, rows_, cols_, "field");
   check_shape(kernel, rows_, cols_, "kernel");
   note_transform(rows_, cols_);
+  note_transform(rows_, cols_);
+  const ScratchLease lease = acquire_scratch();
   const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel};
-  run_inverse(field, &mul, nullptr);
+  const usize* yrev = col_plan_.bitrev();
+  if (yrev == nullptr) {
+    run_forward(field, lease.get(), &mul, nullptr);
+    run_inverse(field, lease.get(), nullptr, false);
+    return;
+  }
+  run_forward(field, lease.get(), nullptr, nullptr);
+  // The row-pass scratch is idle between the passes: its first cols_
+  // elements serve as the swap buffer.
+  multiply_field_bitrev(field, mul.data, mul.stride, mul.conj, yrev, lease.get().lanes.data());
+  run_inverse(field, lease.get(), nullptr, true);
 }
 
 void Fft2D::forward_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_forward(field, nullptr, &alpha);
+  run_forward(field, acquire_scratch().get(), nullptr, &alpha);
 }
 
 void Fft2D::inverse_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_inverse(field, nullptr, &alpha);
-}
-
-void Fft2D::adjoint_forward(View2D<cplx> field) const {
-  inverse_scale(field, cplx(static_cast<real>(size()), 0));
-}
-
-void Fft2D::adjoint_inverse(View2D<cplx> field) const {
-  forward_scale(field, cplx(real(1) / static_cast<real>(size()), 0));
+  run_inverse(field, acquire_scratch().get(), &alpha, false);
 }
 
 namespace {

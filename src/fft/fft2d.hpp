@@ -3,40 +3,50 @@
 // The multislice operator transforms each probe-sized wavefield twice per
 // slice, so Fft2D is the hottest kernel in the library. Both passes run
 // over the whole window in one lane-major layout, through one batched
-// strided Plan1D call each, so every butterfly inner loop vectorizes
-// across all rows or all columns at once:
+// strided Plan1D call each (one dispatched backend call per radix-4
+// stage), so every butterfly inner loop vectorizes across all rows or all
+// columns at once:
 //
 //   column pass: in place on the caller's field, the lanes being its
 //                `cols` columns (stride = row_stride, so windows of a
 //                larger array work as well);
-//   row pass:    the field is transposed once into a pooled rows x cols
-//                lane-major scratch, transformed, and transposed back.
+//   row pass:    the field is transposed (the backend's transpose_scale)
+//                into a pooled lane-major scratch, transformed, and
+//                transposed back. The scratch's lane stride is `rows`,
+//                padded by 4 when `rows` is a multiple of 16: a stride of
+//                a large power of two maps a transpose's column walk onto
+//                a few L1 sets.
 //
-// For power-of-two extents the bit-reversal permutation is folded into
-// those transposes instead of running as a separate swap pass:
+// For power-of-two extents the bit-reversal permutation and the inverse's
+// 1/n normalization ride in data movement the passes already make:
 //
-//   forward: transpose with bitrev(x) -> row butterflies -> transpose
-//            back with bitrev(y) -> column butterflies in place;
-//   inverse: column pass in place (with its usual swap) -> transpose with
-//            bitrev(x) -> row butterflies -> plain transpose back.
+//   forward:  transpose with bitrev(x) -> row butterflies -> transpose
+//             back with bitrev(y) -> column butterflies in place;
+//   inverse:  column pass in place (bitrev(y) swap, butterflies) ->
+//             transpose with bitrev(x), scaled by 1/rows -> row
+//             butterflies -> transpose back, scaled by 1/cols (then by
+//             inverse_scale's alpha);
+//   convolve: forward -> one pass that multiplies by the kernel while
+//             swapping rows into bitrev(y) order -> the inverse without
+//             its swap.
 //
-// Bluestein extents use the same layout without the fold. Every lane runs
-// the exact per-element operation sequence of the contiguous Plan1D
-// transform; only data movement differs. The fused entry points fold
-// point-wise spectral work into the same call:
+// Each axis with a Bluestein extent keeps its plan's own permutation and
+// normalization instead. Every lane runs the exact per-element operation
+// sequence of the contiguous Plan1D transform (a folded normalization is
+// the same cmul by (1/n, 0)); only data movement differs. The fused entry
+// points fold point-wise spectral work into the same call:
 //
-//   forward_multiply  = forward  then field *= kernel   (after the column
-//                       pass, on the field)
-//   multiply_inverse  = field *= kernel then inverse    (before the column
-//                       pass, on the field)
-//   forward_scale     = forward then field *= alpha (after the column pass)
-//   inverse_scale     = inverse then field *= alpha (on the row scratch,
-//                       before the transpose back)
+//   forward_multiply = forward then field *= kernel (after the column
+//                      pass, on the field)
+//   convolve         = inverse(kernel ⊙ forward(field)), the multiply in
+//                      the inverse's bit-reversal swap (two transforms)
+//   forward_scale    = forward then field *= alpha (after the column pass)
+//   inverse_scale    = inverse then field *= alpha (in the transpose back)
 //
-// Each fused call is bitwise identical to its composed two-step sequence
-// (the folded op runs the same dispatched per-element kernels). Scratch
-// lives in a small plan-owned pool (acquired once per call), so a single
-// Fft2D is safe to share across concurrently executing workers.
+// Each fused call is bitwise identical to its composed sequence (the
+// folded op runs the same dispatched per-element kernels). Scratch lives
+// in a small plan-owned pool (acquired once per call), so a single Fft2D
+// is safe to share across concurrently executing workers.
 #pragma once
 
 #include <memory>
@@ -53,7 +63,7 @@ class Fft2D {
   /// Plan for `rows x cols` transforms.
   Fft2D(usize rows, usize cols);
 
-  [[nodiscard]] usize rows() const { return row_plan_.size() == 0 ? 0 : rows_; }
+  [[nodiscard]] usize rows() const { return rows_; }
   [[nodiscard]] usize cols() const { return cols_; }
   [[nodiscard]] usize size() const { return rows_ * cols_; }
 
@@ -63,22 +73,16 @@ class Fft2D {
   /// In-place inverse with 1/(rows*cols) normalization.
   void inverse(View2D<cplx> field) const;
 
-  /// Adjoint of `forward` = size() * inverse (see plan.hpp conventions).
-  void adjoint_forward(View2D<cplx> field) const;
-
-  /// Adjoint of `inverse` = (1/size()) * forward.
-  void adjoint_inverse(View2D<cplx> field) const;
-
   /// Fused forward(field); field[i] *= kernel[i] (conj(kernel[i]) when
   /// `conj_kernel`). Bitwise identical to the composed sequence; the
   /// multiply costs no extra pass over the field.
   void forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
                         bool conj_kernel = false) const;
 
-  /// Fused field[i] *= kernel[i] (in the spectrum); inverse(field).
-  /// Bitwise identical to the composed sequence.
-  void multiply_inverse(View2D<const cplx> kernel, View2D<cplx> field,
-                        bool conj_kernel = false) const;
+  /// field <- inverse(kernel ⊙ forward(field)) (conj(kernel) when
+  /// `conj_kernel`): a circular convolution, two transforms. Bitwise
+  /// identical to forward, then the multiply, then inverse.
+  void convolve(View2D<cplx> field, View2D<const cplx> kernel, bool conj_kernel = false) const;
 
   /// Fused forward(field); field *= alpha.
   void forward_scale(View2D<cplx> field, cplx alpha) const;
@@ -95,9 +99,9 @@ class Fft2D {
     bool conj;
   };
 
-  /// Pooled per-call scratch: the rows x cols lane-major row-pass buffer
-  /// and the batched-Bluestein pad (empty when both extents are powers of
-  /// two).
+  /// Pooled per-call scratch: the cols x lane_stride_ lane-major
+  /// row-pass buffer and the batched-Bluestein pad (empty when both
+  /// extents are powers of two).
   struct Scratch {
     std::vector<cplx> lanes;
     std::vector<cplx> bluestein;
@@ -121,13 +125,17 @@ class Fft2D {
   [[nodiscard]] ScratchLease acquire_scratch() const;
 
   /// forward(field), then the optional multiply and alpha scale on the field.
-  void run_forward(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const;
-  /// The optional multiply on the field, then inverse(field), then the
-  /// optional alpha scale.
-  void run_inverse(View2D<cplx> field, const MultiplySpec* mul, const cplx* alpha) const;
+  void run_forward(View2D<cplx> field, Scratch& scratch, const MultiplySpec* mul,
+                   const cplx* alpha) const;
+  /// inverse(field), then the optional alpha scale. `rows_bitrev`: the
+  /// field's rows already sit in bitrev(y) order (power-of-two rows only),
+  /// so the column pass skips its swap.
+  void run_inverse(View2D<cplx> field, Scratch& scratch, const cplx* alpha,
+                   bool rows_bitrev) const;
 
   usize rows_ = 0;
   usize cols_ = 0;
+  usize lane_stride_ = 0;  // row-pass scratch stride (>= rows_, see the header)
   Plan1D row_plan_;  // length cols_ (transforms along x)
   Plan1D col_plan_;  // length rows_ (transforms along y)
 

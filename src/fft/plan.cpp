@@ -138,6 +138,13 @@ void Plan1D::inverse_strided(cplx* data, usize stride, usize count, cplx* scratc
   transform_strided(data, stride, count, scratch, +1, false);
 }
 
+void Plan1D::inverse_strided_unnormalized(cplx* data, usize stride, usize count,
+                                          bool input_bitrev) const {
+  PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");
+  PTYCHO_CHECK(pow2_, "unnormalized strided inverse needs a power-of-two plan");
+  pow2_->run_strided(data, stride, count, +1, input_bitrev);
+}
+
 void Plan1D::transform_strided(cplx* data, usize stride, usize count, cplx* scratch, int sign,
                                bool input_bitrev) const {
   PTYCHO_REQUIRE(count >= 1 && stride >= count, "strided batch: need stride >= count >= 1");

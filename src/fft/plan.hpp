@@ -61,8 +61,10 @@ class Plan1D {
   struct BluesteinTables;
 
   // Fft2D folds the bit-reversal permutation of its power-of-two passes
-  // into the transposes it already makes, so it needs the permutation and
-  // a strided entry that skips the in-place swap pass.
+  // into the transposes (and the spectral multiply) it already makes, and
+  // the inverse's 1/n into those transposes' scales, so it needs the
+  // permutation, a strided entry that skips the in-place swap pass and an
+  // unnormalized strided inverse.
   friend class Fft2D;
 
   /// Bit-reversal table of a power-of-two plan; nullptr for Bluestein sizes.
@@ -74,6 +76,12 @@ class Plan1D {
   /// other operation is unchanged.
   void transform_strided(cplx* data, usize stride, usize count, cplx* scratch, int sign,
                          bool input_bitrev) const;
+
+  /// Power-of-two plans only: inverse_strided's butterflies without its
+  /// 1/n normalization pass (the caller applies cmul by (1/n, 0) itself,
+  /// the per-element operation that pass would run).
+  void inverse_strided_unnormalized(cplx* data, usize stride, usize count,
+                                    bool input_bitrev) const;
 
   usize n_ = 0;
   std::unique_ptr<Pow2Tables> pow2_;            // set when n is a power of two

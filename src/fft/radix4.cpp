@@ -154,27 +154,10 @@ void radix4_transform_strided(cplx* data, usize n, usize stride, usize count, in
       }
     }
   }
-  // Each (base, k) pair is one shared-twiddle butterfly over four lane rows.
+  // One dispatched call per stage: the backend runs every (base, k)
+  // shared-twiddle butterfly over four lane rows.
   for (const Radix4Tables::Stage& st : r4.stages) {
-    const usize h = st.h;
-    const cplx* tw1 = r4.tw.data() + st.offset;
-    const cplx* tw2 = tw1 + h;
-    const cplx* tw3 = tw2 + h;
-    for (usize base = 0; base < n; base += 4 * h) {
-      for (usize k = 0; k < h; ++k) {
-        cplx w1 = tw1[k];
-        cplx w2 = tw2[k];
-        cplx w3 = tw3[k];
-        if (conj_tw) {
-          w1 = std::conj(w1);
-          w2 = std::conj(w2);
-          w3 = std::conj(w3);
-        }
-        cplx* p0 = data + (base + k) * stride;
-        kern.butterfly4_lanes(p0, p0 + h * stride, p0 + 2 * h * stride, p0 + 3 * h * stride, w1,
-                              w2, w3, conj_tw, count);
-      }
-    }
+    kern.butterfly4_stage(data, n, stride, count, st.h, r4.tw.data() + st.offset, conj_tw);
   }
 }
 

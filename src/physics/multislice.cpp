@@ -45,12 +45,22 @@ bool MultisliceOperator::compact_cache_active(const MultisliceWorkspace& ws) con
          config_.model == ObjectModel::kPotential && ws.cache_transmittance;
 }
 
-real seed_magnitude(cplx z) {
+double far_magnitude(cplx z) {
   const auto re = static_cast<double>(z.real());
   const auto im = static_cast<double>(z.imag());
-  const auto mag = static_cast<real>(std::sqrt(re * re + im * im));
+  const double mag = std::sqrt(re * re + im * im);
+  return std::isfinite(mag) ? mag : std::abs(std::complex<double>(re, im));
+}
+
+namespace {
+/// seed_magnitude(z) given far_magnitude(z).
+real seed_from_far(double far_mag, cplx z) {
+  const auto mag = static_cast<real>(far_mag);
   return std::isfinite(mag) ? mag : std::abs(z);
 }
+}  // namespace
+
+real seed_magnitude(cplx z) { return seed_from_far(far_magnitude(z), z); }
 
 View2D<const cplx> MultisliceOperator::slice_transmittance(const FramedVolume& volume,
                                                            const Rect& window,
@@ -184,8 +194,7 @@ double MultisliceOperator::cost_from_far(View2D<const real> y_mag,
     const real* ym = y_mag.row(y);
     const cplx* f = ws.far.row(y);
     for (index_t x = 0; x < y_mag.cols(); ++x) {
-      const double diff = static_cast<double>(std::abs(std::complex<double>(f[x]))) -
-                          static_cast<double>(ym[x]);
+      const double diff = far_magnitude(f[x]) - static_cast<double>(ym[x]);
       acc += diff * diff;
     }
   }
@@ -207,16 +216,21 @@ double MultisliceOperator::cost_and_gradient(const Probe& probe, const FramedVol
   PTYCHO_REQUIRE(grad_out.slices() == volume.slices(), "gradient slice count mismatch");
 
   forward(probe, volume, window, ws);
-  const double cost_value = cost_from_far(y_mag, ws);
 
-  // Seed: g_far = 2 (|Psi| - |y|) * Psi / |Psi|  (Wirtinger gradient of f).
+  // One magnitude per pixel feeds both the cost term (in double, the
+  // accumulation cost_from_far runs) and the seed
+  //   g_far = 2 (|Psi| - |y|) * Psi / |Psi|  (Wirtinger gradient of f).
   const auto n = static_cast<index_t>(grid_.probe_n);
+  double cost_value = 0.0;
   for (index_t y = 0; y < n; ++y) {
     const real* ym = y_mag.row(y);
     const cplx* f = ws.far.row(y);
     cplx* g = ws.grad.row(y);
     for (index_t x = 0; x < n; ++x) {
-      const real mag = seed_magnitude(f[x]);
+      const double far_mag = far_magnitude(f[x]);
+      const double diff = far_mag - static_cast<double>(ym[x]);
+      cost_value += diff * diff;
+      const real mag = seed_from_far(far_mag, f[x]);
       if (mag > real(1e-20)) {
         g[x] = real(2) * (mag - ym[x]) / mag * f[x];
       } else {

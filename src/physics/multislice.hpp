@@ -86,12 +86,21 @@ class WorkspacePool {
   std::vector<MultisliceWorkspace> workspaces_;
 };
 
-/// |z| as the gradient seed computes it: the double-precision
-/// sqrt(re^2 + im^2) rounded to real, which is what glibc's hypotf returns
-/// for finite input at well under half its cost. Non-finite results (inf
-/// or NaN parts, or a magnitude past the float range) fall back to
-/// std::abs, so on glibc the value is bitwise std::abs(z) for every input
-/// (tests/test_physics.cpp checks the edge cases).
+/// |z| in double as the cost and the gradient seed compute it, once per
+/// far-field pixel: sqrt(re^2 + im^2) over the widened parts (the squares
+/// are exact; the sum and the sqrt round once each), at a fraction of the
+/// cost of the double hypot (std::abs of a complex<double>). Non-finite
+/// results (inf or NaN parts) fall back to that std::abs. The cost term
+/// (|Psi| - |y|)^2 therefore may differ from a hypot-based one in the last
+/// double ulp (the two disagree on a few percent of float inputs); cost()
+/// and cost_and_gradient() share this formula and agree bitwise.
+[[nodiscard]] double far_magnitude(cplx z);
+
+/// |z| as the gradient seed computes it: far_magnitude(z) rounded to real,
+/// which is what glibc's hypotf returns for finite input. Non-finite
+/// results (inf or NaN parts, or a magnitude past the float range) fall
+/// back to std::abs, so on glibc the value is bitwise std::abs(z) for
+/// every input (tests/test_physics.cpp checks the edge cases).
 [[nodiscard]] real seed_magnitude(cplx z);
 
 struct MultisliceConfig {

@@ -25,22 +25,10 @@ Propagator::Propagator(const OpticsGrid& grid)
   }
 }
 
-void Propagator::apply_kernel(View2D<cplx> psi, bool conjugate) const {
-  // The H (or conj H) product rides in an FFT call: `apply` folds it in
-  // after the forward's column pass, `apply_adjoint` before the inverse's,
-  // so both fused entry points stay hot in the per-probe loop. Results are
-  // bitwise identical to the composed forward / multiply / inverse.
-  if (conjugate) {
-    fft_.forward(psi);
-    fft_.multiply_inverse(kernel_.view(), psi, /*conj_kernel=*/true);
-  } else {
-    fft_.forward_multiply(psi, kernel_.view());
-    fft_.inverse(psi);
-  }
+void Propagator::apply(View2D<cplx> psi) const { fft_.convolve(psi, kernel_.view()); }
+
+void Propagator::apply_adjoint(View2D<cplx> psi) const {
+  fft_.convolve(psi, kernel_.view(), /*conj_kernel=*/true);
 }
-
-void Propagator::apply(View2D<cplx> psi) const { apply_kernel(psi, false); }
-
-void Propagator::apply_adjoint(View2D<cplx> psi) const { apply_kernel(psi, true); }
 
 }  // namespace ptycho

@@ -4,9 +4,10 @@
 //   psi <- IFFT( FFT(psi) * H ),   H(k) = exp(-i*pi*lambda*dz*|k|^2)
 // with a 2/3-Nyquist band limit (standard multislice anti-aliasing).
 // The adjoint (needed by the gradient engine) is the same sandwich with
-// conj(H) — see the normalization argument in fft/plan.hpp. The H product
-// rides inside an FFT call (Fft2D::forward_multiply / multiply_inverse)
-// instead of a standalone full-field sweep, bitwise-identically.
+// conj(H) — see the normalization argument in fft/plan.hpp. Both are one
+// Fft2D::convolve call: the H product rides in the inverse column pass's
+// bit-reversal swap instead of a standalone full-field sweep,
+// bitwise-identically to forward, multiply, inverse.
 #pragma once
 
 #include "fft/fft2d.hpp"
@@ -30,8 +31,6 @@ class Propagator {
   [[nodiscard]] const fft::Fft2D& fft() const { return fft_; }
 
  private:
-  void apply_kernel(View2D<cplx> psi, bool conjugate) const;
-
   fft::Fft2D fft_;
   CArray2D kernel_;
 };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "backend/kernels.hpp"
+#include "backend_table_checks.hpp"
 #include "common/random.hpp"
 #include "core/reconstructor.hpp"
 #include "data/simulate.hpp"
@@ -181,34 +182,20 @@ TEST(BackendBitwise, Butterfly4Block) {
   }
 }
 
-TEST(BackendBitwise, Butterfly4Lanes) {
+TEST(BackendBitwise, Butterfly4Stage) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
-  const Kernels& sc = scalar_kernels();
-  const Kernels& vec = *simd_kernels();
-  const cplx w1(real(0.92387953), real(-0.38268343));
-  const cplx w2(real(0.98078528), real(-0.19509032));
-  const cplx w3(real(0.83146961), real(-0.55557023));
-  for (const usize n : kSizes) {
-    for (const usize offset : {usize{0}, usize{1}}) {
-      for (const bool conj_rot : {false, true}) {
-        const std::vector<cplx> x0 = random_lanes(n + offset, 71 * n + 1);
-        const std::vector<cplx> x1 = random_lanes(n + offset, 71 * n + 2);
-        const std::vector<cplx> x2 = random_lanes(n + offset, 71 * n + 3);
-        const std::vector<cplx> x3 = random_lanes(n + offset, 71 * n + 4);
-        std::vector<cplx> sc_out[4] = {x0, x1, x2, x3};
-        std::vector<cplx> vec_out[4] = {x0, x1, x2, x3};
-        sc.butterfly4_lanes(sc_out[0].data() + offset, sc_out[1].data() + offset,
-                            sc_out[2].data() + offset, sc_out[3].data() + offset, w1, w2, w3,
-                            conj_rot, n);
-        vec.butterfly4_lanes(vec_out[0].data() + offset, vec_out[1].data() + offset,
-                             vec_out[2].data() + offset, vec_out[3].data() + offset, w1, w2, w3,
-                             conj_rot, n);
-        for (int q = 0; q < 4; ++q) {
-          EXPECT_TRUE(bitwise_equal(sc_out[q].data(), vec_out[q].data(), n + offset))
-              << "n=" << n << " offset=" << offset << " conj=" << conj_rot << " quarter=" << q;
-        }
-      }
-    }
+  ptycho::testing::expect_stage_tables_equal(scalar_kernels(), *simd_kernels());
+}
+
+TEST(BackendBitwise, TransposeScale) {
+  if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
+  ptycho::testing::expect_transpose_tables_equal(scalar_kernels(), *simd_kernels());
+}
+
+TEST(BackendContract, TransposeScaleIsTransposeThenScaleLanes) {
+  for (const Kernels* k : {&scalar_kernels(), simd_kernels(), &scalar_fma_kernels(),
+                           fma_kernels()}) {
+    if (k != nullptr) ptycho::testing::expect_transpose_matches_scale_lanes(*k);
   }
 }
 

@@ -234,7 +234,7 @@ TEST(Fft2D, RoundtripAndAdjointIdentities) {
   CArray2D fa = a.clone();
   plan.forward(fa.view());
   CArray2D fhb = b.clone();
-  plan.adjoint_forward(fhb.view());
+  plan.inverse_scale(fhb.view(), cplx(static_cast<real>(plan.size()), 0));
   const auto lhs = dot(fa.view(), b.view());
   const auto rhs = dot(a.view(), fhb.view());
   EXPECT_NEAR(lhs.real(), rhs.real(), 2e-2);
@@ -427,7 +427,7 @@ TEST_P(FusedEntryPoints, ForwardMultiplyBitwiseEqualsComposed) {
   }
 }
 
-TEST_P(FusedEntryPoints, MultiplyInverseBitwiseEqualsComposed) {
+TEST_P(FusedEntryPoints, ConvolveBitwiseEqualsComposed) {
   const auto [rows, cols] = GetParam();
   Fft2D plan(static_cast<usize>(rows), static_cast<usize>(cols));
   const CArray2D input = random_field(rows, cols, 910 + static_cast<usize>(rows * cols));
@@ -435,12 +435,13 @@ TEST_P(FusedEntryPoints, MultiplyInverseBitwiseEqualsComposed) {
   const backend::Kernels& kern = backend::kernels();
   for (const bool conj : {false, true}) {
     CArray2D composed = input.clone();
+    plan.forward(composed.view());
     kern.cmul_rows_tiled(composed.data(), static_cast<usize>(cols), composed.data(),
                          static_cast<usize>(cols), kernel.data(), static_cast<usize>(cols),
                          conj, static_cast<usize>(rows), static_cast<usize>(cols));
     plan.inverse(composed.view());
     CArray2D fused = input.clone();
-    plan.multiply_inverse(kernel.view(), fused.view(), conj);
+    plan.convolve(fused.view(), kernel.view(), conj);
     EXPECT_TRUE(bitwise_equal(fused.data(), composed.data(),
                               static_cast<usize>(rows * cols)))
         << rows << "x" << cols << " conj=" << conj;
@@ -533,8 +534,6 @@ TEST_P(Fft2DLayout, EveryEntryPointBitwiseEqualsNaiveComposition) {
   const CArray2D kernel_outer = random_field(rows + kPadY, cols + kPadX, seed + 1);
   const View2D<const cplx> kernel = kernel_outer.sub(3, 4, rows, cols);
   const cplx alpha(real(0.37), real(-0.81));
-  const cplx size_alpha(static_cast<real>(rows * cols), 0);
-  const cplx inv_size_alpha(real(1) / static_cast<real>(rows * cols), 0);
 
   struct Case {
     const char* name;
@@ -554,13 +553,15 @@ TEST_P(Fft2DLayout, EveryEntryPointBitwiseEqualsNaiveComposition) {
          naive_forward(a);
          naive_multiply(a, kernel, true);
        }},
-      {"multiply_inverse", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f); },
+      {"convolve", [&](View2D<cplx> f) { plan.convolve(f, kernel); },
        [&](CArray2D& a) {
+         naive_forward(a);
          naive_multiply(a, kernel, false);
          naive_inverse(a);
        }},
-      {"multiply_inverse conj", [&](View2D<cplx> f) { plan.multiply_inverse(kernel, f, true); },
+      {"convolve conj", [&](View2D<cplx> f) { plan.convolve(f, kernel, true); },
        [&](CArray2D& a) {
+         naive_forward(a);
          naive_multiply(a, kernel, true);
          naive_inverse(a);
        }},
@@ -573,16 +574,6 @@ TEST_P(Fft2DLayout, EveryEntryPointBitwiseEqualsNaiveComposition) {
        [&](CArray2D& a) {
          naive_inverse(a);
          scale(alpha, a.view());
-       }},
-      {"adjoint_forward", [&](View2D<cplx> f) { plan.adjoint_forward(f); },
-       [&](CArray2D& a) {
-         naive_inverse(a);
-         scale(size_alpha, a.view());
-       }},
-      {"adjoint_inverse", [&](View2D<cplx> f) { plan.adjoint_inverse(f); },
-       [&](CArray2D& a) {
-         naive_forward(a);
-         scale(inv_size_alpha, a.view());
        }},
   };
   const auto count = static_cast<usize>(rows * cols);

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <mutex>
 
+#include "core/accbuf.hpp"
+#include "core/optimizer.hpp"
 #include "core/passes.hpp"
 #include "partition/assignment.hpp"
 #include "runtime/cluster.hpp"
@@ -245,6 +248,42 @@ TEST(Sweep, EmptyBuffersStayZero) {
     worst = std::max(worst, local_max);
   });
   EXPECT_EQ(worst, 0.0);
+}
+
+TEST(SgdUpdate, OnePassEqualsAccumulateThenApply) {
+  // The SGD branch's fused per-probe update: AccBuf += g and V -= step*g
+  // in one row-by-row pass must leave both buffers bitwise equal to the
+  // two-pass sequence, touch only the region, and bump the revision once.
+  const Rect frame{-3, 2, 20, 17};
+  const Rect region{1, 5, 9, 7};
+  const index_t slices = 2;
+  FramedVolume grad(slices, region);
+  FramedVolume volume(slices, frame);
+  AccumulationBuffer acc_two(slices, frame);
+  for (index_t s = 0; s < slices; ++s) {
+    for (index_t y = 0; y < frame.h; ++y) {
+      for (index_t x = 0; x < frame.w; ++x) {
+        volume.data(s, y, x) = synthetic_gradient(1, s, y, x);
+        acc_two.volume().data(s, y, x) = synthetic_gradient(2, s, y, x);
+      }
+    }
+    for (index_t y = 0; y < region.h; ++y) {
+      for (index_t x = 0; x < region.w; ++x) grad.data(s, y, x) = synthetic_gradient(3, s, y, x);
+    }
+  }
+  FramedVolume vol_one = volume.clone();
+  FramedVolume acc_one = acc_two.volume().clone();
+  const real step = real(0.37);
+
+  acc_two.accumulate(grad, region);
+  apply_gradient(volume, grad, region, step);
+  const std::uint64_t before = vol_one.revision;
+  accumulate_and_apply_gradient(acc_one, vol_one, grad, region, step);
+
+  EXPECT_NE(vol_one.revision, before);
+  const auto bytes = static_cast<usize>(slices * frame.area()) * sizeof(cplx);
+  EXPECT_EQ(std::memcmp(vol_one.data.data(), volume.data.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(acc_one.data.data(), acc_two.volume().data.data(), bytes), 0);
 }
 
 }  // namespace

@@ -307,6 +307,54 @@ TEST(Multislice, GradientSupportConfinedToWindow) {
   EXPECT_EQ(outside, 0.0);  // gradient code writes only the window
 }
 
+TEST(Multislice, CostAndGradientCostBitwiseEqualsCost) {
+  // cost_and_gradient computes one magnitude per far-field pixel for both
+  // its cost term and its gradient seed; the cost must stay the exact
+  // double cost() returns, for both object models.
+  const OpticsGrid grid = test_grid(16);
+  Probe probe(grid, test_probe_params());
+  const auto n = static_cast<index_t>(grid.probe_n);
+  const Rect window{0, 0, n, n};
+  for (const ObjectModel model : {ObjectModel::kTransmittance, ObjectModel::kPotential}) {
+    MultisliceConfig config;
+    config.model = model;
+    config.sigma = real(0.8);
+    MultisliceOperator op(grid, config);
+    const FramedVolume object = random_volume(window, 2, 41);
+    const FramedVolume truth = random_volume(window, 2, 42);
+    MultisliceWorkspace ws(n, 2);
+    RArray2D mag(n, n);
+    op.simulate_magnitude(probe, truth, window, ws, mag.view());
+    FramedVolume grad(2, window);
+    const double with_gradient = op.cost_and_gradient(probe, object, window, mag.view(), grad, ws);
+    const double cost_only = op.cost(probe, object, window, mag.view(), ws);
+    EXPECT_GT(cost_only, 0.0);
+    EXPECT_EQ(std::memcmp(&with_gradient, &cost_only, sizeof(double)), 0)
+        << "model=" << static_cast<int>(model) << " cost_and_gradient=" << with_gradient
+        << " cost=" << cost_only;
+  }
+}
+
+TEST(Multislice, FarMagnitudeIsTheDoubleRootOfTheSquares) {
+  // Finite input: the widened sqrt(re^2 + im^2), the value the seed
+  // rounds. Non-finite parts fall back to the double hypot.
+  Rng rng(78);
+  for (int i = 0; i < 256; ++i) {
+    const cplx z(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
+    const auto re = static_cast<double>(z.real());
+    const auto im = static_cast<double>(z.imag());
+    EXPECT_EQ(far_magnitude(z), std::sqrt(re * re + im * im));
+  }
+  using lim = std::numeric_limits<real>;
+  EXPECT_EQ(far_magnitude(cplx(lim::infinity(), lim::quiet_NaN())),
+            std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(far_magnitude(cplx(lim::quiet_NaN(), real(1)))));
+  // Past the float range the double root stays finite (the seed then
+  // falls back to std::abs, see SeedMagnitudeBitwiseEqualsStdAbs).
+  const auto big = static_cast<double>(lim::max());
+  EXPECT_EQ(far_magnitude(cplx(lim::max(), lim::max())), std::sqrt(big * big + big * big));
+}
+
 TEST(Multislice, SeedMagnitudeBitwiseEqualsStdAbs) {
   // The gradient seed's |Psi| must be the exact bits std::abs returns, or
   // every strict-tier volume would change. Cover the IEEE edge cases on

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "backend/kernels.hpp"
+#include "backend_table_checks.hpp"
 #include "common/random.hpp"
 #include "core/convergence.hpp"
 #include "core/exec_options.hpp"
@@ -143,11 +144,11 @@ TEST(PrecisionBitwise, ScalarFmaMatchesVectorFma) {
       });
     }
   }
-  // The two radix-4 butterflies the fast-tier FFT runs (four outputs
-  // each) and potential_backprop (four operands).
-  const cplx w1(real(0.92387953), real(-0.38268343));
-  const cplx w2(real(0.98078528), real(-0.19509032));
-  const cplx w3(real(0.83146961), real(-0.55557023));
+  // The radix-4 kernels the fast-tier FFT runs (the contiguous block
+  // here, the lane-major stage below), its transposes, and
+  // potential_backprop (four operands).
+  ptycho::testing::expect_stage_tables_equal(sc, vec);
+  ptycho::testing::expect_transpose_tables_equal(sc, vec);
   for (const usize n : {usize{5}, usize{16}, usize{100}}) {
     for (const usize offset : {usize{0}, usize{1}}) {
       for (const bool conj_tw : {false, true}) {
@@ -176,15 +177,6 @@ TEST(PrecisionBitwise, ScalarFmaMatchesVectorFma) {
                              tw1.data() + offset, tw2.data() + offset, tw3.data() + offset,
                              conj_tw, n);
         expect_same(blk_sc, blk_vec, "butterfly4_block");
-        std::vector<cplx> lanes_sc[4] = {x[0], x[1], x[2], x[3]};
-        std::vector<cplx> lanes_vec[4] = {x[0], x[1], x[2], x[3]};
-        sc.butterfly4_lanes(lanes_sc[0].data() + offset, lanes_sc[1].data() + offset,
-                            lanes_sc[2].data() + offset, lanes_sc[3].data() + offset, w1, w2, w3,
-                            conj_tw, n);
-        vec.butterfly4_lanes(lanes_vec[0].data() + offset, lanes_vec[1].data() + offset,
-                             lanes_vec[2].data() + offset, lanes_vec[3].data() + offset, w1, w2,
-                             w3, conj_tw, n);
-        expect_same(lanes_sc, lanes_vec, "butterfly4_lanes");
       }
     }
     const std::vector<cplx> psi = random_lanes(n, 7 * n + 1);
