@@ -1,14 +1,11 @@
 // Backend selection: one atomic pointer to the active kernel table,
 // resolved from (backend choice, precision tier). The choice comes from
-// PTYCHO_BACKEND / CPU detection / select() (the CLI --backend flag); the
+// select() (the CLI --backend flag), else CPU detection ("auto"); the
 // tier from set_precision() (the CLI --precision flag, strict by default).
 // Generic code only — this TU is compiled without ISA extension flags.
 #include "backend/kernels.hpp"
 
 #include <atomic>
-#include <cstdlib>
-
-#include "common/log.hpp"
 
 namespace ptycho::backend {
 
@@ -37,28 +34,6 @@ const Kernels* resolve(Choice choice, Precision precision) {
   return scalar ? &scalar_kernels() : simd_kernels();
 }
 
-/// Resolve the PTYCHO_BACKEND environment variable (or its absence) to a
-/// backend choice. Invalid or unsatisfiable values warn and fall back to
-/// auto: env configuration must never abort a run that would work without
-/// it.
-Choice initial_choice() {
-  const char* env = std::getenv("PTYCHO_BACKEND");
-  if (env != nullptr && env[0] != '\0') {
-    const std::string_view name(env);
-    if (name == "scalar") return Choice::kScalar;
-    if (name == "simd") {
-      if (simd_available()) return Choice::kSimd;
-      log::warn() << "PTYCHO_BACKEND=simd but no SIMD backend is usable on this CPU; "
-                     "using scalar";
-      return Choice::kScalar;
-    }
-    if (name != "auto") {
-      log::warn() << "PTYCHO_BACKEND='" << env << "' is not scalar|simd|auto; using auto";
-    }
-  }
-  return Choice::kAuto;
-}
-
 }  // namespace
 
 bool simd_available() {
@@ -85,10 +60,8 @@ bool fma_available() {
 const Kernels& kernels() {
   const Kernels* k = g_active.load(std::memory_order_acquire);
   if (k == nullptr) {
-    const Choice choice = initial_choice();
-    const Kernels* fresh = resolve(choice, g_precision.load(std::memory_order_acquire));
+    const Kernels* fresh = resolve(Choice::kAuto, g_precision.load(std::memory_order_acquire));
     if (g_active.compare_exchange_strong(k, fresh, std::memory_order_acq_rel)) {
-      g_choice.store(choice, std::memory_order_release);
       k = fresh;  // this thread won the (idempotent) initialization race
     }
   }

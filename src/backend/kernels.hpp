@@ -3,20 +3,21 @@
 // Every hot complex inner loop in the library (FFT butterflies and the
 // 2-D FFT's transposes, Bluestein chirp products, Hadamard/axpy tensor
 // ops, propagator and multislice backprop kernels) calls through the
-// `Kernels` table returned by `kernels()`. The table is selected once, lazily, from:
+// `Kernels` table returned by `kernels()`. The table is selected from:
 //
 //   1. an explicit `select("scalar"|"simd"|"auto")` call (CLI `--backend`),
-//   2. else the `PTYCHO_BACKEND` environment variable,
-//   3. else CPU detection ("auto"): AVX2 on x86-64, NEON on AArch64,
-//      falling back to the portable scalar table.
+//   2. else, lazily at first use, CPU detection ("auto"): AVX2 on x86-64,
+//      NEON on AArch64, falling back to the portable scalar table.
 //
 // Bitwise contract: for every primitive, the SIMD implementation performs
 // exactly the same IEEE-754 operations per element as the scalar one —
-// same association, no fusing on either path (all backend translation
-// units compile with -ffp-contract=off) — so switching backends never
-// changes a single output bit. Tests enforce this (tests/test_backend.cpp)
-// and it is what preserves the any-thread-count determinism guarantee of
-// the batched sweep.
+// same association, no fusing on either path (the strict-tier backend
+// translation units compile with -ffp-contract=off) — so switching
+// backends never changes a single output bit. Tests enforce this
+// (tests/test_backend.cpp) and it is what preserves the any-thread-count
+// determinism guarantee of the batched sweep. Each ISA's loops are written
+// once (scalar_impl.hpp, vector_impl.hpp), as templates over how a complex
+// multiply rounds; the strict and fast tables differ only in that policy.
 //
 // Selection is not synchronized with running kernels: call `select` at
 // process startup, before worker threads launch.

@@ -99,9 +99,11 @@ void radix4_transform(cplx* data, usize n, int sign, const std::vector<usize>& b
     const cplx* tw3 = tw2 + h;
     if (h < 4) {
       // Blocks below any vector width (these hold most of the blocks): run
-      // the backend butterfly4 operation sequence inline to spare the
-      // dispatch overhead. The per-element arithmetic is identical, so the
-      // result does not depend on the selected backend.
+      // the strict tables' butterfly4 operation sequence inline to spare
+      // the dispatch overhead. The per-element arithmetic is identical to
+      // theirs, so strict results do not depend on the selected backend.
+      // The fast tier's FMA tables are bypassed here too: on that tier
+      // these stages stay unfused.
       for (usize base = 0; base < n; base += 4 * h) {
         for (usize k = 0; k < h; ++k) {
           const cplx w1 = conj_tw ? std::conj(tw1[k]) : tw1[k];

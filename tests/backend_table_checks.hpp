@@ -1,6 +1,6 @@
 // Bitwise table-vs-table checks for the backend's multi-row entries (the
-// radix-4 stage and the scaled transpose), shared by the strict
-// scalar == SIMD tests (test_backend.cpp) and the fast-tier
+// radix-4 stage, the scaled transpose and the row-tiled multiply), shared
+// by the strict scalar == SIMD tests (test_backend.cpp) and the fast-tier
 // scalar-fma == vector-fma tests (test_precision.cpp).
 #pragma once
 
@@ -91,6 +91,41 @@ inline void expect_transpose_tables_equal(const backend::Kernels& a, const backe
           }
         }
       }
+    }
+  }
+}
+
+/// cmul_rows_tiled on tables `a` and `b`: 5-row tiles whose widths cover
+/// sub-width rows, vector multiples and tails, a distinct stride per
+/// operand, both conj_b values, and the aliased in-place form (dst == a).
+/// Whole buffers are compared, so the stride gaps must stay untouched.
+inline void expect_rows_tiled_tables_equal(const backend::Kernels& a, const backend::Kernels& b) {
+  const usize rows = 5;
+  for (const usize cols : {usize{0}, usize{1}, usize{2}, usize{3}, usize{4}, usize{5}, usize{7},
+                           usize{8}, usize{15}, usize{16}, usize{100}, usize{257}}) {
+    for (const bool conj_b : {false, true}) {
+      const usize dst_stride = cols + 2;
+      const usize x_stride = cols + 3;
+      const usize y_stride = cols + 1;
+      const std::vector<cplx> x = random_cplx(rows * x_stride + 1, 73 * cols + 1);
+      const std::vector<cplx> y = random_cplx(rows * y_stride + 1, 73 * cols + 2);
+      const std::vector<cplx> dst0 = random_cplx(rows * dst_stride + 1, 73 * cols + 3);
+      std::vector<cplx> out_a = dst0;
+      std::vector<cplx> out_b = dst0;
+      a.cmul_rows_tiled(out_a.data(), dst_stride, x.data(), x_stride, y.data(), y_stride, conj_b,
+                        rows, cols);
+      b.cmul_rows_tiled(out_b.data(), dst_stride, x.data(), x_stride, y.data(), y_stride, conj_b,
+                        rows, cols);
+      EXPECT_TRUE(same_bits(out_a, out_b))
+          << a.name << " vs " << b.name << ": cols=" << cols << " conj=" << conj_b;
+      std::vector<cplx> alias_a = dst0;
+      std::vector<cplx> alias_b = dst0;
+      a.cmul_rows_tiled(alias_a.data(), dst_stride, alias_a.data(), dst_stride, y.data(),
+                        y_stride, conj_b, rows, cols);
+      b.cmul_rows_tiled(alias_b.data(), dst_stride, alias_b.data(), dst_stride, y.data(),
+                        y_stride, conj_b, rows, cols);
+      EXPECT_TRUE(same_bits(alias_a, alias_b))
+          << a.name << " vs " << b.name << ": aliased cols=" << cols << " conj=" << conj_b;
     }
   }
 }

@@ -4,6 +4,7 @@
 // reconstructions, and cross-tier checkpoint restore.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <vector>
@@ -142,13 +143,20 @@ TEST(PrecisionBitwise, ScalarFmaMatchesVectorFma) {
       check([](const backend::Kernels& k, cplx* dst, const cplx* x, const cplx* y, usize m) {
         k.chirp_mul_lanes(dst, x, y, real(0.125), m);
       });
+      check([](const backend::Kernels& k, cplx* dst, const cplx* x, const cplx*, usize m) {
+        k.conj_scale_lanes(dst, x, real(1) / real(100), m);
+      });
+      check([](const backend::Kernels& k, cplx* dst, const cplx* x, const cplx*, usize m) {
+        k.scale_chirp_lanes(dst, x, real(1) / real(640), cplx(real(-0.8), real(0.6)), m);
+      });
     }
   }
   // The radix-4 kernels the fast-tier FFT runs (the contiguous block
-  // here, the lane-major stage below), its transposes, and
-  // potential_backprop (four operands).
+  // here, the lane-major stage below), its transposes and tiled spectral
+  // multiply, and potential_backprop (four operands).
   ptycho::testing::expect_stage_tables_equal(sc, vec);
   ptycho::testing::expect_transpose_tables_equal(sc, vec);
+  ptycho::testing::expect_rows_tiled_tables_equal(sc, vec);
   for (const usize n : {usize{5}, usize{16}, usize{100}}) {
     for (const usize offset : {usize{0}, usize{1}}) {
       for (const bool conj_tw : {false, true}) {
@@ -191,6 +199,55 @@ TEST(PrecisionBitwise, ScalarFmaMatchesVectorFma) {
                                  real(0.8), n);
     EXPECT_TRUE(bitwise_equal(out_sc.data(), out_vec.data(), n)) << "n=" << n;
     EXPECT_TRUE(bitwise_equal(g_sc.data(), g_vec.data(), n)) << "n=" << n;
+  }
+}
+
+/// The fused rounding of one complex multiply, as kernels_fma.cpp defines
+/// it: re = fma(a.re, b.re, -(a.im*b.im)), im = fma(a.im, b.re, a.re*b.im).
+cplx fused_cmul(cplx a, cplx b) {
+  return cplx(std::fma(a.real(), b.real(), -(a.imag() * b.imag())),
+              std::fma(a.imag(), b.real(), a.real() * b.imag()));
+}
+
+/// The same sequence for a * conj(b) (b.im's sign flips first, exactly).
+cplx fused_cmul_conj(cplx a, cplx b) { return fused_cmul(a, std::conj(b)); }
+
+// Pins which multiply policy each fast table runs. The fast tables are
+// otherwise only compared with each other, which would still pass if both
+// ran the strict sequence. Random operands make fused and unfused
+// rounding differ on many elements, so each output must equal the
+// explicit std::fma formula and must not equal the strict table's.
+TEST(PrecisionBitwise, FastTablesRunTheFusedSequence) {
+  const usize n = 37;  // vector bodies plus a remainder tail
+  const std::vector<cplx> a = random_lanes(n, 901);
+  const std::vector<cplx> b = random_lanes(n, 902);
+  const cplx alpha(real(0.37), real(-1.21));
+  std::vector<cplx> want_cmul(n);
+  std::vector<cplx> want_conj(n);
+  std::vector<cplx> want_scale(n);
+  for (usize i = 0; i < n; ++i) {
+    want_cmul[i] = fused_cmul(a[i], b[i]);
+    want_conj[i] = fused_cmul_conj(a[i], b[i]);
+    want_scale[i] = fused_cmul(a[i], alpha);
+  }
+  const backend::Kernels& strict = backend::scalar_kernels();
+  std::vector<const backend::Kernels*> fast = {&backend::scalar_fma_kernels()};
+  if (backend::fma_available()) fast.push_back(backend::fma_kernels());
+  for (const backend::Kernels* k : fast) {
+    std::vector<cplx> out(n);
+    std::vector<cplx> ref(n);
+    k->cmul_lanes(out.data(), a.data(), b.data(), n);
+    strict.cmul_lanes(ref.data(), a.data(), b.data(), n);
+    EXPECT_TRUE(bitwise_equal(out.data(), want_cmul.data(), n)) << k->name << " cmul_lanes";
+    EXPECT_FALSE(bitwise_equal(out.data(), ref.data(), n)) << k->name << " cmul_lanes";
+    k->cmul_conj_lanes(out.data(), a.data(), b.data(), n);
+    strict.cmul_conj_lanes(ref.data(), a.data(), b.data(), n);
+    EXPECT_TRUE(bitwise_equal(out.data(), want_conj.data(), n)) << k->name << " cmul_conj_lanes";
+    EXPECT_FALSE(bitwise_equal(out.data(), ref.data(), n)) << k->name << " cmul_conj_lanes";
+    k->scale_lanes(out.data(), a.data(), alpha, n);
+    strict.scale_lanes(ref.data(), a.data(), alpha, n);
+    EXPECT_TRUE(bitwise_equal(out.data(), want_scale.data(), n)) << k->name << " scale_lanes";
+    EXPECT_FALSE(bitwise_equal(out.data(), ref.data(), n)) << k->name << " scale_lanes";
   }
 }
 

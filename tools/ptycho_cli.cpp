@@ -381,9 +381,8 @@ int main(int argc, char** argv) {
   const Options opts = Options::parse(argc - 1, argv + 1);
   try {
     // Select the kernel backend up front so every subcommand (simulate
-    // runs the same FFT/multislice kernels) honors the flag; an explicit
-    // request that cannot be satisfied is an error, unlike the permissive
-    // PTYCHO_BACKEND environment fallback.
+    // runs the same FFT/multislice kernels) honors the flag; a request
+    // that cannot be satisfied is an error.
     const std::string backend = opts.get_string("backend", "");
     if (!backend.empty()) {
       PTYCHO_CHECK(backend::select(backend),
