@@ -12,6 +12,7 @@
 
 #include "bench_util.hpp"
 #include "ckpt/snapshot.hpp"
+#include "common/timer.hpp"
 #include "core/gradient_decomposition.hpp"
 
 using namespace ptycho;

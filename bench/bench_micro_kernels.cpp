@@ -304,9 +304,8 @@ const int backend_benches_registered = [] {
 
 // ---- fast-tier benchmarks: FMA cmul head-to-head + compact codecs ----
 
-// The single row the BENCH_sweep `cmul_mb_per_sec_fma` gate column is
-// attributed to: the best available FMA table's cmul (vector when the CPU
-// has one, scalar-fma otherwise).
+// The fast tier's cmul in one row: the best available FMA table's (vector
+// when the CPU has one, scalar-fma otherwise).
 void BM_BackendCmulFma(benchmark::State& state) {
   const backend::Kernels* kern =
       backend::fma_available() ? backend::fma_kernels() : &backend::scalar_fma_kernels();

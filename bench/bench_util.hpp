@@ -4,37 +4,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/options.hpp"
-#include "common/timer.hpp"
 #include "core/memory_model.hpp"
 #include "data/simulate.hpp"
 #include "runtime/perfmodel.hpp"
 
 namespace ptycho::bench {
-
-/// Warmed best-of-N timing for gate metrics: run `fn` `warmup` times
-/// untimed (first-touch allocations, scratch pools, branch predictors),
-/// then `repeats` timed runs and return the fastest seconds. The minimum
-/// is the stable statistic on shared runners — interference from other
-/// tenants only ever adds time, so the fastest repeat is the closest
-/// observation of the machine's actual speed and is what regression gates
-/// should compare run-to-run.
-template <typename Fn>
-[[nodiscard]] inline double best_of_seconds(int warmup, int repeats, Fn&& fn) {
-  repeats = std::max(1, repeats);  // a non-positive --repeat must not yield inf metrics
-  for (int i = 0; i < warmup; ++i) fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) {
-    WallTimer timer;
-    fn();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
-}
 
 /// Paper-scale geometry + memory + perf model for one (dataset, gpus,
 /// strategy) cell of Tables II/III.

@@ -12,9 +12,8 @@
 // comment restates).
 //
 // parse_exec_options()/exec_options_help() are the shared command-line
-// surface — ptycho_cli, bench_sweep and the examples all accept identical
-// spellings because they all call the same interpreter over
-// common/options.
+// surface: every ptycho_cli subcommand accepts identical spellings
+// because they all call the same interpreter over common/options.
 #pragma once
 
 #include <string>

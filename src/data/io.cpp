@@ -130,6 +130,18 @@ double read_f64(std::ifstream& in) {
   in.read(reinterpret_cast<char*>(&v), sizeof v);
   return v;
 }
+// a * b, saturating at the largest u64 instead of wrapping.
+std::uint64_t mul_saturating(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
+}
+// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::ifstream& in) {
+  const auto here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  return static_cast<std::uint64_t>(end - here);
+}
 }  // namespace
 
 void save_dataset(const std::string& path, const Dataset& dataset) {
@@ -172,8 +184,10 @@ Dataset load_dataset(const std::string& path) {
   PTYCHO_CHECK(name_len < (1u << 20), "corrupt dataset name length");
   spec.name.resize(name_len);
   in.read(spec.name.data(), static_cast<std::streamsize>(name_len));
-  spec.scan.rows = static_cast<index_t>(read_u64(in));
-  spec.scan.cols = static_cast<index_t>(read_u64(in));
+  const auto rows = read_u64(in);
+  const auto cols = read_u64(in);
+  spec.scan.rows = static_cast<index_t>(rows);
+  spec.scan.cols = static_cast<index_t>(cols);
   spec.scan.step_px = static_cast<index_t>(read_u64(in));
   spec.scan.step_y_px = static_cast<index_t>(read_u64(in));
   spec.scan.margin_px = static_cast<index_t>(read_u64(in));
@@ -186,12 +200,28 @@ Dataset load_dataset(const std::string& path) {
   spec.probe.defocus_pm = read_f64(in);
   spec.probe.cs_pm = read_f64(in);
   spec.slices = static_cast<index_t>(read_u64(in));
-  spec.model.model = static_cast<ObjectModel>(read_u64(in));
+  const auto model = read_u64(in);
   spec.model.sigma = static_cast<real>(read_f64(in));
+  const auto count = read_u64(in);
   PTYCHO_CHECK(in.good(), "truncated dataset header in '" << path << "'");
 
+  // The header is untrusted: reject it before it sizes any allocation.
+  // The measurements must fit in the bytes the file actually holds.
+  PTYCHO_CHECK(model <= static_cast<std::uint64_t>(ObjectModel::kPotential),
+               "dataset '" << path << "' has unknown object model " << model);
+  spec.model.model = static_cast<ObjectModel>(model);
+  PTYCHO_CHECK(spec.slices >= 1, "dataset '" << path << "' has no slices");
+  PTYCHO_CHECK(spec.grid.probe_n == static_cast<std::uint64_t>(spec.scan.probe_n),
+               "dataset '" << path << "' probe window " << spec.grid.probe_n
+                           << " does not match its scan window " << spec.scan.probe_n);
+  std::uint64_t block = sizeof(real);
+  for (const std::uint64_t factor : {rows, cols, spec.grid.probe_n, spec.grid.probe_n}) {
+    block = mul_saturating(block, factor);
+  }
+  PTYCHO_CHECK(block <= bytes_left(in), "dataset '" << path << "' is shorter than the "
+                                            << rows << "x" << cols << " scan it declares");
+
   Dataset dataset(spec, ScanPattern(spec.scan), Probe(spec.grid, spec.probe));
-  const auto count = read_u64(in);
   PTYCHO_CHECK(count == static_cast<std::uint64_t>(dataset.scan.count()),
                "dataset '" << path << "' measurement count does not match its scan");
   const auto n = static_cast<index_t>(spec.grid.probe_n);

@@ -1,13 +1,18 @@
 // data/io round-trip coverage: PGM pixel mapping (including the min==max
-// mid-gray edge case), phase PGM, CSV output, and the raw binary volume
-// snapshot read-back.
+// mid-gray edge case), phase PGM, CSV output, the raw binary volume
+// snapshot read-back, and the dataset loader's rejection of corrupt
+// headers.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/io.hpp"
@@ -144,6 +149,103 @@ TEST_F(IoScratch, VolumeLoaderRejectsGarbage) {
     out << "this is not a volume";
   }
   EXPECT_THROW((void)io::load_volume(path("junk.bin")), Error);
+}
+
+// A 2x3-probe, 8x8-window dataset with patterned measurements, built
+// without a simulation so the header tests stay instant.
+Dataset small_dataset() {
+  DatasetSpec spec;
+  spec.name = "hdr";
+  spec.scan.rows = 2;
+  spec.scan.cols = 3;
+  spec.scan.step_px = 4;
+  spec.scan.probe_n = 8;
+  spec.grid.probe_n = 8;
+  spec.slices = 2;
+  spec.model.model = ObjectModel::kPotential;
+  Dataset dataset(spec, ScanPattern(spec.scan), Probe(spec.grid, spec.probe));
+  for (index_t i = 0; i < dataset.probe_count(); ++i) {
+    RArray2D m(8, 8);
+    for (index_t y = 0; y < 8; ++y) {
+      for (index_t x = 0; x < 8; ++x) m(y, x) = static_cast<real>(i * 64 + y * 8 + x);
+    }
+    dataset.measurements.push_back(std::move(m));
+  }
+  return dataset;
+}
+
+// The u64 header fields after the name, in file order.
+enum HeaderField : std::uint64_t {
+  kRows = 0, kCols = 1, kScanProbeN = 5, kGridProbeN = 6, kSlices = 13, kModel = 14,
+};
+
+class DatasetHeader : public IoScratch {
+ protected:
+  void SetUp() override {
+    IoScratch::SetUp();
+    const Dataset dataset = small_dataset();
+    io::save_dataset(path("ok.ptyd"), dataset);
+    std::ifstream in(path("ok.ptyd"), std::ios::binary);
+    bytes_.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    fields_ = 16 + dataset.spec.name.size();  // after the magic, name length and name
+  }
+
+  // A copy of the valid file with `values` written over the given fields
+  // (or truncated by `drop` bytes); returns its path.
+  std::string patched(const std::vector<std::pair<HeaderField, std::uint64_t>>& values,
+                      usize drop = 0) {
+    std::vector<char> copy(bytes_.begin(), bytes_.end() - static_cast<std::ptrdiff_t>(drop));
+    for (const auto& [field, value] : values) {
+      std::memcpy(copy.data() + fields_ + 8 * field, &value, sizeof value);
+    }
+    const std::string out = path("patched.ptyd");
+    std::ofstream(out, std::ios::binary)
+        .write(copy.data(), static_cast<std::streamsize>(copy.size()));
+    return out;
+  }
+
+  std::vector<char> bytes_;
+  usize fields_ = 0;
+};
+
+TEST_F(DatasetHeader, UnpatchedFileLoadsUnchanged) {
+  const Dataset original = small_dataset();
+  const Dataset loaded = io::load_dataset(patched({}));
+  EXPECT_EQ(loaded.spec.slices, 2);
+  EXPECT_EQ(loaded.spec.model.model, ObjectModel::kPotential);
+  ASSERT_EQ(loaded.measurements.size(), original.measurements.size());
+  for (usize i = 0; i < loaded.measurements.size(); ++i) {
+    EXPECT_EQ(std::memcmp(loaded.measurements[i].data(), original.measurements[i].data(),
+                          original.measurements[i].bytes()),
+              0);
+  }
+}
+
+TEST_F(DatasetHeader, RejectsUnknownObjectModel) {
+  EXPECT_THROW((void)io::load_dataset(patched({{kModel, 2}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kModel, UINT64_MAX}})), Error);
+}
+
+TEST_F(DatasetHeader, RejectsNoSlices) {
+  EXPECT_THROW((void)io::load_dataset(patched({{kSlices, 0}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kSlices, UINT64_MAX}})), Error);
+}
+
+TEST_F(DatasetHeader, RejectsProbeWindowMismatch) {
+  EXPECT_THROW((void)io::load_dataset(patched({{kGridProbeN, 16}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kScanProbeN, 4}})), Error);
+}
+
+TEST_F(DatasetHeader, RejectsMeasurementsLargerThanTheFile) {
+  // A scan or window the file cannot hold must fail before the loader
+  // reserves rows*cols locations or allocates a probe_n^2 probe.
+  EXPECT_THROW((void)io::load_dataset(patched({{kRows, 3}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kRows, std::uint64_t{1} << 40}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kCols, UINT64_MAX}})), Error);
+  const std::uint64_t huge_n = std::uint64_t{1} << 32;
+  EXPECT_THROW((void)io::load_dataset(patched({{kScanProbeN, huge_n}, {kGridProbeN, huge_n}})),
+               Error);
+  EXPECT_THROW((void)io::load_dataset(patched({}, /*drop=*/1)), Error);
 }
 
 }  // namespace
