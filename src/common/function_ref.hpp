@@ -10,7 +10,7 @@
 // Lifetime contract: function_ref never extends the referenced callable's
 // lifetime. Bind only callables that outlive every invocation — in
 // practice, pass it down a synchronous call chain and never store it
-// beyond the call (the schedulers and BatchSweeper obey this).
+// beyond the call (the thread pool and BatchSweeper obey this).
 #pragma once
 
 #include <memory>

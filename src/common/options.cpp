@@ -1,5 +1,6 @@
 #include "common/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -31,6 +32,14 @@ Options Options::parse(int argc, const char* const* argv) {
     }
   }
   return opts;
+}
+
+void Options::reject_unknown(const std::vector<std::string>& known) const {
+  for (const auto& entry : values_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      PTYCHO_FAIL("unknown option --" << entry.first);
+    }
+  }
 }
 
 bool Options::has(const std::string& key) const { return values_.count(key) > 0; }

@@ -1,8 +1,8 @@
 // Tiny command-line option parser for the benches and examples.
 //
 // Supports `--key value`, `--key=value` and boolean `--flag` forms plus
-// typed accessors with defaults; unknown keys are collected so a harness
-// can reject typos.
+// typed accessors with defaults. Every key is kept, so a tool can reject
+// the ones it does not read (reject_unknown) instead of ignoring a typo.
 #pragma once
 
 #include <map>
@@ -31,6 +31,11 @@ class Options {
 
   /// Keys seen on the command line (for validation / echo).
   [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
+
+  /// Throw ptycho::Error naming the first key (in sorted order) that is not
+  /// in `known`, so a misspelled or retired flag fails instead of being
+  /// silently ignored.
+  void reject_unknown(const std::vector<std::string>& known) const;
 
   /// Positional (non --key) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }

@@ -1,7 +1,6 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -183,23 +182,6 @@ void BackgroundWorker::loop() {
 
 // ---- sweep scheduling -------------------------------------------------------
 
-const char* to_string(SweepSchedule schedule) {
-  switch (schedule) {
-    case SweepSchedule::kStatic: return "static";
-    case SweepSchedule::kWorkStealing: return "work-stealing";
-    case SweepSchedule::kAuto: return "auto";
-  }
-  return "?";
-}
-
-SweepSchedule sweep_schedule_from_string(const std::string& name) {
-  if (name == "static") return SweepSchedule::kStatic;
-  if (name == "auto") return SweepSchedule::kAuto;
-  PTYCHO_CHECK(name == "work-stealing" || name == "ws",
-               "unknown sweep scheduler '" << name << "' (want static|work-stealing|auto)");
-  return SweepSchedule::kWorkStealing;
-}
-
 namespace {
 
 constexpr std::uint64_t pack_range(std::uint64_t lo, std::uint64_t hi) {
@@ -212,16 +194,14 @@ constexpr index_t range_hi(std::uint64_t bits) {
 
 }  // namespace
 
-WorkStealingScheduler::WorkStealingScheduler(ThreadPool& pool, index_t chunk)
-    : pool_(pool), chunk_(std::max<index_t>(1, chunk)) {
-  ranges_ = std::make_unique<PackedRange[]>(static_cast<usize>(pool_.threads()));
-}
+WorkStealingScheduler::WorkStealingScheduler(ThreadPool& pool)
+    : pool_(pool), ranges_(std::make_unique<PackedRange[]>(static_cast<usize>(pool.threads()))) {}
 
 void WorkStealingScheduler::dispatch(index_t begin, index_t end,
                                      function_ref<void(index_t, int)> fn) {
   const index_t n = end - begin;
   if (n <= 0) return;
-  const auto nslots = static_cast<index_t>(slots());
+  const auto nslots = static_cast<index_t>(pool_.threads());
   if (nslots == 1 || n == 1) {
     for (index_t i = begin; i < end; ++i) fn(i, 0);
     return;
@@ -240,36 +220,33 @@ void WorkStealingScheduler::dispatch(index_t begin, index_t end,
         std::memory_order_relaxed);
   }
 
-  const index_t chunk = chunk_;
   auto& ranges = ranges_;
   // Flags are sampled once per dispatch so the hot loops below pay a plain
-  // bool test, not an atomic load per chunk.
+  // bool test, not an atomic load per item.
   const bool count = obs::metrics_enabled();
   const bool traced = obs::tracing_enabled();
   std::atomic<std::uint64_t> pops{0};
   std::atomic<std::uint64_t> steals{0};
-  const auto worker = [&ranges, nslots, chunk, begin, fn, count, traced, &pops,
-                       &steals](index_t s, int slot) {
+  const auto worker = [&ranges, nslots, begin, fn, count, traced, &pops, &steals](index_t s,
+                                                                                   int slot) {
     (void)s;  // with n == nslots parallel_for maps item s onto slot s
-    // Drain our own block from the front, `chunk` items per CAS.
+    // Drain our own block from the front, one item per CAS.
     auto& own = ranges[static_cast<usize>(slot)].bits;
     for (;;) {
       std::uint64_t bits = own.load(std::memory_order_acquire);
       const index_t lo = range_lo(bits);
       const index_t hi = range_hi(bits);
       if (lo >= hi) break;
-      const index_t take = std::min(chunk, hi - lo);
       if (!own.compare_exchange_weak(
-              bits, pack_range(static_cast<std::uint64_t>(lo + take),
-                               static_cast<std::uint64_t>(hi)),
+              bits, pack_range(static_cast<std::uint64_t>(lo + 1), static_cast<std::uint64_t>(hi)),
               std::memory_order_acq_rel)) {
         continue;  // a thief moved hi (or a retry raced); re-read
       }
       if (count) pops.fetch_add(1, std::memory_order_relaxed);
-      for (index_t i = lo; i < lo + take; ++i) fn(begin + i, slot);
+      fn(begin + lo, slot);
     }
     // Steal: scan the other slots until a full pass finds everyone dry.
-    // Thieves take the back half (at least `chunk`), leaving the owner's
+    // Thieves take the back half (at least one item), leaving the owner's
     // front-pop end untouched — owner and thief only collide on the CAS
     // when a range is nearly empty.
     for (;;) {
@@ -283,7 +260,7 @@ void WorkStealingScheduler::dispatch(index_t begin, index_t end,
         if (lo >= hi) continue;
         any_left = true;
         const index_t remaining = hi - lo;
-        const index_t take = std::min(remaining, std::max(chunk, remaining / 2));
+        const index_t take = std::max<index_t>(1, remaining / 2);
         const index_t new_hi = hi - take;
         if (!bits_ref.compare_exchange_weak(
                 bits, pack_range(static_cast<std::uint64_t>(lo),
@@ -307,73 +284,6 @@ void WorkStealingScheduler::dispatch(index_t begin, index_t end,
     pop_counter.add(pops.load(std::memory_order_relaxed));
     steal_counter.add(steals.load(std::memory_order_relaxed));
   }
-}
-
-AutoScheduler::AutoScheduler(ThreadPool& pool) : pool_(pool), static_(pool) {
-  // One slot makes the choice moot (both degenerate to a plain loop);
-  // skip the sampling window and its two clock reads per item.
-  if (pool_.threads() == 1) decided_ = &static_;
-}
-
-const char* AutoScheduler::name() const {
-  if (decided_ == nullptr) return "auto";
-  return decided_ == &static_ ? "auto:static" : "auto:work-stealing";
-}
-
-void AutoScheduler::dispatch(index_t begin, index_t end, function_ref<void(index_t, int)> fn) {
-  if (decided_ != nullptr) {
-    decided_->dispatch(begin, end, fn);
-    return;
-  }
-  const index_t n = end - begin;
-  if (n <= 0) return;
-  // Sampling window: run through the static partition (identical slot map
-  // to a committed static choice) while timing each item. Durations are
-  // item-indexed — every thread writes distinct elements, and the pool
-  // join orders those writes before the read in decide().
-  const usize base = sample_ns_.size();
-  sample_ns_.resize(base + static_cast<usize>(n));
-  std::uint64_t* out = sample_ns_.data() + base;
-  static_.dispatch(begin, end, [&](index_t i, int slot) {
-    const std::uint64_t t0 = obs::now_ns();
-    fn(i, slot);
-    out[i - begin] = obs::now_ns() - t0;
-  });
-  if (sample_ns_.size() >= static_cast<usize>(kMinSamples)) decide();
-}
-
-void AutoScheduler::decide() {
-  double mean = 0.0;
-  for (const std::uint64_t ns : sample_ns_) mean += static_cast<double>(ns);
-  mean /= static_cast<double>(sample_ns_.size());
-  double var = 0.0;
-  for (const std::uint64_t ns : sample_ns_) {
-    const double d = static_cast<double>(ns) - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(sample_ns_.size());
-  const double cv = mean > 0.0 ? std::sqrt(var) / mean : 0.0;
-  if (cv > kCvThreshold) {
-    stealing_ = std::make_unique<WorkStealingScheduler>(pool_);
-    decided_ = stealing_.get();
-  } else {
-    decided_ = &static_;
-  }
-  if (obs::metrics_enabled()) {
-    obs::registry().gauge("scheduler_auto_cv").set(cv);
-    obs::registry().gauge("scheduler_auto_work_stealing").set(decided_ == &static_ ? 0.0 : 1.0);
-  }
-  sample_ns_.clear();
-  sample_ns_.shrink_to_fit();
-}
-
-std::unique_ptr<SweepScheduler> make_sweep_scheduler(SweepSchedule schedule, ThreadPool& pool) {
-  switch (schedule) {
-    case SweepSchedule::kStatic: return std::make_unique<StaticScheduler>(pool);
-    case SweepSchedule::kWorkStealing: return std::make_unique<WorkStealingScheduler>(pool);
-    case SweepSchedule::kAuto: return std::make_unique<AutoScheduler>(pool);
-  }
-  PTYCHO_UNREACHABLE("unknown sweep schedule");
 }
 
 }  // namespace ptycho

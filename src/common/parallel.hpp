@@ -1,27 +1,20 @@
-// Intra-rank parallel execution: a reusable thread pool plus the pluggable
-// sweep schedulers that decide how a batch of independent items is divided
-// across the pool's slots.
+// Intra-rank parallel execution: a reusable thread pool plus the
+// work-stealing dispatcher that divides a sweep's batch across the pool's
+// slots.
 //
 // The pool exists so the per-probe gradient sweep (the hot path of every
-// solver) can scale with cores *without* changing results. Two scheduling
-// policies implement the SweepScheduler interface:
+// solver) can scale with cores *without* changing results. Work-stealing
+// keeps uneven per-item cost from leaving a straggler slot serializing
+// the tail.
 //
-//  * StaticScheduler — parallel_for's fixed partition: item i runs on a
-//    slot derived only from (range, slot count). Zero coordination, but a
-//    straggler slot serializes the tail.
-//  * WorkStealingScheduler — each slot starts with the same contiguous
-//    block and, when it runs dry, steals the back half of a victim's
-//    remaining range (lock-free packed-range CAS). Load-balances uneven
-//    per-item cost at the price of a few atomics per chunk.
-//
-// Both are deterministic where it matters: they only decide WHICH slot
-// computes an item, never the order results are combined — callers that
-// need a reduction merge per-item results in ascending item order (see
-// core/sweep.hpp for the canonical pattern), so reconstructions are
-// bitwise identical across schedulers AND thread counts. Worker threads
-// temporarily adopt the submitting thread's allocation hooks, so tensor
-// allocations made inside a parallel region are charged to the owning
-// virtual-cluster rank exactly as sequential allocations are.
+// Scheduling is deterministic where it matters: it only decides WHICH
+// slot computes an item, never the order results are combined — callers
+// that need a reduction merge per-item results in ascending item order
+// (see core/sweep.hpp for the canonical pattern), so reconstructions are
+// bitwise identical across thread counts. Worker threads temporarily
+// adopt the submitting thread's allocation hooks, so tensor allocations
+// made inside a parallel region are charged to the owning virtual-cluster
+// rank exactly as sequential allocations are.
 #pragma once
 
 #include <atomic>
@@ -31,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -163,77 +155,25 @@ class BackgroundWorker {
 
 // ---- sweep scheduling -------------------------------------------------------
 
-/// Which SweepScheduler a solver's batched gradient sweep dispatches
-/// through. Output is bitwise identical across all of them (the
-/// item-indexed merge contract); the choice is purely a load-balancing
-/// knob.
-enum class SweepSchedule {
-  kStatic,        ///< fixed contiguous partition (parallel_for)
-  kWorkStealing,  ///< chunked self-scheduling with back-half stealing
-  kAuto,          ///< measure first-dispatch per-item cost, then pick one
-};
-
-[[nodiscard]] const char* to_string(SweepSchedule schedule);
-
-/// Parse "static" / "work-stealing" (also accepts "ws") / "auto"; throws
-/// on others.
-[[nodiscard]] SweepSchedule sweep_schedule_from_string(const std::string& name);
-
-/// How a batch of independent, identically-merged items is divided across
-/// a pool's slots. Implementations guarantee: fn(i, slot) runs exactly
-/// once per item, slot is in [0, slots()), and the call blocks until every
-/// item ran (exceptions propagate per ThreadPool::parallel_for). They
-/// never combine results — callers own the (item-ordered) reduction, which
-/// is what keeps every scheduler bitwise-equivalent.
-class SweepScheduler {
+/// Work-stealing over a pool's slots. Every slot starts with a contiguous
+/// block of the range, pops items one at a time from its front, and —
+/// once dry — scans the other slots in rotation order and steals the back
+/// half of the first non-empty victim range it finds. Ranges are packed
+/// {lo,hi} in one 64-bit atomic, so both the owner's pop and a thief's
+/// steal are single CAS operations and the two ends never contend on the
+/// same boundary until a range is nearly empty.
+///
+/// dispatch() runs fn(i, slot) exactly once per item with slot in
+/// [0, slots()), blocks until every item ran, and rethrows the first
+/// exception per ThreadPool::parallel_for. It never combines results —
+/// callers own the (item-ordered) reduction. A one-slot pool runs a plain
+/// loop.
+class WorkStealingScheduler {
  public:
-  virtual ~SweepScheduler() = default;
-
-  [[nodiscard]] virtual const char* name() const = 0;
-
-  /// Execution slots; callers size per-slot scratch (e.g. workspaces) off
-  /// this.
-  [[nodiscard]] virtual int slots() const = 0;
+  explicit WorkStealingScheduler(ThreadPool& pool);
 
   /// Run fn(i, slot) for every i in [begin, end).
-  virtual void dispatch(index_t begin, index_t end,
-                        function_ref<void(index_t item, int slot)> fn) = 0;
-};
-
-/// The historical policy: ThreadPool::parallel_for's static partition.
-class StaticScheduler final : public SweepScheduler {
- public:
-  explicit StaticScheduler(ThreadPool& pool) : pool_(pool) {}
-
-  [[nodiscard]] const char* name() const override { return "static"; }
-  [[nodiscard]] int slots() const override { return pool_.threads(); }
-  void dispatch(index_t begin, index_t end,
-                function_ref<void(index_t, int)> fn) override {
-    pool_.parallel_for(begin, end, fn);
-  }
-
- private:
-  ThreadPool& pool_;
-};
-
-/// Chunked work-stealing over the same pool. Every slot starts with the
-/// static partition's contiguous block, pops `chunk` items at a time from
-/// its front, and — once dry — scans the other slots in rotation order and
-/// steals the back half of the first non-empty victim range it finds.
-/// Ranges are packed {lo,hi} in one 64-bit atomic, so both
-/// the owner's pop and a thief's steal are single CAS operations and the
-/// two ends never contend on the same boundary until a range is nearly
-/// empty.
-class WorkStealingScheduler final : public SweepScheduler {
- public:
-  /// `chunk` is the owner-pop granularity (and the minimum steal size);
-  /// 1 maximizes balance, larger values amortize the CAS per item.
-  explicit WorkStealingScheduler(ThreadPool& pool, index_t chunk = 1);
-
-  [[nodiscard]] const char* name() const override { return "work-stealing"; }
-  [[nodiscard]] int slots() const override { return pool_.threads(); }
-  void dispatch(index_t begin, index_t end,
-                function_ref<void(index_t, int)> fn) override;
+  void dispatch(index_t begin, index_t end, function_ref<void(index_t item, int slot)> fn);
 
  private:
   struct alignas(64) PackedRange {  // one cache line per slot: no false sharing
@@ -241,47 +181,7 @@ class WorkStealingScheduler final : public SweepScheduler {
   };
 
   ThreadPool& pool_;
-  index_t chunk_;
   std::unique_ptr<PackedRange[]> ranges_;
 };
-
-/// Measures per-item cost on the first dispatches (through the static
-/// partition, so results are identical to a static run), then delegates
-/// every later dispatch to either scheduler: work-stealing when the
-/// per-item cost's coefficient of variation exceeds kCvThreshold (spread
-/// a static partition cannot absorb), static otherwise. The timing never
-/// changes WHAT is computed — only which slot runs an item — so the
-/// bitwise contract holds through the sampling window and after it.
-class AutoScheduler final : public SweepScheduler {
- public:
-  /// Items timed before committing to a policy (~2 batches of the sweep).
-  static constexpr index_t kMinSamples = 32;
-  /// Relative per-item cost stddev above which stealing pays for its CAS.
-  static constexpr double kCvThreshold = 0.25;
-
-  explicit AutoScheduler(ThreadPool& pool);
-
-  [[nodiscard]] const char* name() const override;
-  [[nodiscard]] int slots() const override { return pool_.threads(); }
-  void dispatch(index_t begin, index_t end,
-                function_ref<void(index_t, int)> fn) override;
-
-  /// The delegate committed to after the sampling window (null while still
-  /// sampling). Exposed for tests and introspection.
-  [[nodiscard]] const SweepScheduler* decided() const { return decided_; }
-
- private:
-  void decide();
-
-  ThreadPool& pool_;
-  StaticScheduler static_;
-  std::unique_ptr<WorkStealingScheduler> stealing_;
-  SweepScheduler* decided_ = nullptr;
-  std::vector<std::uint64_t> sample_ns_;  ///< per-item durations, item-indexed
-};
-
-/// Factory used by the solver layer (config enum -> scheduler instance).
-[[nodiscard]] std::unique_ptr<SweepScheduler> make_sweep_scheduler(SweepSchedule schedule,
-                                                                   ThreadPool& pool);
 
 }  // namespace ptycho

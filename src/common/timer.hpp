@@ -33,7 +33,7 @@ class WallTimer {
 ///
 /// Not itself thread-safe: add()/merge() must come from one thread at a
 /// time. On cluster runs the totals are no longer accumulated here
-/// directly — pass hooks (which may run on scheduler worker slots) time
+/// directly — pass hooks (which may run on thread-pool worker slots) time
 /// themselves through obs::SpanScope into a per-rank obs::PhaseLedger of
 /// padded atomics, and the ledger is merged into this profiler at chunk
 /// boundaries from the rank's own thread (src/obs/trace.hpp). The Fig. 7b

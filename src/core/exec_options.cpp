@@ -1,5 +1,6 @@
 #include "core/exec_options.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -19,14 +20,44 @@ std::vector<std::string> split_commas(const std::string& csv) {
   return out;
 }
 
+/// One row per shared flag: parse_exec_options reads exactly these keys,
+/// and the help text and the known-key list are both generated from here.
+struct ExecFlag {
+  const char* key;
+  const char* arg;
+  const char* help;
+};
+
+constexpr ExecFlag kExecFlags[] = {
+    {"threads", "N", "sweep worker threads (0 = auto)"},
+    {"pipeline", "M", "pass-graph scheduling: sync|async"},
+    {"backend", "B", "kernel backend: auto|simd|scalar"},
+    {"checkpoint-dir", "PATH", "enable periodic checkpointing into PATH"},
+    {"checkpoint-every", "N",
+     "snapshot cadence in chunks (0 = disabled; pair with --checkpoint-dir)"},
+    {"trace-out", "PATH", "write Chrome trace_event JSON of the run"},
+    {"metrics-out", "PATH", "write metrics snapshot (ptycho.metrics.v1)"},
+    {"progress", "N", "log progress every N iterations (0 = off)"},
+    {"transport", "T", "comm substrate: inproc|socket"},
+    {"rank", "N", "this process's rank (socket transport)"},
+    {"peers", "H:P,H:P,...", "rank roster, one host:port per rank (socket)"},
+    {"generation", "N", "cluster incarnation stamp (set by the recovery supervisor)"},
+    {"connect-timeout-ms", "N", "socket mesh-formation window (default 30000)"},
+    {"drain-timeout-ms", "N", "socket shutdown drain bound (default 5000)"},
+    {"heartbeat-ms", "N", "socket liveness ping cadence (0 = off)"},
+    {"liveness-timeout-ms", "N", "declare a silent peer dead after N ms (0 = EOF-only)"},
+    {"recv-deadline-ms", "N", "abort a blocked receive after N ms (0 = wait forever)"},
+    {"chaos", "SPEC", "fault injection, e.g. delay=0.5:2,reorder=0.3,seed=9"},
+    {"max-restarts", "N", "auto-recover from rank failures up to N times (0 = off)"},
+    {"restart-backoff-ms", "N", "base recovery backoff, doubled per restart (default 100)"},
+    {"precision", "P", "numerics tier: strict (bitwise, default) | fast[:bf16|:f16]"},
+};
+
 }  // namespace
 
 ExecOptions parse_exec_options(const Options& options, const ExecOptions& defaults) {
   ExecOptions exec = defaults;
   exec.threads = static_cast<int>(options.get_int("threads", exec.threads));
-  if (options.has("scheduler")) {
-    exec.schedule = sweep_schedule_from_string(options.get_string("scheduler", ""));
-  }
   if (options.has("pipeline")) {
     exec.pipeline = pipeline_mode_from_string(options.get_string("pipeline", ""));
   }
@@ -84,30 +115,21 @@ ExecOptions parse_exec_options(const Options& options, const ExecOptions& defaul
   return exec;
 }
 
+std::vector<std::string> exec_option_keys() {
+  std::vector<std::string> keys;
+  for (const ExecFlag& flag : kExecFlags) keys.emplace_back(flag.key);
+  return keys;
+}
+
 std::string exec_options_help() {
-  return
-      "  --threads N              sweep worker threads (0 = auto)\n"
-      "  --scheduler S            full-batch sweep scheduler: auto|static|work-stealing\n"
-      "  --pipeline M             pass-graph scheduling: sync|async\n"
-      "  --backend B              kernel backend: auto|simd|scalar\n"
-      "  --checkpoint-dir PATH    enable periodic checkpointing into PATH\n"
-      "  --checkpoint-every N     snapshot cadence in chunks (0 = disabled; pair with --checkpoint-dir)\n"
-      "  --trace-out PATH         write Chrome trace_event JSON of the run\n"
-      "  --metrics-out PATH       write metrics snapshot (ptycho.metrics.v1)\n"
-      "  --progress N             log progress every N iterations (0 = off)\n"
-      "  --transport T            comm substrate: inproc|socket\n"
-      "  --rank N                 this process's rank (socket transport)\n"
-      "  --peers H:P,H:P,...      rank roster, one host:port per rank (socket)\n"
-      "  --generation N           cluster incarnation stamp (set by the recovery supervisor)\n"
-      "  --connect-timeout-ms N   socket mesh-formation window (default 30000)\n"
-      "  --drain-timeout-ms N     socket shutdown drain bound (default 5000)\n"
-      "  --heartbeat-ms N         socket liveness ping cadence (0 = off)\n"
-      "  --liveness-timeout-ms N  declare a silent peer dead after N ms (0 = EOF-only)\n"
-      "  --recv-deadline-ms N     abort a blocked receive after N ms (0 = wait forever)\n"
-      "  --chaos SPEC             fault injection, e.g. delay=0.5:2,reorder=0.3,seed=9\n"
-      "  --max-restarts N         auto-recover from rank failures up to N times (0 = off)\n"
-      "  --restart-backoff-ms N   base recovery backoff, doubled per restart (default 100)\n"
-      "  --precision P            numerics tier: strict (bitwise, default) | fast[:bf16|:f16]\n";
+  std::string help;
+  char line[160];
+  for (const ExecFlag& flag : kExecFlags) {
+    const std::string spelling = std::string("--") + flag.key + " " + flag.arg;
+    std::snprintf(line, sizeof line, "  %-23s  %s\n", spelling.c_str(), flag.help);
+    help += line;
+  }
+  return help;
 }
 
 }  // namespace ptycho

@@ -1,7 +1,7 @@
 // ExecOptions: the one struct for every knob that says *how* a solver
-// runs rather than *what* it computes — worker threads, sweep scheduler,
-// pipeline mode, kernel backend, checkpoint policy, telemetry sinks,
-// progress cadence and the communication transport.
+// runs rather than *what* it computes — worker threads, pipeline mode,
+// kernel backend, checkpoint policy, telemetry sinks, progress cadence and
+// the communication transport.
 //
 // SerialConfig, GdConfig, HveConfig and ReconstructionRequest all embed
 // an ExecOptions as `exec`, so a new execution knob is added in exactly
@@ -17,10 +17,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "ckpt/snapshot.hpp"
 #include "common/options.hpp"
-#include "common/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "core/precision.hpp"
 #include "runtime/transport.hpp"
@@ -34,10 +34,6 @@ struct ExecOptions {
   /// output is bitwise identical for any value; SGD sweeps are inherently
   /// sequential and ignore it.
   int threads = 0;
-  /// How full-batch sweeps divide batches across pool slots (static
-  /// partition, work-stealing, or measured auto-selection). Pure
-  /// load-balancing knob — bitwise identical output for any choice.
-  SweepSchedule schedule = SweepSchedule::kAuto;
   /// Pass-graph scheduling: kSync is strict list order; kAsync overlaps
   /// background checkpoint I/O with later chunks behind hazard fences.
   /// Output (including checkpoint bytes) is bitwise identical either way.
@@ -77,8 +73,7 @@ struct ExecOptions {
 
 /// Interpret the shared execution flags out of parsed options, over
 /// `defaults`:
-///   --threads N            --scheduler auto|static|stealing
-///   --pipeline sync|async  --backend auto|simd|scalar
+///   --threads N            --pipeline sync|async  --backend auto|simd|scalar
 ///   --checkpoint-dir PATH  --checkpoint-every N
 ///   --trace-out PATH       --metrics-out PATH       --progress N
 ///   --transport inproc|socket  --rank N  --peers host:port,host:port,...
@@ -86,10 +81,14 @@ struct ExecOptions {
 ///   --heartbeat-ms N       --liveness-timeout-ms N  --recv-deadline-ms N
 ///   --chaos SPEC           --max-restarts N         --restart-backoff-ms N
 ///   --precision P
-/// Unknown keys are left for the caller's own flag handling; malformed
-/// values throw ptycho::Error.
+/// Other keys are left for the caller's own flag handling (see
+/// exec_option_keys); malformed values throw ptycho::Error.
 [[nodiscard]] ExecOptions parse_exec_options(const Options& options,
                                              const ExecOptions& defaults = {});
+
+/// The keys parse_exec_options reads, without the leading "--", for a
+/// tool's Options::reject_unknown list.
+[[nodiscard]] std::vector<std::string> exec_option_keys();
 
 /// Help text for the shared flags (one line per flag, aligned, indented
 /// two spaces) for embedding into a tool's usage message.

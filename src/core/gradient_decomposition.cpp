@@ -174,7 +174,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
     ReconstructionPipeline pipeline;
     auto ckpt_pass =
         std::make_unique<CheckpointPass>(config.exec.checkpoint, run_info, /*deferred=*/async);
-    pipeline.emplace<SweepPass>(engine, config.mode, threads, config.exec.schedule,
+    pipeline.emplace<SweepPass>(engine, config.mode, threads,
                                 SweepPass::Items{&tile.own_probes, &local_meas}, refine,
                                 config.exec.precision);
     pipeline.emplace<SyncGradientsPass>(partition, ctx.rank(), config.sync, config.mode);

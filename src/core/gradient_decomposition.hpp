@@ -35,8 +35,8 @@ struct GdConfig {
   int passes_per_iteration = 1;
   UpdateMode mode = UpdateMode::kSgd;
   SyncPolicy sync;  ///< scheme + APPP on/off
-  /// Execution knobs (threads per rank, scheduler, pipeline mode,
-  /// checkpoint policy, progress cadence, transport) — shared across every
+  /// Execution knobs (threads per rank, pipeline mode, checkpoint
+  /// policy, progress cadence, transport) — shared across every
   /// solver config; all bitwise-neutral (see ExecOptions). exec.threads=0
   /// means hardware concurrency divided by nranks, floored at 1, so the
   /// whole virtual cluster does not oversubscribe the host. A socket

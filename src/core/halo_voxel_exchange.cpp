@@ -78,7 +78,7 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
     ReconstructionPipeline pipeline;
     pipeline.emplace<HveLocalSweepPass>(engine, probes, local_meas, tile.own_probes.size(),
                                         config.local_epochs, config.mode, threads,
-                                        config.exec.schedule, config.exec.precision);
+                                        config.exec.precision);
     pipeline.emplace<HaloPastePass>(pastes);
     pipeline.emplace<CostRecordPass>(config.record_cost);
     if (config.exec.progress_every > 0) {

@@ -131,9 +131,8 @@ void PassEngine::run_allreduce(rt::RankContext& ctx, FramedVolume& buf) {
 
 // ---- pipeline passes --------------------------------------------------------
 
-SweepPass::SweepPass(const GradientEngine& engine, UpdateMode mode, int threads,
-                     SweepSchedule schedule, Items items, RefineSchedule refine,
-                     PrecisionPolicy precision)
+SweepPass::SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, Items items,
+                     RefineSchedule refine, PrecisionPolicy precision)
     : engine_(engine), mode_(mode), items_(items), refine_(refine), precision_(precision) {
   // Compact measurement frames are indexed by ITEM, so they are only built
   // when item order and frame order coincide: an explicit per-item frame
@@ -149,8 +148,7 @@ SweepPass::SweepPass(const GradientEngine& engine, UpdateMode mode, int threads,
   }
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
-    scheduler_ = make_sweep_scheduler(schedule, *pool_);
-    sweeper_.emplace(engine_, *scheduler_, precision_.storage);
+    sweeper_.emplace(engine_, *pool_, precision_.storage);
     if (compact_meas_) sweeper_->set_compact_measurements(&*compact_meas_);
   } else {
     // SGD sweeps only ever mutate the volume through apply_gradient, so
@@ -417,8 +415,7 @@ HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
                                      const std::vector<index_t>& probes,
                                      const std::vector<RArray2D>& measurements,
                                      usize own_count, int epochs, UpdateMode mode,
-                                     int threads, SweepSchedule schedule,
-                                     PrecisionPolicy precision)
+                                     int threads, PrecisionPolicy precision)
     : engine_(engine),
       probes_(probes),
       measurements_(measurements),
@@ -427,8 +424,7 @@ HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
       mode_(mode) {
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
-    scheduler_ = make_sweep_scheduler(schedule, *pool_);
-    sweeper_.emplace(engine_, *scheduler_, precision.storage);
+    sweeper_.emplace(engine_, *pool_, precision.storage);
     if (precision.storage != compact::Format::kNone && !measurements_.empty()) {
       compact_meas_.emplace(measurements_, precision.storage);
       sweeper_->set_compact_measurements(&*compact_meas_);

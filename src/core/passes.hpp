@@ -136,9 +136,14 @@ struct RefineSchedule {
   }
 };
 
+/// A one-value tag that one SweepPass constructor still accepts, so the
+/// call in bench/e2e/bench_layers.cpp keeps compiling. It selects nothing:
+/// full-batch sweeps always dispatch by work-stealing.
+enum class SweepSchedule { kAuto };
+
 /// The gradient sweep of Alg. 1 steps 5-8: evaluates this rank's item
 /// range for the chunk. Full-batch mode dispatches through a BatchSweeper
-/// on the configured scheduler (accumulate only); SGD mode runs the
+/// on a work-stealing pool (accumulate only); SGD mode runs the
 /// inherently sequential per-probe loop with immediate local updates.
 /// Only the active mode's machinery is allocated (it counts toward the
 /// rank's tracked memory footprint).
@@ -153,7 +158,7 @@ class SweepPass final : public Pass {
     const std::vector<RArray2D>* measurements = nullptr;
   };
 
-  /// `threads` is the resolved worker count for the full-batch scheduler
+  /// `threads` is the resolved worker count for the full-batch sweeper
   /// (callers apply their own auto-division policy before constructing).
   /// `precision` (fast tier) selects the FMA kernel column process-wide at
   /// the dispatch layer — here it only controls compact storage: with a
@@ -161,9 +166,12 @@ class SweepPass final : public Pass {
   /// compact::FrameStack (decoded per item into workspace scratch) and the
   /// pooled transmittance caches persist compactly. Strict default leaves
   /// every byte of the historical path untouched.
-  SweepPass(const GradientEngine& engine, UpdateMode mode, int threads,
-            SweepSchedule schedule, Items items, RefineSchedule refine,
-            PrecisionPolicy precision = {});
+  SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, Items items,
+            RefineSchedule refine, PrecisionPolicy precision = {});
+  /// Exists only for the bench_layers call; the tag is ignored.
+  SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, SweepSchedule,
+            Items items, RefineSchedule refine, PrecisionPolicy precision = {})
+      : SweepPass(engine, mode, threads, items, refine, precision) {}
 
   [[nodiscard]] const char* name() const override { return "sweep"; }
   [[nodiscard]] obs::Phase phase() const override { return obs::Phase::kCompute; }
@@ -202,7 +210,6 @@ class SweepPass final : public Pass {
   std::optional<compact::FrameStack> compact_meas_;
   // Full-batch machinery (unset in SGD mode).
   std::optional<ThreadPool> pool_;
-  std::unique_ptr<SweepScheduler> scheduler_;
   std::optional<BatchSweeper> sweeper_;
   // SGD machinery (unset in full-batch mode).
   std::optional<MultisliceWorkspace> workspace_;
@@ -451,14 +458,14 @@ class CheckpointFinalizePass final : public Pass {
 /// HVE's embarrassingly parallel local reconstruction: `epochs` local
 /// sweeps over the tile's assigned probes (own + replicated). SGD mode is
 /// the historical sequential loop with immediate updates; full-batch mode
-/// dispatches each epoch through a BatchSweeper on the configured
-/// scheduler, accumulating into a pass-private AccBuf and applying once
+/// dispatches each epoch through a work-stealing BatchSweeper,
+/// accumulating into a pass-private AccBuf and applying once
 /// per epoch (a different — batched — local algorithm, not a reordering
 /// of the SGD one). Only *owned* probes' first-epoch costs are counted,
 /// so the recorded global cost sums each f_i exactly once.
 class HveLocalSweepPass final : public Pass {
  public:
-  /// `threads`/`schedule` configure the full-batch sweeper; SGD mode
+  /// `threads` sizes the full-batch sweeper's pool; SGD mode
   /// ignores them (its machinery is inherently sequential). `precision`
   /// compacts the full-batch sweeper's measurement frames and workspace
   /// caches like SweepPass; the SGD loop keeps its rank-local f32 frames
@@ -466,7 +473,6 @@ class HveLocalSweepPass final : public Pass {
   HveLocalSweepPass(const GradientEngine& engine, const std::vector<index_t>& probes,
                     const std::vector<RArray2D>& measurements, usize own_count, int epochs,
                     UpdateMode mode = UpdateMode::kSgd, int threads = 1,
-                    SweepSchedule schedule = SweepSchedule::kAuto,
                     PrecisionPolicy precision = {});
 
   [[nodiscard]] const char* name() const override { return "hve-local-sweep"; }
@@ -494,7 +500,6 @@ class HveLocalSweepPass final : public Pass {
   // Full-batch machinery (unset in SGD mode); accbuf_ sized lazily off the
   // tile volume on the first chunk.
   std::optional<ThreadPool> pool_;
-  std::unique_ptr<SweepScheduler> scheduler_;
   std::optional<BatchSweeper> sweeper_;
   std::optional<compact::FrameStack> compact_meas_;  ///< fast tier only
   std::optional<AccumulationBuffer> accbuf_;

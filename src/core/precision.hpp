@@ -11,8 +11,8 @@
 //   fast:bf16  — wide-range storage pick (8-bit mantissa, f32 exponent
 //                range); gated at a looser documented bound.
 //
-// Strict-tier guarantees (bitwise identity across backends, schedulers,
-// thread counts, transports) are untouched by this knob at its default.
+// Strict-tier guarantees (bitwise identity across backends, thread
+// counts, transports) are untouched by this knob at its default.
 // The fast tier is tolerance-gated: cost trajectories must stay within a
 // relative epsilon of strict (see convergence.hpp and the README
 // "Precision tiers" section); checkpoints always serialize f32 state, so

@@ -24,7 +24,7 @@ struct ReconstructionRequest {
   int iterations = 10;           ///< TOTAL iterations (a restore continues toward this)
   real step = real(0.1);
   int passes_per_iteration = 1;  ///< GD comm frequency / serial chunks
-  /// Execution knobs — threads, scheduler, pipeline mode, kernel backend,
+  /// Execution knobs — threads, pipeline mode, kernel backend,
   /// checkpoint policy, trace/metrics sinks, progress cadence, transport.
   /// Copied wholesale into whichever solver config the method selects;
   /// every field is bitwise-neutral (see ExecOptions).

@@ -96,8 +96,8 @@ SerialResult reconstruct_serial(const Dataset& dataset, const SerialConfig& conf
   ReconstructionPipeline pipeline;
   auto ckpt_pass =
       std::make_unique<CheckpointPass>(config.exec.checkpoint, std::move(run), /*deferred=*/async);
-  pipeline.emplace<SweepPass>(engine, config.mode, config.exec.threads, config.exec.schedule,
-                              SweepPass::Items{}, refine, config.exec.precision);
+  pipeline.emplace<SweepPass>(engine, config.mode, config.exec.threads, SweepPass::Items{},
+                              refine, config.exec.precision);
   pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/false);
   if (async) pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
   pipeline.emplace<ProbeRefinePass>(refine, config.probe_step, probe_count, probe_energy);

@@ -7,15 +7,15 @@
 
 namespace ptycho {
 
-BatchSweeper::BatchSweeper(const GradientEngine& engine, SweepScheduler& scheduler,
+BatchSweeper::BatchSweeper(const GradientEngine& engine, ThreadPool& pool,
                            compact::Format compact_trans)
     : engine_(engine),
-      scheduler_(scheduler),
+      scheduler_(pool),
       // The sweep's only volume mutations go through apply_gradient, which
       // bumps the revision — the transmittance cache's validity contract
       // holds here, for every slot of the pool.
       workspaces_(static_cast<index_t>(engine.dataset().spec.grid.probe_n),
-                  engine.dataset().spec.slices, scheduler.slots(),
+                  engine.dataset().spec.slices, pool.threads(),
                   /*cache_transmittance=*/true, compact_trans) {
   const auto n = static_cast<index_t>(engine_.dataset().spec.grid.probe_n);
   const index_t slices = engine_.dataset().spec.slices;
@@ -81,7 +81,7 @@ void BatchSweeper::sweep(index_t begin, index_t end, const Probe& probe,
       scheduler_.dispatch(0, count, evaluate);
     }
     // Ordered merge: identical association to the sequential per-probe
-    // loop, so results do not depend on the thread count or scheduler.
+    // loop, so results do not depend on the thread count or slot map.
     for (index_t k = 0; k < count; ++k) {
       const auto uk = static_cast<usize>(k);
       accbuf.accumulate(item_grad_[uk], item_grad_[uk].frame);

@@ -5,15 +5,15 @@
 // items; each item writes into its own (item-indexed, not thread-indexed)
 // gradient buffer, and the batch is then merged into the accumulation
 // buffer in ascending item order. Because the batch structure and the
-// merge order depend only on the item range — never on the scheduler's
-// thread count or which slot evaluated an item — a full-batch sweep is
-// bitwise identical for any --threads value and any SweepScheduler, and
-// bitwise identical to the historical sequential loop.
+// merge order depend only on the item range — never on the pool's thread
+// count or which slot evaluated an item — a full-batch sweep is bitwise
+// identical for any --threads value, and bitwise identical to the
+// historical sequential loop.
 //
-// The scheduler decides only WHICH slot computes an item (and therefore
-// which pooled workspace it scratches in); workspaces are pure scratch,
-// so per-item results are slot-independent. Per-item callbacks cross the
-// hot path as non-allocating function_refs.
+// The work-stealing dispatcher decides only WHICH slot computes an item
+// (and therefore which pooled workspace it scratches in); workspaces are
+// pure scratch, so per-item results are slot-independent. Per-item
+// callbacks cross the hot path as non-allocating function_refs.
 //
 // SGD mode is NOT routed through this class: its per-probe update feeds
 // probe i+1's forward model from probe i's descent step, an inherently
@@ -41,11 +41,11 @@ class BatchSweeper {
   /// Maps a sweep item index to its measured magnitudes.
   using MeasurementFn = function_ref<View2D<const real>(index_t item)>;
 
-  /// Allocates one workspace per scheduler slot and kBatch item-gradient
+  /// Allocates one workspace per pool slot and kBatch item-gradient
   /// buffers up front (on the calling thread, so per-rank memory tracking
   /// sees them); sweeps reuse them. `compact_trans` (fast tier only) makes
   /// the pooled transmittance caches persist their planes in 16-bit form.
-  BatchSweeper(const GradientEngine& engine, SweepScheduler& scheduler,
+  BatchSweeper(const GradientEngine& engine, ThreadPool& pool,
                compact::Format compact_trans = compact::Format::kNone);
 
   /// Fast-tier measurement source: when set, items are read by decoding
@@ -69,8 +69,8 @@ class BatchSweeper {
 
  private:
   const GradientEngine& engine_;
-  SweepScheduler& scheduler_;
-  WorkspacePool workspaces_;             ///< one per scheduler slot
+  WorkStealingScheduler scheduler_;
+  WorkspacePool workspaces_;             ///< one per pool slot
   std::vector<FramedVolume> item_grad_;  ///< kBatch window gradients
   std::vector<CArray2D> item_probe_grad_;  ///< kBatch probe gradients
   std::vector<double> item_cost_;

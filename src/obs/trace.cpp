@@ -1,11 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <sstream>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -299,84 +296,6 @@ void instant(const char* name) noexcept {
   record.rank = thread_context().rank;
   record.instant = true;
   Tracer::instance().push(record);
-}
-
-namespace {
-
-using Interval = std::pair<std::uint64_t, std::uint64_t>;
-
-/// Sort + merge into a disjoint union.
-std::vector<Interval> interval_union(std::vector<Interval> intervals) {
-  std::sort(intervals.begin(), intervals.end());
-  std::vector<Interval> merged;
-  for (const Interval& iv : intervals) {
-    if (iv.second <= iv.first) continue;
-    if (!merged.empty() && iv.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, iv.second);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  return merged;
-}
-
-std::uint64_t measure(const std::vector<Interval>& disjoint) {
-  std::uint64_t total = 0;
-  for (const Interval& iv : disjoint) total += iv.second - iv.first;
-  return total;
-}
-
-/// Measure of the intersection of two disjoint, sorted interval lists.
-std::uint64_t intersection_measure(const std::vector<Interval>& a,
-                                   const std::vector<Interval>& b) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const std::uint64_t lo = std::max(a[i].first, b[j].first);
-    const std::uint64_t hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) total += hi - lo;
-    if (a[i].second < b[j].second) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return total;
-}
-
-}  // namespace
-
-OverlapStats comm_overlap(const std::vector<SpanRecord>& spans) {
-  // Bucket per rank: overlap is a per-rank property (rank A's compute
-  // hiding rank B's comm is not overlap).
-  std::map<std::int32_t, std::pair<std::vector<Interval>, std::vector<Interval>>> per_rank;
-  for (const SpanRecord& s : spans) {
-    if (s.instant || s.end_ns <= s.start_ns) continue;
-    auto& [compute, comm] = per_rank[s.rank];
-    switch (s.phase) {
-      case Phase::kCompute:
-      case Phase::kUpdate:
-        compute.emplace_back(s.start_ns, s.end_ns);
-        break;
-      case Phase::kComm:
-      case Phase::kWait:
-      case Phase::kCheckpoint:
-        comm.emplace_back(s.start_ns, s.end_ns);
-        break;
-      case Phase::kNone:
-        break;
-    }
-  }
-  OverlapStats stats;
-  for (auto& [rank, lists] : per_rank) {
-    (void)rank;
-    const std::vector<Interval> compute = interval_union(std::move(lists.first));
-    const std::vector<Interval> comm = interval_union(std::move(lists.second));
-    stats.comm_seconds += static_cast<double>(measure(comm)) * 1e-9;
-    stats.hidden_seconds += static_cast<double>(intersection_measure(compute, comm)) * 1e-9;
-  }
-  return stats;
 }
 
 }  // namespace ptycho::obs

@@ -212,25 +212,4 @@ void account(const char* name, Phase phase, double seconds, int iteration = -1,
 /// Emit an instant event (tracing only; no ledger effect).
 void instant(const char* name) noexcept;
 
-// ---- overlap analysis -------------------------------------------------------
-
-/// Span-derived communication/compute overlap: how much comm+wait+IO time
-/// was hidden behind compute. Computed per rank (pid) as the measure of
-/// the intersection between the union of that rank's compute-phase
-/// intervals (kCompute/kUpdate, any thread — the background slot counts)
-/// and the union of its comm/IO intervals (kComm/kWait/kCheckpoint), then
-/// summed across ranks. ratio() == 0 for a fully serialized pipeline;
-/// approaching 1 means nearly all comm/IO ran under compute.
-struct OverlapStats {
-  double comm_seconds = 0.0;    ///< total comm/wait/IO interval measure
-  double hidden_seconds = 0.0;  ///< part of it covered by compute intervals
-  [[nodiscard]] double ratio() const {
-    return comm_seconds > 0.0 ? hidden_seconds / comm_seconds : 0.0;
-  }
-};
-
-/// Compute overlap stats from a span snapshot (Tracer::snapshot()).
-/// Instant events and kNone spans are ignored.
-[[nodiscard]] OverlapStats comm_overlap(const std::vector<SpanRecord>& spans);
-
 }  // namespace ptycho::obs

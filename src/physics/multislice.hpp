@@ -66,7 +66,7 @@ struct MultisliceWorkspace {
                       compact::Format compact_trans = compact::Format::kNone);
 };
 
-/// One workspace per execution slot of a sweep scheduler. The pool is
+/// One workspace per execution slot of a sweep's thread pool. The pool is
 /// sized once (on the constructing thread, so per-rank memory tracking
 /// charges every buffer to the owning rank) and handed out by slot index —
 /// workspace identity follows the slot, not the item, which is safe

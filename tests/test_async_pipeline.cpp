@@ -1,20 +1,17 @@
 // Async pass-graph execution tests: the dependency DAG the declared access
 // sets imply, the async executor's bitwise-identity contract (serial, GD
 // and HVE reconstructions — including every checkpoint byte on disk —
-// match the sync schedule exactly across thread counts and schedulers),
-// the background slot and auto-scheduler primitives, the split-phase
-// allreduce, the span-derived overlap statistic, and a fault-injected
-// elastic restore driven through the async pipeline.
+// match the sync schedule exactly across thread counts), the background
+// slot, the split-phase allreduce, and a fault-injected elastic restore
+// driven through the async pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,7 +23,6 @@
 #include "core/passes.hpp"
 #include "core/pipeline.hpp"
 #include "core/serial_solver.hpp"
-#include "obs/trace.hpp"
 #include "runtime/collectives.hpp"
 #include "test_util.hpp"
 
@@ -111,11 +107,6 @@ TEST(PipelineMode, ParseAndPrint) {
   EXPECT_STREQ(to_string(PipelineMode::kAsync), "async");
 }
 
-TEST(SweepScheduleAuto, ParseAndPrint) {
-  EXPECT_EQ(sweep_schedule_from_string("auto"), SweepSchedule::kAuto);
-  EXPECT_STREQ(to_string(SweepSchedule::kAuto), "auto");
-}
-
 // --- topological order / cycle detection -------------------------------------
 
 TEST(TopologicalOrder, ProducesValidLinearExtension) {
@@ -168,8 +159,8 @@ TEST(ChunkDag, DerivesDependenciesFromDeclaredAccess) {
                                                     std::move(run), /*deferred=*/true);
   CheckpointPass& writer = *ckpt_pass;
   ReconstructionPipeline pipeline;
-  pipeline.emplace<SweepPass>(engine, UpdateMode::kFullBatch, 1, SweepSchedule::kStatic,
-                              SweepPass::Items{}, RefineSchedule{});
+  pipeline.emplace<SweepPass>(engine, UpdateMode::kFullBatch, 1, SweepPass::Items{},
+                              RefineSchedule{});
   pipeline.emplace<ApplyUpdatePass>(UpdateMode::kFullBatch, false);
   pipeline.emplace<CheckpointFinalizePass>(writer);
   pipeline.add(std::move(ckpt_pass));
@@ -209,8 +200,7 @@ TEST(ChunkDag, SweepDeclaresProbeGradOnlyWhenRefinementDue) {
   RefineSchedule refine;
   refine.enabled = true;
   refine.warmup_iterations = 1;
-  SweepPass sweep(engine, UpdateMode::kFullBatch, 1, SweepSchedule::kStatic,
-                  SweepPass::Items{}, refine);
+  SweepPass sweep(engine, UpdateMode::kFullBatch, 1, SweepPass::Items{}, refine);
   StepPoint warm;
   warm.iteration = 0;
   EXPECT_FALSE(sweep.chunk_access(warm).touches(Resource::kProbeGrad));
@@ -273,55 +263,9 @@ TEST(BackgroundWorker, PropagatesTaskExceptionsThroughWait) {
   EXPECT_FALSE(empty.valid());
 }
 
-// --- auto scheduler ----------------------------------------------------------
-
-TEST(AutoScheduler, SingleSlotDecidesStaticImmediately) {
-  ThreadPool pool(1);
-  AutoScheduler scheduler(pool);
-  EXPECT_NE(scheduler.decided(), nullptr);
-  EXPECT_STREQ(scheduler.name(), "auto:static");
-}
-
-TEST(AutoScheduler, UniformLoadCommitsToStatic) {
-  ThreadPool pool(4);
-  AutoScheduler scheduler(pool);
-  EXPECT_EQ(scheduler.decided(), nullptr);
-  EXPECT_STREQ(scheduler.name(), "auto");
-  std::atomic<int> ran{0};
-  scheduler.dispatch(0, 48, [&](index_t, int) {
-    // The item must dwarf the kernel tick (<= 10ms at HZ=100): wakeup
-    // slack is absolute, so short items read as skewed on coarse-timer
-    // or oversubscribed machines. Sleeping (vs. spinning) keeps the four
-    // threads from contending for cores they may not have.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 48);
-  ASSERT_NE(scheduler.decided(), nullptr);
-  EXPECT_STREQ(scheduler.name(), "auto:static");
-  // Later dispatches delegate and still cover the range exactly once.
-  std::vector<std::atomic<int>> hits(32);
-  scheduler.dispatch(0, 32, [&](index_t i, int) { hits[static_cast<usize>(i)].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(AutoScheduler, SkewedLoadCommitsToWorkStealing) {
-  ThreadPool pool(4);
-  AutoScheduler scheduler(pool);
-  scheduler.dispatch(0, 48, [&](index_t i, int) {
-    // A few pathologically slow items among cheap ones: CV well above the
-    // threshold, the spread a static partition cannot absorb.
-    std::this_thread::sleep_for(i % 12 == 0 ? std::chrono::milliseconds(5)
-                                            : std::chrono::microseconds(100));
-  });
-  ASSERT_NE(scheduler.decided(), nullptr);
-  EXPECT_STREQ(scheduler.name(), "auto:work-stealing");
-}
-
 // --- async == sync bitwise identity ------------------------------------------
 
-SerialResult run_serial(int threads, SweepSchedule schedule, PipelineMode pipeline,
-                        const std::string& ckpt_dir) {
+SerialResult run_serial(int threads, PipelineMode pipeline, const std::string& ckpt_dir) {
   SerialConfig config;
   config.iterations = 3;
   // 36 probes over 3 chunks: 12-item ranges, odd batch remainders.
@@ -329,7 +273,6 @@ SerialResult run_serial(int threads, SweepSchedule schedule, PipelineMode pipeli
   config.mode = UpdateMode::kFullBatch;
   config.refine_probe = true;
   config.exec.threads = threads;
-  config.exec.schedule = schedule;
   config.exec.pipeline = pipeline;
   config.exec.checkpoint = ckpt::Policy{ckpt_dir, 1};
   return reconstruct_serial(tiny_dataset(), config);
@@ -337,33 +280,29 @@ SerialResult run_serial(int threads, SweepSchedule schedule, PipelineMode pipeli
 
 TEST(AsyncEquivalence, SerialBitwiseIncludingCheckpointBytes) {
   ScratchDir base_dir("serial_sync");
-  const SerialResult base = run_serial(1, SweepSchedule::kStatic, PipelineMode::kSync,
-                                       base_dir.path());
+  const SerialResult base = run_serial(1, PipelineMode::kSync, base_dir.path());
   ASSERT_FALSE(base.cost.values().empty());
-  for (const SweepSchedule schedule : {SweepSchedule::kStatic, SweepSchedule::kWorkStealing}) {
-    for (const int threads : {1, 2, 4}) {
-      ScratchDir dir("serial_async");
-      const SerialResult result =
-          run_serial(threads, schedule, PipelineMode::kAsync, dir.path());
-      ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
-      EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
-                            base.volume.data.bytes()),
-                0)
-          << to_string(schedule) << " threads=" << threads;
-      ASSERT_EQ(result.probe_field.bytes(), base.probe_field.bytes());
-      EXPECT_EQ(std::memcmp(result.probe_field.data(), base.probe_field.data(),
-                            base.probe_field.bytes()),
-                0)
-          << to_string(schedule) << " threads=" << threads;
-      ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
-      for (usize i = 0; i < base.cost.values().size(); ++i) {
-        EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
-            << to_string(schedule) << " threads=" << threads << " iter=" << i;
-      }
-      // Every deferred snapshot was finalized (manifest-complete) and the
-      // whole checkpoint tree matches the sync run byte for byte.
-      expect_identical_trees(dir.path(), base_dir.path());
+  for (const int threads : {1, 2, 4}) {
+    ScratchDir dir("serial_async");
+    const SerialResult result = run_serial(threads, PipelineMode::kAsync, dir.path());
+    ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
+    EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
+                          base.volume.data.bytes()),
+              0)
+        << "threads=" << threads;
+    ASSERT_EQ(result.probe_field.bytes(), base.probe_field.bytes());
+    EXPECT_EQ(std::memcmp(result.probe_field.data(), base.probe_field.data(),
+                          base.probe_field.bytes()),
+              0)
+        << "threads=" << threads;
+    ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
+    for (usize i = 0; i < base.cost.values().size(); ++i) {
+      EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
+          << "threads=" << threads << " iter=" << i;
     }
+    // Every deferred snapshot was finalized (manifest-complete) and the
+    // whole checkpoint tree matches the sync run byte for byte.
+    expect_identical_trees(dir.path(), base_dir.path());
   }
   // The sync tree itself ends at the schedule's last boundary.
   const ckpt::Snapshot latest = ckpt::load_latest(base_dir.path());
@@ -371,83 +310,71 @@ TEST(AsyncEquivalence, SerialBitwiseIncludingCheckpointBytes) {
   EXPECT_EQ(latest.manifest.chunk, 0);
 }
 
-TEST(AsyncEquivalence, GdBitwiseAcrossThreadsAndSchedulers) {
-  const auto run = [](int threads, SweepSchedule schedule, PipelineMode pipeline,
-                      const std::string& dir) {
+TEST(AsyncEquivalence, GdBitwiseAcrossThreads) {
+  const auto run = [](int threads, PipelineMode pipeline, const std::string& dir) {
     GdConfig config;
     config.nranks = 2;
     config.iterations = 2;
     config.passes_per_iteration = 2;
     config.mode = UpdateMode::kFullBatch;
     config.exec.threads = threads;
-    config.exec.schedule = schedule;
-    config.exec.pipeline = pipeline;
+      config.exec.pipeline = pipeline;
     config.exec.checkpoint = ckpt::Policy{dir, 1};
     return reconstruct_gd(tiny_dataset(), config);
   };
   ScratchDir base_dir("gd_sync");
-  const ParallelResult base =
-      run(1, SweepSchedule::kStatic, PipelineMode::kSync, base_dir.path());
-  for (const SweepSchedule schedule : {SweepSchedule::kStatic, SweepSchedule::kWorkStealing}) {
-    for (const int threads : {1, 2, 4}) {
-      ScratchDir dir("gd_async");
-      const ParallelResult result = run(threads, schedule, PipelineMode::kAsync, dir.path());
-      ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
-      EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
-                            base.volume.data.bytes()),
-                0)
-          << to_string(schedule) << " threads=" << threads;
-      ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
-      for (usize i = 0; i < base.cost.values().size(); ++i) {
-        EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
-            << to_string(schedule) << " threads=" << threads << " iter=" << i;
-      }
-      expect_identical_trees(dir.path(), base_dir.path());
+  const ParallelResult base = run(1, PipelineMode::kSync, base_dir.path());
+  for (const int threads : {1, 2, 4}) {
+    ScratchDir dir("gd_async");
+    const ParallelResult result = run(threads, PipelineMode::kAsync, dir.path());
+    ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
+    EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
+                          base.volume.data.bytes()),
+              0)
+        << "threads=" << threads;
+    ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
+    for (usize i = 0; i < base.cost.values().size(); ++i) {
+      EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
+          << "threads=" << threads << " iter=" << i;
     }
+    expect_identical_trees(dir.path(), base_dir.path());
   }
 }
 
 TEST(AsyncEquivalence, HveBitwiseInBothLocalModes) {
-  const auto run = [](UpdateMode mode, int threads, SweepSchedule schedule,
-                      PipelineMode pipeline) {
+  const auto run = [](UpdateMode mode, int threads, PipelineMode pipeline) {
     HveConfig config;
     config.nranks = 4;
     config.iterations = 3;
     config.local_epochs = 2;
     config.mode = mode;
     config.exec.threads = threads;
-    config.exec.schedule = schedule;
-    config.exec.pipeline = pipeline;
+      config.exec.pipeline = pipeline;
     return reconstruct_hve(tiny_dataset(), config);
   };
   // SGD (the historical local loop): async must not perturb it.
-  const ParallelResult sgd_base =
-      run(UpdateMode::kSgd, 1, SweepSchedule::kStatic, PipelineMode::kSync);
-  const ParallelResult sgd_async =
-      run(UpdateMode::kSgd, 1, SweepSchedule::kStatic, PipelineMode::kAsync);
+  const ParallelResult sgd_base = run(UpdateMode::kSgd, 1, PipelineMode::kSync);
+  const ParallelResult sgd_async = run(UpdateMode::kSgd, 1, PipelineMode::kAsync);
   ASSERT_EQ(sgd_async.volume.data.bytes(), sgd_base.volume.data.bytes());
   EXPECT_EQ(std::memcmp(sgd_async.volume.data.data(), sgd_base.volume.data.data(),
                         sgd_base.volume.data.bytes()),
             0);
 
   // Full-batch: the BatchSweeper route is bitwise stable across thread
-  // counts, schedulers and pipeline modes (the satellite contract).
-  const ParallelResult fb_base =
-      run(UpdateMode::kFullBatch, 1, SweepSchedule::kStatic, PipelineMode::kSync);
+  // counts and pipeline modes (the satellite contract).
+  const ParallelResult fb_base = run(UpdateMode::kFullBatch, 1, PipelineMode::kSync);
   ASSERT_FALSE(fb_base.cost.values().empty());
-  for (const SweepSchedule schedule : {SweepSchedule::kStatic, SweepSchedule::kWorkStealing}) {
-    for (const int threads : {1, 2}) {
-      for (const PipelineMode pipeline : {PipelineMode::kSync, PipelineMode::kAsync}) {
-        const ParallelResult result = run(UpdateMode::kFullBatch, threads, schedule, pipeline);
-        ASSERT_EQ(result.volume.data.bytes(), fb_base.volume.data.bytes());
-        EXPECT_EQ(std::memcmp(result.volume.data.data(), fb_base.volume.data.data(),
-                              fb_base.volume.data.bytes()),
-                  0)
-            << to_string(schedule) << " threads=" << threads << " " << to_string(pipeline);
-        ASSERT_EQ(result.cost.values().size(), fb_base.cost.values().size());
-        for (usize i = 0; i < fb_base.cost.values().size(); ++i) {
-          EXPECT_EQ(result.cost.values()[i], fb_base.cost.values()[i]) << "iter=" << i;
-        }
+  for (const int threads : {1, 2, 4}) {
+    for (const PipelineMode pipeline : {PipelineMode::kSync, PipelineMode::kAsync}) {
+      const ParallelResult result = run(UpdateMode::kFullBatch, threads, pipeline);
+      ASSERT_EQ(result.volume.data.bytes(), fb_base.volume.data.bytes());
+      EXPECT_EQ(std::memcmp(result.volume.data.data(), fb_base.volume.data.data(),
+                            fb_base.volume.data.bytes()),
+                0)
+          << "threads=" << threads << " " << to_string(pipeline);
+      ASSERT_EQ(result.cost.values().size(), fb_base.cost.values().size());
+      for (usize i = 0; i < fb_base.cost.values().size(); ++i) {
+        EXPECT_EQ(result.cost.values()[i], fb_base.cost.values()[i]) << "iter=" << i;
       }
     }
   }
@@ -472,7 +399,6 @@ TEST(AsyncEquivalence, ElasticRestoreWithInFlightBackgroundShards) {
   ParallelResult uninterrupted = reconstruct_gd(dataset, reference);
 
   GdConfig interrupted = reference;
-  interrupted.exec.schedule = SweepSchedule::kWorkStealing;
   interrupted.exec.pipeline = PipelineMode::kAsync;
   interrupted.exec.checkpoint = ckpt::Policy{dir.path(), 1};
   interrupted.fault = rt::FaultPlan{4, 4};
@@ -484,7 +410,6 @@ TEST(AsyncEquivalence, ElasticRestoreWithInFlightBackgroundShards) {
 
   GdConfig restored = reference;
   restored.nranks = 4;
-  restored.exec.schedule = SweepSchedule::kWorkStealing;
   restored.exec.pipeline = PipelineMode::kAsync;
   restored.restore = &snap;
   ParallelResult resumed = reconstruct_gd(dataset, restored);
@@ -531,57 +456,6 @@ TEST(AllreduceHandle, SplitPhaseMatchesBlockingResult) {
     });
     EXPECT_EQ(failures.load(), 0) << "nranks=" << nranks;
   }
-}
-
-// --- span-derived overlap ----------------------------------------------------
-
-obs::SpanRecord span(std::int32_t rank, obs::Phase phase, std::uint64_t start_ns,
-                     std::uint64_t end_ns) {
-  obs::SpanRecord r;
-  r.name = "synthetic";
-  r.rank = rank;
-  r.phase = phase;
-  r.start_ns = start_ns;
-  r.end_ns = end_ns;
-  return r;
-}
-
-TEST(CommOverlap, MeasuresHiddenCommunication) {
-  // Rank 0: compute [0,100), comm [50,150) — half the comm is hidden.
-  std::vector<obs::SpanRecord> spans = {
-      span(0, obs::Phase::kCompute, 0, 100),
-      span(0, obs::Phase::kComm, 50, 150),
-  };
-  obs::OverlapStats stats = obs::comm_overlap(spans);
-  EXPECT_NEAR(stats.comm_seconds, 100e-9, 1e-15);
-  EXPECT_NEAR(stats.hidden_seconds, 50e-9, 1e-15);
-  EXPECT_NEAR(stats.ratio(), 0.5, 1e-9);
-
-  // Fully serialized: no overlap at all.
-  spans = {
-      span(0, obs::Phase::kCompute, 0, 100),
-      span(0, obs::Phase::kCheckpoint, 100, 200),
-  };
-  EXPECT_EQ(obs::comm_overlap(spans).ratio(), 0.0);
-
-  // Checkpoint I/O fully under compute (the async pipeline's shape), with
-  // overlapping compute spans from two threads of the same rank, plus a
-  // second rank contributing comm with no compute — sums across ranks.
-  spans = {
-      span(0, obs::Phase::kCompute, 0, 60),
-      span(0, obs::Phase::kUpdate, 40, 100),
-      span(0, obs::Phase::kCheckpoint, 10, 90),
-      span(1, obs::Phase::kComm, 0, 100),
-  };
-  obs::OverlapStats mixed = obs::comm_overlap(spans);
-  EXPECT_NEAR(mixed.comm_seconds, 180e-9, 1e-15);
-  EXPECT_NEAR(mixed.hidden_seconds, 80e-9, 1e-15);
-
-  // Instant events and kNone spans are ignored.
-  obs::SpanRecord instant = span(0, obs::Phase::kComm, 0, 1000);
-  instant.instant = true;
-  spans = {instant, span(0, obs::Phase::kNone, 0, 1000)};
-  EXPECT_EQ(obs::comm_overlap(spans).comm_seconds, 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for src/common: rng, options, memory hooks, timers, logging.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,29 @@ TEST(Options, RejectsMalformedNumbers) {
   EXPECT_THROW((void)opts.get_int("x", 0), Error);
   EXPECT_THROW((void)opts.get_double("x", 0), Error);
   EXPECT_THROW((void)opts.get_bool("x", false), Error);
+}
+
+TEST(Options, RejectsUnknownKeysByName) {
+  const char* argv[] = {"prog", "data.ptyd", "--method", "serial", "--bogus-flag", "3",
+                        "--iteration=5"};
+  const Options opts = Options::parse(static_cast<int>(std::size(argv)), argv);
+  // An unknown flag, or a typo of a known one, fails with an error that
+  // names it.
+  try {
+    opts.reject_unknown({"method", "iteration"});
+    ADD_FAILURE() << "--bogus-flag was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--bogus-flag"), std::string::npos) << e.what();
+  }
+  try {
+    opts.reject_unknown({"method", "iterations", "bogus-flag"});
+    ADD_FAILURE() << "--iteration was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--iteration"), std::string::npos) << e.what();
+  }
+  // Positionals are not keys; every key known means no error.
+  EXPECT_NO_THROW(opts.reject_unknown({"method", "bogus-flag", "iteration"}));
+  EXPECT_NO_THROW(Options{}.reject_unknown({}));
 }
 
 TEST(Memory, TrackedAllocReportsToHooks) {

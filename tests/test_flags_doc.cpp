@@ -86,7 +86,7 @@ TEST(FlagsDoc, HelpAndReadmeAgree) {
 // a marker typo that empties both sets would otherwise pass vacuously.
 TEST(FlagsDoc, KnownFlagsPresent) {
   const std::set<std::string> help = help_flags();
-  for (const char* flag : {"--precision", "--chaos", "--heartbeat-ms", "--scheduler"}) {
+  for (const char* flag : {"--precision", "--chaos", "--heartbeat-ms"}) {
     EXPECT_TRUE(help.count(flag)) << flag;
   }
 }

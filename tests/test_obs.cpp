@@ -92,34 +92,30 @@ TEST(SpanTracer, LedgerAccumulatesPhaseTimeWithoutTracing) {
   EXPECT_TRUE(obs::Tracer::instance().snapshot().empty());
 }
 
-TEST(SpanTracer, ConcurrentEmissionAcrossThreadsAndSchedulers) {
+TEST(SpanTracer, ConcurrentEmissionAcrossThreads) {
   ObsGuard guard;
   obs::set_tracing_enabled(true);
   obs::set_metrics_enabled(true);
   constexpr index_t kItems = 64;
   std::uint64_t expected = 0;
   for (int threads : {1, 2, 4}) {
-    for (const bool stealing : {false, true}) {
-      ThreadPool pool(threads);
-      std::unique_ptr<SweepScheduler> scheduler = make_sweep_scheduler(
-          stealing ? SweepSchedule::kWorkStealing : SweepSchedule::kStatic, pool);
-      obs::PhaseLedger ledger;
-      const obs::ThreadContext previous =
-          obs::set_thread_context(obs::ThreadContext{1, &ledger});
-      std::atomic<index_t> ran{0};
-      scheduler->dispatch(0, kItems, [&](index_t item, int slot) {
-        (void)item;
-        (void)slot;
-        obs::SpanScope span("item", obs::Phase::kCompute);
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-      obs::set_thread_context(previous);
-      EXPECT_EQ(ran.load(), kItems);
-      expected += static_cast<std::uint64_t>(kItems);
-      PhaseProfiler prof;
-      ledger.merge_into(prof);
-      EXPECT_GT(prof.total(phase::kCompute), 0.0);
-    }
+    ThreadPool pool(threads);
+    WorkStealingScheduler scheduler(pool);
+    obs::PhaseLedger ledger;
+    const obs::ThreadContext previous = obs::set_thread_context(obs::ThreadContext{1, &ledger});
+    std::atomic<index_t> ran{0};
+    scheduler.dispatch(0, kItems, [&](index_t item, int slot) {
+      (void)item;
+      (void)slot;
+      obs::SpanScope span("item", obs::Phase::kCompute);
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    obs::set_thread_context(previous);
+    EXPECT_EQ(ran.load(), kItems);
+    expected += static_cast<std::uint64_t>(kItems);
+    PhaseProfiler prof;
+    ledger.merge_into(prof);
+    EXPECT_GT(prof.total(phase::kCompute), 0.0);
   }
   const std::vector<obs::SpanRecord> spans = obs::Tracer::instance().snapshot();
   std::uint64_t item_spans = 0;

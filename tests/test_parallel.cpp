@@ -114,8 +114,7 @@ TEST(BatchSweeper, MatchesSequentialLoopBitwise) {
   for (const int threads : {1, 3}) {
     GradientEngine engine(dataset);
     ThreadPool pool(threads);
-    StaticScheduler scheduler(pool);
-    BatchSweeper sweeper(engine, scheduler);
+    BatchSweeper sweeper(engine, pool);
     AccumulationBuffer buf(dataset.spec.slices, volume.frame);
     CArray2D pg(dataset.probe.n(), dataset.probe.n());
     View2D<cplx> pg_view = pg.view();

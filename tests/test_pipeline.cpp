@@ -1,9 +1,8 @@
 // Pipeline / scheduler tests: the pass-graph structure, the
 // WorkStealingScheduler's coverage contract, and the scheduler-equivalence
 // property — reconstructions are bitwise identical across {1,2,4} threads
-// x {static, work-stealing} schedulers (including odd batch remainders),
-// and a fault-injected elastic restore runs through the same pipeline
-// under the work-stealing scheduler.
+// (including odd batch remainders), and a fault-injected elastic restore
+// runs through the same pipeline on a multi-slot work-stealing pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,7 +86,6 @@ TEST(WorkStealingScheduler, CoversRangeExactlyOnce) {
   for (const int threads : {1, 2, 3, 8}) {
     ThreadPool pool(threads);
     WorkStealingScheduler scheduler(pool);
-    EXPECT_EQ(scheduler.slots(), threads);
     for (const index_t n : {index_t{1}, index_t{7}, index_t{100}, index_t{257}}) {
       std::vector<std::atomic<int>> hits(static_cast<usize>(n));
       scheduler.dispatch(0, n, [&](index_t i, int slot) {
@@ -100,15 +98,15 @@ TEST(WorkStealingScheduler, CoversRangeExactlyOnce) {
   }
 }
 
-TEST(WorkStealingScheduler, HandlesOffsetsEmptyAndChunkedRanges) {
+TEST(WorkStealingScheduler, HandlesOffsetsAndEmptyRanges) {
   ThreadPool pool(4);
-  WorkStealingScheduler chunky(pool, /*chunk=*/3);
+  WorkStealingScheduler scheduler(pool);
   int calls = 0;
-  chunky.dispatch(5, 5, [&](index_t, int) { ++calls; });
+  scheduler.dispatch(5, 5, [&](index_t, int) { ++calls; });
   EXPECT_EQ(calls, 0);
-  // Offset range, fewer items than slots, chunk > 1: still exactly once.
+  // Offset range: still exactly once.
   std::vector<std::atomic<int>> hits(11);
-  chunky.dispatch(100, 111, [&](index_t i, int) {
+  scheduler.dispatch(100, 111, [&](index_t i, int) {
     ASSERT_GE(i, 100);
     ASSERT_LT(i, 111);
     hits[static_cast<usize>(i - 100)].fetch_add(1);
@@ -166,15 +164,6 @@ TEST(WorkStealingScheduler, PropagatesExceptions) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(SweepSchedule, ParseAndPrint) {
-  EXPECT_EQ(sweep_schedule_from_string("static"), SweepSchedule::kStatic);
-  EXPECT_EQ(sweep_schedule_from_string("work-stealing"), SweepSchedule::kWorkStealing);
-  EXPECT_EQ(sweep_schedule_from_string("ws"), SweepSchedule::kWorkStealing);
-  EXPECT_THROW((void)sweep_schedule_from_string("dynamic"), Error);
-  EXPECT_STREQ(to_string(SweepSchedule::kStatic), "static");
-  EXPECT_STREQ(to_string(SweepSchedule::kWorkStealing), "work-stealing");
-}
-
 // --- pipeline structure ------------------------------------------------------
 
 /// Minimal pass that records the (iteration, chunk) trace it sees.
@@ -223,8 +212,8 @@ TEST(ReconstructionPipeline, DescribeListsPassGraphInOrder) {
   const Dataset& dataset = tiny_dataset();
   GradientEngine engine(dataset);
   ReconstructionPipeline pipeline;
-  pipeline.emplace<SweepPass>(engine, UpdateMode::kFullBatch, 1, SweepSchedule::kStatic,
-                              SweepPass::Items{}, RefineSchedule{});
+  pipeline.emplace<SweepPass>(engine, UpdateMode::kFullBatch, 1, SweepPass::Items{},
+                              RefineSchedule{});
   pipeline.emplace<ApplyUpdatePass>(UpdateMode::kFullBatch, false);
   pipeline.emplace<ProbeRefinePass>(RefineSchedule{}, real(0.3), dataset.probe_count(), 1.0);
   pipeline.emplace<CostRecordPass>(true);
@@ -235,7 +224,7 @@ TEST(ReconstructionPipeline, DescribeListsPassGraphInOrder) {
 
 // --- scheduler equivalence ---------------------------------------------------
 
-SerialResult run_serial(int threads, SweepSchedule schedule) {
+SerialResult run_serial(int threads) {
   SerialConfig config;
   config.iterations = 3;
   // 36 probes over 3 chunks: 12-item ranges — every batch is an odd
@@ -244,60 +233,53 @@ SerialResult run_serial(int threads, SweepSchedule schedule) {
   config.mode = UpdateMode::kFullBatch;
   config.refine_probe = true;
   config.exec.threads = threads;
-  config.exec.schedule = schedule;
   return reconstruct_serial(tiny_dataset(), config);
 }
 
-TEST(SchedulerEquivalence, SerialBitwiseAcrossThreadsAndSchedulers) {
-  const SerialResult base = run_serial(1, SweepSchedule::kStatic);
+TEST(SchedulerEquivalence, SerialBitwiseAcrossThreads) {
+  const SerialResult base = run_serial(1);
   ASSERT_FALSE(base.cost.values().empty());
-  for (const SweepSchedule schedule : {SweepSchedule::kStatic, SweepSchedule::kWorkStealing}) {
-    for (const int threads : {1, 2, 4}) {
-      const SerialResult result = run_serial(threads, schedule);
-      ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
-      EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
-                            base.volume.data.bytes()),
-                0)
-          << to_string(schedule) << " threads=" << threads;
-      ASSERT_EQ(result.probe_field.bytes(), base.probe_field.bytes());
-      EXPECT_EQ(std::memcmp(result.probe_field.data(), base.probe_field.data(),
-                            base.probe_field.bytes()),
-                0)
-          << to_string(schedule) << " threads=" << threads;
-      ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
-      for (usize i = 0; i < base.cost.values().size(); ++i) {
-        EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
-            << to_string(schedule) << " threads=" << threads << " iter=" << i;
-      }
+  for (const int threads : {2, 4}) {
+    const SerialResult result = run_serial(threads);
+    ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
+    EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
+                          base.volume.data.bytes()),
+              0)
+        << "threads=" << threads;
+    ASSERT_EQ(result.probe_field.bytes(), base.probe_field.bytes());
+    EXPECT_EQ(std::memcmp(result.probe_field.data(), base.probe_field.data(),
+                          base.probe_field.bytes()),
+              0)
+        << "threads=" << threads;
+    ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
+    for (usize i = 0; i < base.cost.values().size(); ++i) {
+      EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
+          << "threads=" << threads << " iter=" << i;
     }
   }
 }
 
-TEST(SchedulerEquivalence, GdBitwiseAcrossThreadsAndSchedulers) {
-  const auto run = [](int threads, SweepSchedule schedule) {
+TEST(SchedulerEquivalence, GdBitwiseAcrossThreads) {
+  const auto run = [](int threads) {
     GdConfig config;
     config.nranks = 2;
     config.iterations = 2;
     config.mode = UpdateMode::kFullBatch;
     config.exec.threads = threads;
-    config.exec.schedule = schedule;
-    return reconstruct_gd(tiny_dataset(), config);
+      return reconstruct_gd(tiny_dataset(), config);
   };
-  const ParallelResult base = run(1, SweepSchedule::kStatic);
-  for (const SweepSchedule schedule : {SweepSchedule::kStatic, SweepSchedule::kWorkStealing}) {
-    for (const int threads : {1, 2, 4}) {
-      if (schedule == SweepSchedule::kStatic && threads == 1) continue;  // the baseline
-      const ParallelResult result = run(threads, schedule);
-      ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
-      EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
-                            base.volume.data.bytes()),
-                0)
-          << to_string(schedule) << " threads=" << threads;
-      ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
-      for (usize i = 0; i < base.cost.values().size(); ++i) {
-        EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
-            << to_string(schedule) << " threads=" << threads << " iter=" << i;
-      }
+  const ParallelResult base = run(1);
+  for (const int threads : {2, 4}) {
+    const ParallelResult result = run(threads);
+    ASSERT_EQ(result.volume.data.bytes(), base.volume.data.bytes());
+    EXPECT_EQ(std::memcmp(result.volume.data.data(), base.volume.data.data(),
+                          base.volume.data.bytes()),
+              0)
+        << "threads=" << threads;
+    ASSERT_EQ(result.cost.values().size(), base.cost.values().size());
+    for (usize i = 0; i < base.cost.values().size(); ++i) {
+      EXPECT_EQ(result.cost.values()[i], base.cost.values()[i])
+          << "threads=" << threads << " iter=" << i;
     }
   }
 }
@@ -305,10 +287,10 @@ TEST(SchedulerEquivalence, GdBitwiseAcrossThreadsAndSchedulers) {
 // --- fault-injected elastic restore through the pipeline ---------------------
 
 TEST(SchedulerEquivalence, ElasticRestoreMidPipelineUnderWorkStealing) {
-  // A K=6 run on the work-stealing scheduler dies mid-run; the elastic
-  // K'=4 restore (also work-stealing) finishes the reconstruction and
-  // matches the uninterrupted static-scheduler run — checkpoint passes,
-  // fault points and the restore path all live inside the same pipeline.
+  // A K=6 run sweeping on two work-stealing slots per rank dies mid-run;
+  // the elastic K'=4 restore (also two slots) finishes the reconstruction
+  // and matches the uninterrupted run — checkpoint passes, fault points
+  // and the restore path all live inside the same pipeline.
   const Dataset& dataset = tiny_dataset();
   ScratchDir dir("elastic_ws");
 
@@ -320,7 +302,6 @@ TEST(SchedulerEquivalence, ElasticRestoreMidPipelineUnderWorkStealing) {
   ParallelResult uninterrupted = reconstruct_gd(dataset, reference);
 
   GdConfig interrupted = reference;
-  interrupted.exec.schedule = SweepSchedule::kWorkStealing;
   interrupted.exec.checkpoint = ckpt::Policy{dir.path(), 1};
   interrupted.fault = rt::FaultPlan{4, 4};
   EXPECT_THROW(reconstruct_gd(dataset, interrupted), rt::RankFailure);
@@ -331,7 +312,6 @@ TEST(SchedulerEquivalence, ElasticRestoreMidPipelineUnderWorkStealing) {
 
   GdConfig restored = reference;
   restored.nranks = 4;
-  restored.exec.schedule = SweepSchedule::kWorkStealing;
   restored.restore = &snap;
   ParallelResult resumed = reconstruct_gd(dataset, restored);
 

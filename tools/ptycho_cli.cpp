@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "ptycho.hpp"
 
@@ -54,8 +55,8 @@ int usage() {
                "  --iterations is the TOTAL target; a restored run continues from the\n"
                "  snapshot's iteration. --ranks may differ from the checkpointed run\n"
                "  (elastic restore re-tiles and redistributes the shards).\n"
-               "  Results are bitwise identical across backends, schedulers, pipeline\n"
-               "  modes and transports.\n"
+               "  Results are bitwise identical across backends, thread counts,\n"
+               "  pipeline modes and transports.\n"
                "  Multi-process: either run one process per rank with\n"
                "  --transport socket --rank N --peers host:port,... (one entry per\n"
                "  rank, same roster everywhere), or let --launch K fork K local rank\n"
@@ -71,7 +72,12 @@ DatasetSpec spec_by_name(const std::string& name) {
   return repro_small_spec();
 }
 
+// Each subcommand rejects any key it does not read, so a typo'd or retired
+// flag fails instead of being silently ignored. main() reads --backend and
+// --precision for every subcommand.
+
 int cmd_simulate(const Options& opts) {
+  opts.reject_unknown({"spec", "seed", "dose", "out", "backend", "precision"});
   const DatasetSpec spec = spec_by_name(opts.get_string("spec", "small"));
   SpecimenParams specimen;
   specimen.seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
@@ -91,6 +97,7 @@ int cmd_simulate(const Options& opts) {
 }
 
 int cmd_info(const Options& opts) {
+  opts.reject_unknown({"backend", "precision"});
   PTYCHO_CHECK(!opts.positional().empty(), "info needs a dataset file");
   const Dataset dataset = io::load_dataset(opts.positional().front());
   const Rect field = dataset.field();
@@ -123,6 +130,14 @@ int cmd_info(const Options& opts) {
 int cmd_launch(const Options& opts, int nprocs);
 
 int cmd_reconstruct(const Options& opts) {
+  // The shared execution flags (which include --backend and --precision)
+  // plus this function's and cmd_launch's own; the keys cmd_launch injects
+  // into its children are all among them.
+  std::vector<std::string> known = exec_option_keys();
+  known.insert(known.end(), {"method", "ranks", "iterations", "step", "passes", "mode", "no-appp",
+                             "refine-probe", "fault-rank", "fault-step", "fault-kind", "restore",
+                             "resume", "save-volume", "image", "launch", "port-base"});
+  opts.reject_unknown(known);
   const int launch = static_cast<int>(opts.get_int("launch", 0));
   if (launch > 0) return cmd_launch(opts, launch);
 
@@ -137,9 +152,9 @@ int cmd_reconstruct(const Options& opts) {
   request.iterations = static_cast<int>(opts.get_int("iterations", 10));
   request.step = static_cast<real>(opts.get_double("step", 0.1));
   request.passes_per_iteration = static_cast<int>(opts.get_int("passes", 1));
-  // Execution knobs (threads, scheduler, pipeline, backend, checkpoint,
-  // trace/metrics, progress, transport) come from the shared parser — the
-  // same flags work on the benches. All of them are bitwise-neutral.
+  // Execution knobs (threads, pipeline, backend, checkpoint, trace/metrics,
+  // progress, transport) come from the shared parser — the same flags work
+  // on the benches. All of them are bitwise-neutral.
   request.exec = parse_exec_options(opts);
   request.mode = opts.get_string("mode", "sgd") == "full-batch" ? UpdateMode::kFullBatch
                                                                 : UpdateMode::kSgd;

@@ -16,11 +16,11 @@ deliberately do NOT count as busy, so a "background" write the pipeline
 immediately blocks on scores zero. A sync pipeline scores exactly zero
 (its writes happen inline on the rank lane); the gate fails when the
 ratio is below the given minimum or when no snapshot-write span exists.
-This is intentionally not the compute-only obs::comm_overlap statistic:
-on the 1-2 core runners CI uses, a background
-writer only gets CPU while the rank lane blocks in fabric waits, so
-compute-intersection is scheduler luck, while time hidden under rank-lane
-activity of any phase is the invariant the async executor guarantees.
+Busy means rank-lane activity of any phase, not compute alone: on the
+1-2 core runners CI uses, a background writer only gets CPU while the
+rank lane blocks in fabric waits, so intersecting with compute spans
+would measure OS scheduling luck, while time hidden under rank-lane
+activity is the invariant the async executor guarantees.
 
 Usage:
   python3 tools/validate_trace.py --trace trace.json --metrics metrics.json \
