@@ -1,45 +1,45 @@
-// CRC-32 (IEEE 802.3 polynomial), incremental, table-driven.
+// CRC-32 (IEEE 802.3 polynomial 0xEDB88320, reflected), incremental.
 //
 // One implementation shared by the two on-the-wire/on-disk integrity
 // layers: socket frame checksums (runtime/socket_transport.cpp) and
 // checkpoint file checksums (ckpt/serialize.cpp). The CRC is defined over
 // the byte stream, so it is endian-stable wherever the bytes themselves
 // are (the checkpoint format encodes scalars explicitly little-endian).
+//
+// Two kernels compute the same function. The portable one is
+// slicing-by-8 over constexpr tables (crc32.cpp). On x86-64 CPUs with
+// PCLMULQDQ and SSE4.1, a carry-less-multiply fold (crc32_clmul.cpp, the
+// only TU built with -mpclmul -msse4.1) takes the bulk of every buffer of
+// 64 bytes or more and hands its sub-16-byte tail to the portable kernel.
+// The CPU picks one, once, on the first call; nothing else can.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace ptycho {
 
-namespace detail {
-
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-inline constexpr std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
-
-}  // namespace detail
-
 /// CRC-32 of `n` bytes at `data`, chained: pass a previous call's return
 /// value as `crc` to extend the checksum over a split buffer (the default
 /// 0 starts a fresh stream).
-[[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t n,
-                                         std::uint32_t crc = 0) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  crc = ~crc;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = detail::kCrc32Table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
+[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
+
+namespace detail {
+
+/// Signature shared by both kernels; same contract as crc32().
+using Crc32Kernel = std::uint32_t (*)(const void* data, std::size_t n, std::uint32_t crc);
+
+/// Slicing-by-8 kernel: runs on every host.
+[[nodiscard]] std::uint32_t crc32_slicing8(const void* data, std::size_t n, std::uint32_t crc);
+
+/// The PCLMULQDQ fold kernel compiled into this binary, or nullptr (any
+/// host other than x86-64). Its presence does not mean the CPU can run it.
+[[nodiscard]] Crc32Kernel crc32_clmul_compiled();
+
+/// The fold kernel when it is compiled in and the CPU has PCLMULQDQ and
+/// SSE4.1, else nullptr.
+[[nodiscard]] Crc32Kernel crc32_fold();
+
+}  // namespace detail
 
 }  // namespace ptycho

@@ -81,7 +81,20 @@ void CsvWriter::raw_row(const std::string& line) { impl_->out << line << '\n'; }
 
 namespace {
 constexpr std::uint64_t kVolumeMagic = 0x50545943484F564CULL;  // "PTYCHOVL"
+
+// a * b, saturating at the largest u64 instead of wrapping.
+std::uint64_t mul_saturating(std::uint64_t a, std::uint64_t b) {
+  return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
 }
+// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::ifstream& in) {
+  const auto here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  return static_cast<std::uint64_t>(end - here);
+}
+}  // namespace
 
 void save_volume(const std::string& path, const FramedVolume& volume) {
   std::ofstream out(path, std::ios::binary);
@@ -104,7 +117,24 @@ FramedVolume load_volume(const std::string& path) {
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(header), sizeof(header));
   PTYCHO_CHECK(in.good() && magic == kVolumeMagic, "'" << path << "' is not a volume file");
-  FramedVolume volume(header[4], Rect{header[0], header[1], header[2], header[3]});
+
+  // The header is untrusted: reject it before it sizes any allocation.
+  // The voxels must fit in the bytes the file actually holds, and the
+  // frame's far corner must be representable.
+  const auto [y0, x0, h, w, slices] = header;
+  PTYCHO_CHECK(h > 0 && w > 0 && slices > 0,
+               "volume file '" << path << "' declares an empty or negative extent (" << slices
+                               << " slices of " << h << "x" << w << ")");
+  PTYCHO_CHECK(y0 <= INT64_MAX - h && x0 <= INT64_MAX - w,
+               "volume file '" << path << "' has an out-of-range frame origin");
+  std::uint64_t payload = sizeof(cplx);
+  for (const std::int64_t factor : {slices, h, w}) {
+    payload = mul_saturating(payload, static_cast<std::uint64_t>(factor));
+  }
+  PTYCHO_CHECK(payload <= bytes_left(in), "volume file '" << path << "' is shorter than the "
+                                              << slices << "x" << h << "x" << w
+                                              << " volume it declares");
+  FramedVolume volume(slices, Rect{y0, x0, h, w});
   in.read(reinterpret_cast<char*>(volume.data.data()),
           static_cast<std::streamsize>(volume.data.bytes()));
   PTYCHO_CHECK(in.good(), "truncated volume file '" << path << "'");
@@ -129,18 +159,6 @@ double read_f64(std::ifstream& in) {
   double v = 0;
   in.read(reinterpret_cast<char*>(&v), sizeof v);
   return v;
-}
-// a * b, saturating at the largest u64 instead of wrapping.
-std::uint64_t mul_saturating(std::uint64_t a, std::uint64_t b) {
-  return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
-}
-// Bytes between the read position and the end of the file.
-std::uint64_t bytes_left(std::ifstream& in) {
-  const auto here = in.tellg();
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  in.seekg(here);
-  return static_cast<std::uint64_t>(end - here);
 }
 }  // namespace
 

@@ -23,6 +23,9 @@ namespace ptycho::rt {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50545946u;  // "PTYF"
+// kMagic as a peer of the other byte order writes it. The wire format is
+// host-endian, so such a peer is refused by name at the handshake.
+constexpr std::uint32_t kForeignMagic = __builtin_bswap32(kMagic);
 
 // Upper bound on a data frame's element count. Generous (several GiB of
 // payload) but finite, so a corrupt length field fails fast instead of
@@ -233,12 +236,20 @@ void SocketTransport::attach(Fabric& fabric) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     FrameHeader hello{};
-    if (!read_exact(fd, &hello, sizeof(hello)) || hello.magic != kMagic ||
-        hello.type != kHello || hello.src <= rank_ || hello.src >= n ||
-        hello.checksum != frame_checksum(hello, nullptr, 0)) {
+    const bool received = read_exact(fd, &hello, sizeof(hello));
+    const char* refusal = nullptr;
+    if (received && hello.magic == kForeignMagic) {
+      refusal = "a connecting peer has a different byte order (the wire format is "
+                "host-endian: every rank must run on the same architecture)";
+    } else if (!received || hello.magic != kMagic || hello.type != kHello ||
+               hello.src <= rank_ || hello.src >= n ||
+               hello.checksum != frame_checksum(hello, nullptr, 0)) {
+      refusal = "bad handshake from a connecting peer";
+    }
+    if (refusal != nullptr) {
       ::close(fd);
       ::close(listener);
-      PTYCHO_FAIL("bad handshake from a connecting peer");
+      PTYCHO_FAIL(refusal);
     }
     if (hello.generation != generation_) {
       log::warn() << "refusing hello from rank " << hello.src << " of generation "

@@ -4,6 +4,7 @@
 // headers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -149,6 +150,63 @@ TEST_F(IoScratch, VolumeLoaderRejectsGarbage) {
     out << "this is not a volume";
   }
   EXPECT_THROW((void)io::load_volume(path("junk.bin")), Error);
+}
+
+// A volume file whose header declares `header` (y0, x0, h, w, slices)
+// and which holds `payload_bytes` of voxel data after it; returns its path.
+std::string forged_volume(const std::string& file, const std::array<std::int64_t, 5>& header,
+                          std::size_t payload_bytes) {
+  const std::uint64_t magic = 0x50545943484F564CULL;  // "PTYCHOVL"
+  std::ofstream out(file, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+  out.write(reinterpret_cast<const char*>(header.data()),
+            static_cast<std::streamsize>(sizeof(std::int64_t) * header.size()));
+  const std::vector<char> payload(payload_bytes, 0);
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  return file;
+}
+
+TEST_F(IoScratch, VolumeLoaderAcceptsAForgedButConsistentHeader) {
+  // The control for the rejections below: the same writer, honest sizes.
+  const FramedVolume v =
+      io::load_volume(forged_volume(path("ok.bin"), {-3, 5, 4, 6, 2}, 2 * 4 * 6 * sizeof(cplx)));
+  EXPECT_EQ(v.frame, (Rect{-3, 5, 4, 6}));
+  EXPECT_EQ(v.slices(), 2);
+}
+
+TEST_F(IoScratch, VolumeLoaderRejectsATruncatedPayload) {
+  const std::size_t bytes = 2 * 4 * 6 * sizeof(cplx);
+  EXPECT_THROW((void)io::load_volume(forged_volume(path("cut.bin"), {0, 0, 4, 6, 2}, bytes - 1)),
+               Error);
+}
+
+TEST_F(IoScratch, VolumeLoaderRejectsNegativeExtents) {
+  using Header = std::array<std::int64_t, 5>;
+  for (const Header& header : {Header{0, 0, -4, 6, 2}, Header{0, 0, 4, -6, 2},
+                               Header{0, 0, 4, 6, -2}}) {
+    EXPECT_THROW((void)io::load_volume(forged_volume(path("neg.bin"), header, 4096)), Error)
+        << header[2] << "x" << header[3] << "x" << header[4];
+  }
+}
+
+TEST_F(IoScratch, VolumeLoaderRejectsZeroSlicesAndEmptyFrames) {
+  EXPECT_THROW((void)io::load_volume(forged_volume(path("zero.bin"), {0, 0, 4, 6, 0}, 0)), Error);
+  EXPECT_THROW((void)io::load_volume(forged_volume(path("zero.bin"), {0, 0, 0, 6, 2}, 0)), Error);
+}
+
+TEST_F(IoScratch, VolumeLoaderRejectsInflatedHeaders) {
+  // Sizes whose byte count overflows 64 bits, one that does not overflow
+  // but far exceeds the file, and a frame whose far corner overflows.
+  EXPECT_THROW((void)io::load_volume(forged_volume(
+                   path("big.bin"), {0, 0, std::int64_t{1} << 31, std::int64_t{1} << 31,
+                                     std::int64_t{1} << 31}, 64)),
+               Error);
+  EXPECT_THROW(
+      (void)io::load_volume(forged_volume(path("big.bin"), {0, 0, 1 << 20, 1 << 20, 4}, 64)),
+      Error);
+  EXPECT_THROW((void)io::load_volume(forged_volume(path("big.bin"), {INT64_MAX, 0, 1, 1, 1},
+                                                   sizeof(cplx))),
+               Error);
 }
 
 // A 2x3-probe, 8x8-window dataset with patterned measurements, built

@@ -249,38 +249,43 @@ TEST(SocketTransport, ExchangeBarrierAndStatsAcrossRanks) {
   }
 }
 
+struct WireHeader {  // mirrors the transport's frame header
+  std::uint32_t magic = 0x50545946u;
+  std::uint32_t type = 0;  // kHello
+  std::int32_t src = 1;
+  std::int32_t dst = 0;
+  std::int64_t tag = 0;
+  std::uint64_t count = 0;
+  std::uint32_t generation = 0;
+  std::uint32_t checksum = 0;  // CRC32 of the header with this field zeroed
+};
+static_assert(sizeof(WireHeader) == 40);
+
+/// Connect to rank 0's listener on `port`, retrying while it comes up;
+/// returns the socket, or -1 when it never answered.
+int connect_impostor(int port) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(static_cast<std::uint16_t>(port));
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) == 0) return fd;
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return -1;
+}
+
 TEST(SocketTransport, DeadPeerWithoutShutdownPoisonsTheFabric) {
   // A hand-rolled "rank 1" that completes the mesh handshake and then
   // vanishes without a shutdown frame — the wire-level signature of a
   // killed process. Rank 0's blocked receive must abort with RankFailure
   // (the same teardown FaultPlan recovery catches), not hang.
-  struct WireHeader {  // mirrors the transport's frame header
-    std::uint32_t magic = 0x50545946u;
-    std::uint32_t type = 0;  // kHello
-    std::int32_t src = 1;
-    std::int32_t dst = 0;
-    std::int64_t tag = 0;
-    std::uint64_t count = 0;
-    std::uint32_t generation = 0;
-    std::uint32_t checksum = 0;  // CRC32 of the header with this field zeroed
-  };
-  static_assert(sizeof(WireHeader) == 40);
-
   const std::vector<int> ports = reserve_ports(2);
   std::thread impostor([&] {
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(static_cast<std::uint16_t>(ports[0]));
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    int fd = -1;
-    for (int attempt = 0; attempt < 500; ++attempt) {
-      fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      ASSERT_GE(fd, 0);
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) == 0) break;
-      ::close(fd);
-      fd = -1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    const int fd = connect_impostor(ports[0]);
     ASSERT_GE(fd, 0) << "never reached rank 0's listener";
     WireHeader hello;
     hello.checksum = crc32(&hello, sizeof(hello));
@@ -294,6 +299,33 @@ TEST(SocketTransport, DeadPeerWithoutShutdownPoisonsTheFabric) {
   rt::Fabric fabric(rt::make_transport(opts, 2));
   EXPECT_THROW((void)fabric.recv(0, 1, rt::make_tag(rt::Phase::kTest, 0)), rt::RankFailure);
   EXPECT_TRUE(fabric.poisoned());
+  impostor.join();
+}
+
+TEST(SocketTransport, ForeignEndianPeerIsRejectedByName) {
+  // A "rank 1" of the other byte order: every field of its hello arrives
+  // byte-swapped. Mesh formation must fail naming the byte order, not as
+  // a generic bad handshake.
+  const std::vector<int> ports = reserve_ports(2);
+  std::thread impostor([&] {
+    const int fd = connect_impostor(ports[0]);
+    ASSERT_GE(fd, 0) << "never reached rank 0's listener";
+    WireHeader hello;
+    hello.magic = __builtin_bswap32(hello.magic);
+    hello.src = static_cast<std::int32_t>(__builtin_bswap32(static_cast<std::uint32_t>(hello.src)));
+    hello.checksum = __builtin_bswap32(crc32(&hello, sizeof(hello)));
+    ASSERT_EQ(::send(fd, &hello, sizeof(hello), 0), static_cast<ssize_t>(sizeof(hello)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::close(fd);
+  });
+
+  try {
+    rt::Fabric fabric(rt::make_transport(socket_options(0, ports), 2));
+    ADD_FAILURE() << "mesh formed with a foreign-endian peer";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("different byte order"), std::string::npos)
+        << e.what();
+  }
   impostor.join();
 }
 
