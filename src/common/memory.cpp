@@ -1,7 +1,24 @@
 #include "common/memory.hpp"
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <cstdlib>
+
+// Sanitizer runtimes replace malloc, so glibc's arenas stay unused and its
+// malloc_trim must not be called.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PTYCHO_FOREIGN_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define PTYCHO_FOREIGN_MALLOC 1
+#endif
+#endif
+#if defined(__GLIBC__) && !defined(PTYCHO_FOREIGN_MALLOC)
+#define PTYCHO_TRIM_HEAP 1
+#include <malloc.h>
+#endif
 
 namespace ptycho {
 
@@ -38,5 +55,17 @@ void tracked_free(void* p, std::size_t bytes) noexcept {
 }
 
 std::size_t live_tracked_bytes() noexcept { return g_live_bytes.load(std::memory_order_relaxed); }
+
+void release_free_heap() noexcept {
+#if defined(PTYCHO_TRIM_HEAP)
+  malloc_trim(0);
+#endif
+}
+
+std::size_t process_peak_rss_bytes() noexcept {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;  // Linux reports KiB
+}
 
 }  // namespace ptycho

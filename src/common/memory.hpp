@@ -40,4 +40,11 @@ void tracked_free(void* p, std::size_t bytes) noexcept;
 /// Process-wide counters (for leak checks in tests).
 std::size_t live_tracked_bytes() noexcept;
 
+/// Hand the allocator's freed heap pages back to the OS (glibc keeps them
+/// resident otherwise); a no-op on other C libraries and under sanitizers.
+void release_free_heap() noexcept;
+
+/// High-water resident set size of this process (getrusage ru_maxrss).
+std::size_t process_peak_rss_bytes() noexcept;
+
 }  // namespace ptycho

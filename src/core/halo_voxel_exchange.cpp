@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 
+#include "common/memory.hpp"
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "core/stitcher.hpp"
@@ -49,53 +50,59 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
   cluster.run([&](rt::RankContext& ctx) {
     const TileSpec& tile = partition.tile(ctx.rank());
 
-    // Assigned probes: own + replicated, all with locally replicated
-    // measurements (the redundancy the paper criticizes).
-    std::vector<index_t> probes = tile.own_probes;
-    probes.insert(probes.end(), tile.replicated_probes.begin(), tile.replicated_probes.end());
-    std::vector<RArray2D> local_meas;
-    local_meas.reserve(probes.size());
-    for (index_t id : probes) {
-      local_meas.push_back(dataset.measurements[static_cast<usize>(id)].clone());
+    // The tile volume outlives the sweep state for the stitch, but is
+    // allocated after the frames, as the sweep's buffer placement was
+    // measured with (see reconstruct_gd).
+    FramedVolume volume;
+    {
+      // Assigned probes: own + replicated, all with locally replicated
+      // measurements (the redundancy the paper criticizes).
+      std::vector<index_t> probes = tile.own_probes;
+      probes.insert(probes.end(), tile.replicated_probes.begin(),
+                    tile.replicated_probes.end());
+      const std::vector<RArray2D> local_meas = dataset.copy_frames(probes);
+
+      volume = FramedVolume(slices, tile.extended);
+      if (initial != nullptr) {
+        copy_region(*initial, volume, tile.extended);
+      } else {
+        volume.data.fill(cplx(1, 0));
+      }
+      GradientEngine engine(dataset);
+
+      // The HVE pass graph: local SGD epochs, synchronous halo pastes, then
+      // the per-iteration cost record. Same pipeline as the other solvers —
+      // what differs is only which passes are inserted (no gradient sync,
+      // no accumulation buffer: updates are immediate and halos are
+      // overwritten wholesale).
+      const int threads = config.exec.threads != 0
+                              ? config.exec.threads
+                              : std::max(1, ThreadPool::hardware_threads() / ctx.nranks());
+      ReconstructionPipeline pipeline;
+      pipeline.emplace<HveLocalSweepPass>(engine, probes, local_meas, tile.own_probes.size(),
+                                          config.local_epochs, config.mode, threads,
+                                          config.exec.precision);
+      pipeline.emplace<HaloPastePass>(pastes);
+      pipeline.emplace<CostRecordPass>(config.record_cost);
+      if (config.exec.progress_every > 0) {
+        pipeline.emplace<ProgressPass>(config.exec.progress_every, dataset.probe_count(),
+                                       config.iterations);
+      }
+
+      SolverState state;
+      state.volume = &volume;
+      state.step = config.step * engine.step_scale();
+      state.ctx = &ctx;
+      state.cost = &result.cost;
+      state.cost_mutex = &result_mutex;
+
+      PipelineSchedule schedule;
+      schedule.iterations = config.iterations;
+      pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
     }
-
-    FramedVolume volume(slices, tile.extended);
-    if (initial != nullptr) {
-      copy_region(*initial, volume, tile.extended);
-    } else {
-      volume.data.fill(cplx(1, 0));
-    }
-    GradientEngine engine(dataset);
-
-    // The HVE pass graph: local SGD epochs, synchronous halo pastes, then
-    // the per-iteration cost record. Same pipeline as the other solvers —
-    // what differs is only which passes are inserted (no gradient sync,
-    // no accumulation buffer: updates are immediate and halos are
-    // overwritten wholesale).
-    const int threads = config.exec.threads != 0
-                            ? config.exec.threads
-                            : std::max(1, ThreadPool::hardware_threads() / ctx.nranks());
-    ReconstructionPipeline pipeline;
-    pipeline.emplace<HveLocalSweepPass>(engine, probes, local_meas, tile.own_probes.size(),
-                                        config.local_epochs, config.mode, threads,
-                                        config.exec.precision);
-    pipeline.emplace<HaloPastePass>(pastes);
-    pipeline.emplace<CostRecordPass>(config.record_cost);
-    if (config.exec.progress_every > 0) {
-      pipeline.emplace<ProgressPass>(config.exec.progress_every, dataset.probe_count(),
-                                     config.iterations);
-    }
-
-    SolverState state;
-    state.volume = &volume;
-    state.step = config.step * engine.step_scale();
-    state.ctx = &ctx;
-    state.cost = &result.cost;
-    state.cost_mutex = &result_mutex;
-
-    PipelineSchedule schedule;
-    schedule.iterations = config.iterations;
-    pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
+    // The sweep state is freed: return it to the OS before rank 0
+    // allocates the full field.
+    release_free_heap();
 
     FramedVolume stitched = stitch_on_root(ctx, partition, volume);
     if (ctx.rank() == 0) {

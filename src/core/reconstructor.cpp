@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <thread>
 
 #include "backend/kernels.hpp"
@@ -22,6 +23,37 @@ void record_parallel_gauges(const ParallelResult& result) {
   obs::registry().gauge("mem_peak_bytes_max").set(static_cast<double>(result.max_peak_bytes));
   obs::registry().gauge("mem_peak_bytes_mean").set(result.mean_peak_bytes);
   obs::registry().gauge("wall_seconds").set(result.wall_seconds);
+}
+
+// The solver configs a request selects; run_once and local_inputs share
+// them so the partition a rank process loads for is the one it runs.
+GdConfig gd_config(const ReconstructionRequest& request) {
+  GdConfig config;
+  config.nranks = request.nranks;
+  config.iterations = request.iterations;
+  config.step = request.step;
+  config.passes_per_iteration = request.passes_per_iteration;
+  config.exec = request.exec;
+  config.mode = request.mode;
+  config.sync = request.sync;
+  config.refine_probe = request.refine_probe;
+  config.record_cost = request.record_cost;
+  config.restore = request.restore;
+  config.fault = request.fault;
+  return config;
+}
+
+HveConfig hve_config(const ReconstructionRequest& request) {
+  HveConfig config;
+  config.nranks = request.nranks;
+  config.iterations = request.iterations;
+  config.step = request.step;
+  config.local_epochs = request.hve_local_epochs;
+  config.mode = request.mode;
+  config.exec = request.exec;
+  config.extra_rings = request.hve_extra_rings;
+  config.record_cost = request.record_cost;
+  return config;
 }
 }  // namespace
 
@@ -129,6 +161,27 @@ ReconstructionOutcome Reconstructor::run(const ReconstructionRequest& request,
   }
 }
 
+LocalInputs Reconstructor::local_inputs(const ReconstructionRequest& request) const {
+  const rt::TransportOptions& transport = request.exec.transport;
+  if (request.method == Method::kSerial || !transport.distributed()) {
+    LocalInputs inputs;
+    inputs.frames.resize(static_cast<usize>(dataset_.probe_count()));
+    std::iota(inputs.frames.begin(), inputs.frames.end(), index_t{0});
+    inputs.window = dataset_.field();
+    return inputs;
+  }
+  const bool hve = request.method == Method::kHaloVoxelExchange;
+  const Partition partition = hve ? make_hve_partition(dataset_, hve_config(request))
+                                  : make_gd_partition(dataset_, gd_config(request));
+  const TileSpec& tile = partition.tile(transport.rank);
+  LocalInputs inputs{tile.own_probes, tile.extended};
+  if (hve) {
+    inputs.frames.insert(inputs.frames.end(), tile.replicated_probes.begin(),
+                         tile.replicated_probes.end());
+  }
+  return inputs;
+}
+
 ReconstructionOutcome Reconstructor::run_once(const ReconstructionRequest& request,
                                               const FramedVolume* initial) const {
   ReconstructionOutcome outcome;
@@ -153,19 +206,7 @@ ReconstructionOutcome Reconstructor::run_once(const ReconstructionRequest& reque
       return outcome;
     }
     case Method::kGradientDecomposition: {
-      GdConfig config;
-      config.nranks = request.nranks;
-      config.iterations = request.iterations;
-      config.step = request.step;
-      config.passes_per_iteration = request.passes_per_iteration;
-      config.exec = request.exec;
-      config.mode = request.mode;
-      config.sync = request.sync;
-      config.refine_probe = request.refine_probe;
-      config.record_cost = request.record_cost;
-      config.restore = request.restore;
-      config.fault = request.fault;
-      ParallelResult result = reconstruct_gd(dataset_, config, initial);
+      ParallelResult result = reconstruct_gd(dataset_, gd_config(request), initial);
       outcome.volume = std::move(result.volume);
       outcome.cost = std::move(result.cost);
       outcome.wall_seconds = result.wall_seconds;
@@ -177,16 +218,7 @@ ReconstructionOutcome Reconstructor::run_once(const ReconstructionRequest& reque
     case Method::kHaloVoxelExchange: {
       PTYCHO_REQUIRE(!request.exec.checkpoint.enabled() && request.restore == nullptr,
                      "checkpoint/restore is not supported for the HVE solver");
-      HveConfig config;
-      config.nranks = request.nranks;
-      config.iterations = request.iterations;
-      config.step = request.step;
-      config.local_epochs = request.hve_local_epochs;
-      config.mode = request.mode;
-      config.exec = request.exec;
-      config.extra_rings = request.hve_extra_rings;
-      config.record_cost = request.record_cost;
-      ParallelResult result = reconstruct_hve(dataset_, config, initial);
+      ParallelResult result = reconstruct_hve(dataset_, hve_config(request), initial);
       outcome.volume = std::move(result.volume);
       outcome.cost = std::move(result.cost);
       outcome.wall_seconds = result.wall_seconds;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/halo_voxel_exchange.hpp"
 #include "core/serial_solver.hpp"
@@ -44,6 +45,13 @@ struct ReconstructionRequest {
   rt::FaultPlan fault;
 };
 
+/// The inputs one process reads for a request: the probe ids whose
+/// diffraction frames its ranks sweep and the warm-start window they copy.
+struct LocalInputs {
+  std::vector<index_t> frames;
+  Rect window;
+};
+
 struct ReconstructionOutcome {
   FramedVolume volume;
   CostHistory cost;
@@ -69,6 +77,14 @@ class Reconstructor {
   /// process exits and is respawned with a fresh roster.
   [[nodiscard]] ReconstructionOutcome run(const ReconstructionRequest& request,
                                           const FramedVolume* initial = nullptr) const;
+
+  /// What this process's ranks read of the inputs, from the same
+  /// partition the solver builds. A socket rank (the transport hosts one
+  /// rank here) needs its tile's probes — own, plus replicated under HVE —
+  /// and its extended tile. Serial and in-process runs need every frame
+  /// and the whole field. Needs only the dataset's header: its frames may
+  /// all be unloaded.
+  [[nodiscard]] LocalInputs local_inputs(const ReconstructionRequest& request) const;
 
   [[nodiscard]] const Dataset& dataset() const { return dataset_; }
 

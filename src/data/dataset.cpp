@@ -1,11 +1,26 @@
 #include "data/dataset.hpp"
 
+#include "common/error.hpp"
+
 namespace ptycho {
 
 usize Dataset::measurement_bytes() const {
   usize total = 0;
   for (const auto& m : measurements) total += m.bytes();
   return total;
+}
+
+std::vector<RArray2D> Dataset::copy_frames(const std::vector<index_t>& probe_ids) const {
+  const auto n = static_cast<index_t>(spec.grid.probe_n);
+  std::vector<RArray2D> frames;
+  frames.reserve(probe_ids.size());
+  for (const index_t id : probe_ids) {
+    PTYCHO_CHECK(id >= 0 && static_cast<usize>(id) < measurements.size() &&
+                     measurements[static_cast<usize>(id)].rows() == n,
+                 "the diffraction frame of probe " << id << " was not loaded");
+    frames.push_back(measurements[static_cast<usize>(id)].clone());
+  }
+  return frames;
 }
 
 usize Dataset::volume_bytes() const {

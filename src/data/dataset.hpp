@@ -33,7 +33,8 @@ struct Dataset {
   ScanPattern scan;
   Probe probe;
   /// |y_i| — Fourier-magnitude measurements, one per probe location, in
-  /// scan (time) order.
+  /// scan (time) order. A partial load (io::load_dataset with a frame
+  /// list) leaves the frames it did not read 0x0.
   std::vector<RArray2D> measurements;
   /// Ground-truth volume when the dataset is simulated (empty otherwise).
   FramedVolume ground_truth;
@@ -43,6 +44,10 @@ struct Dataset {
 
   [[nodiscard]] index_t probe_count() const { return scan.count(); }
   [[nodiscard]] Rect field() const { return scan.field(); }
+
+  /// Rank-local copies of the listed probes' frames, in list order. Throws
+  /// ptycho::Error naming the first probe whose frame was not loaded.
+  [[nodiscard]] std::vector<RArray2D> copy_frames(const std::vector<index_t>& probe_ids) const;
 
   /// Bytes of the measurement stack (real magnitudes).
   [[nodiscard]] usize measurement_bytes() const;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -86,6 +87,13 @@ constexpr std::uint64_t kVolumeMagic = 0x50545943484F564CULL;  // "PTYCHOVL"
 std::uint64_t mul_saturating(std::uint64_t a, std::uint64_t b) {
   return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
 }
+// Opens `path` for the loaders' positioned reads, unbuffered: a seek then
+// costs no buffer refill, so a partial load reads only the bytes it keeps.
+void open_for_reading(std::ifstream& in, const std::string& path) {
+  in.rdbuf()->pubsetbuf(nullptr, 0);
+  in.open(path, std::ios::binary);
+  PTYCHO_CHECK(in.is_open(), "cannot open '" << path << "' for reading");
+}
 // Bytes between the read position and the end of the file.
 std::uint64_t bytes_left(std::ifstream& in) {
   const auto here = in.tellg();
@@ -109,18 +117,22 @@ void save_volume(const std::string& path, const FramedVolume& volume) {
   PTYCHO_CHECK(out.good(), "write failed for '" << path << "'");
 }
 
-FramedVolume load_volume(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PTYCHO_CHECK(in.good(), "cannot open '" << path << "' for reading");
+namespace {
+struct VolumeHeader {
+  Rect frame;
+  index_t slices = 0;
+};
+
+// Reads and validates a volume file's header, leaving `in` at the first
+// voxel. The header is untrusted: it is rejected before it sizes any
+// allocation. The voxels must fit in the bytes the file actually holds,
+// and the frame's far corner must be representable.
+VolumeHeader read_volume_header(std::ifstream& in, const std::string& path) {
   std::uint64_t magic = 0;
   std::int64_t header[5] = {};
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   in.read(reinterpret_cast<char*>(header), sizeof(header));
   PTYCHO_CHECK(in.good() && magic == kVolumeMagic, "'" << path << "' is not a volume file");
-
-  // The header is untrusted: reject it before it sizes any allocation.
-  // The voxels must fit in the bytes the file actually holds, and the
-  // frame's far corner must be representable.
   const auto [y0, x0, h, w, slices] = header;
   PTYCHO_CHECK(h > 0 && w > 0 && slices > 0,
                "volume file '" << path << "' declares an empty or negative extent (" << slices
@@ -134,11 +146,49 @@ FramedVolume load_volume(const std::string& path) {
   PTYCHO_CHECK(payload <= bytes_left(in), "volume file '" << path << "' is shorter than the "
                                               << slices << "x" << h << "x" << w
                                               << " volume it declares");
-  FramedVolume volume(slices, Rect{y0, x0, h, w});
-  in.read(reinterpret_cast<char*>(volume.data.data()),
-          static_cast<std::streamsize>(volume.data.bytes()));
+  return VolumeHeader{Rect{y0, x0, h, w}, slices};
+}
+
+// Reads `window` (inside header.frame) of every slice from the voxels that
+// start at `in`'s position: one read per slice when the window spans whole
+// rows, else one per row.
+FramedVolume read_volume_window(std::ifstream& in, const std::string& path,
+                                const VolumeHeader& header, const Rect& window) {
+  const Rect& frame = header.frame;
+  const bool whole_rows = window.x0 == frame.x0 && window.w == frame.w;
+  const index_t band_rows = whole_rows ? window.h : 1;
+  const std::streamoff first = in.tellg();
+  FramedVolume volume(header.slices, window);
+  for (index_t s = 0; s < header.slices; ++s) {
+    for (index_t y = 0; y < window.h; y += band_rows) {
+      const index_t voxel =
+          (s * frame.h + window.y0 - frame.y0 + y) * frame.w + window.x0 - frame.x0;
+      in.seekg(first + static_cast<std::streamoff>(voxel * static_cast<index_t>(sizeof(cplx))));
+      in.read(reinterpret_cast<char*>(&volume.data(s, y, 0)),
+              static_cast<std::streamsize>(band_rows * window.w *
+                                           static_cast<index_t>(sizeof(cplx))));
+    }
+  }
   PTYCHO_CHECK(in.good(), "truncated volume file '" << path << "'");
   return volume;
+}
+}  // namespace
+
+FramedVolume load_volume(const std::string& path) {
+  std::ifstream in;
+  open_for_reading(in, path);
+  const VolumeHeader header = read_volume_header(in, path);
+  return read_volume_window(in, path, header, header.frame);
+}
+
+FramedVolume load_volume(const std::string& path, const Rect& window) {
+  std::ifstream in;
+  open_for_reading(in, path);
+  const VolumeHeader header = read_volume_header(in, path);
+  PTYCHO_CHECK(!window.empty() && header.frame.contains(window),
+               "window " << window << " is not inside the frame " << header.frame
+                         << " of volume file '" << path << "'");
+  return read_volume_window(in, path, header, window);
 }
 
 namespace {
@@ -193,9 +243,15 @@ void save_dataset(const std::string& path, const Dataset& dataset) {
   PTYCHO_CHECK(out.good(), "write failed for '" << path << "'");
 }
 
-Dataset load_dataset(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PTYCHO_CHECK(in.good(), "cannot open '" << path << "' for reading");
+namespace {
+// Largest slice count a dataset header may declare (the paper's volumes
+// have 100 slices).
+constexpr std::uint64_t kMaxSlices = 1024;
+
+// Loads the header and the frames of `frames` (sorted, unique; null = all).
+Dataset read_dataset(const std::string& path, const std::vector<index_t>* frames) {
+  std::ifstream in;
+  open_for_reading(in, path);
   PTYCHO_CHECK(read_u64(in) == kDatasetMagic, "'" << path << "' is not a dataset file");
   DatasetSpec spec;
   const auto name_len = read_u64(in);
@@ -204,11 +260,14 @@ Dataset load_dataset(const std::string& path) {
   in.read(spec.name.data(), static_cast<std::streamsize>(name_len));
   const auto rows = read_u64(in);
   const auto cols = read_u64(in);
+  const auto step_x = read_u64(in);
+  const auto step_y = read_u64(in);
+  const auto margin = read_u64(in);
   spec.scan.rows = static_cast<index_t>(rows);
   spec.scan.cols = static_cast<index_t>(cols);
-  spec.scan.step_px = static_cast<index_t>(read_u64(in));
-  spec.scan.step_y_px = static_cast<index_t>(read_u64(in));
-  spec.scan.margin_px = static_cast<index_t>(read_u64(in));
+  spec.scan.step_px = static_cast<index_t>(step_x);
+  spec.scan.step_y_px = static_cast<index_t>(step_y);
+  spec.scan.margin_px = static_cast<index_t>(margin);
   spec.scan.probe_n = static_cast<index_t>(read_u64(in));
   spec.grid.probe_n = read_u64(in);
   spec.grid.dx_pm = read_f64(in);
@@ -217,7 +276,8 @@ Dataset load_dataset(const std::string& path) {
   spec.probe.aperture_mrad = read_f64(in);
   spec.probe.defocus_pm = read_f64(in);
   spec.probe.cs_pm = read_f64(in);
-  spec.slices = static_cast<index_t>(read_u64(in));
+  const auto slices = read_u64(in);
+  spec.slices = static_cast<index_t>(slices);
   const auto model = read_u64(in);
   spec.model.sigma = static_cast<real>(read_f64(in));
   const auto count = read_u64(in);
@@ -228,7 +288,9 @@ Dataset load_dataset(const std::string& path) {
   PTYCHO_CHECK(model <= static_cast<std::uint64_t>(ObjectModel::kPotential),
                "dataset '" << path << "' has unknown object model " << model);
   spec.model.model = static_cast<ObjectModel>(model);
-  PTYCHO_CHECK(spec.slices >= 1, "dataset '" << path << "' has no slices");
+  PTYCHO_CHECK(slices >= 1 && slices <= kMaxSlices,
+               "dataset '" << path << "' declares " << static_cast<std::int64_t>(slices)
+                           << " slices (want 1.." << kMaxSlices << ")");
   PTYCHO_CHECK(spec.grid.probe_n == static_cast<std::uint64_t>(spec.scan.probe_n),
                "dataset '" << path << "' probe window " << spec.grid.probe_n
                            << " does not match its scan window " << spec.scan.probe_n);
@@ -238,18 +300,71 @@ Dataset load_dataset(const std::string& path) {
   }
   PTYCHO_CHECK(block <= bytes_left(in), "dataset '" << path << "' is shorter than the "
                                             << rows << "x" << cols << " scan it declares");
+  // A raster step beyond the probe window leaves unmeasured gaps, and a
+  // margin beyond one window holds only voxels no probe touches. Within
+  // these bounds the object field spans at most (rows + 2) x (cols + 2)
+  // windows, so the measurements the file holds bound the volume's size.
+  const std::uint64_t n = spec.grid.probe_n;
+  PTYCHO_CHECK(step_x >= 1 && step_x <= n, "dataset '" << path << "' raster step " << step_x
+                                                       << " px is outside 1.." << n);
+  PTYCHO_CHECK(step_y <= n, "dataset '" << path << "' vertical raster step " << step_y
+                                        << " px exceeds the " << n << " px window");
+  PTYCHO_CHECK(margin <= n, "dataset '" << path << "' margin " << margin
+                                        << " px exceeds the " << n << " px window");
+  for (const auto& [name, value] : {std::pair{"pixel size dx_pm", spec.grid.dx_pm},
+                                    std::pair{"slice thickness dz_pm", spec.grid.dz_pm},
+                                    std::pair{"wavelength_pm", spec.grid.wavelength_pm}}) {
+    PTYCHO_CHECK(std::isfinite(value) && value > 0,
+                 "dataset '" << path << "' has a non-positive or non-finite " << name << " ("
+                             << value << ")");
+  }
+  for (const auto& [name, value] :
+       {std::pair{"aperture_mrad", spec.probe.aperture_mrad},
+        std::pair{"defocus_pm", spec.probe.defocus_pm}, std::pair{"cs_pm", spec.probe.cs_pm},
+        std::pair{"noise sigma", static_cast<double>(spec.model.sigma)}}) {
+    PTYCHO_CHECK(std::isfinite(value),
+                 "dataset '" << path << "' has a non-finite " << name << " (" << value << ")");
+  }
 
   Dataset dataset(spec, ScanPattern(spec.scan), Probe(spec.grid, spec.probe));
   PTYCHO_CHECK(count == static_cast<std::uint64_t>(dataset.scan.count()),
                "dataset '" << path << "' measurement count does not match its scan");
-  const auto n = static_cast<index_t>(spec.grid.probe_n);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    RArray2D m(n, n);
+  const auto total = static_cast<index_t>(count);
+  if (frames != nullptr && !frames->empty()) {
+    PTYCHO_CHECK(frames->front() >= 0 && frames->back() < total,
+                 "dataset '" << path << "' has no frame for probe "
+                             << (frames->front() < 0 ? frames->front() : frames->back())
+                             << " (probes 0.." << total - 1 << ")");
+  }
+  dataset.measurements.resize(static_cast<usize>(count));
+  const auto frame_n = static_cast<index_t>(n);
+  const std::streamoff first = in.tellg();
+  const auto frame_bytes = static_cast<std::streamoff>(frame_n * frame_n * sizeof(real));
+  index_t next = 0;  // the frame the stream is positioned at
+  const auto read_frame = [&](index_t id) {
+    if (id != next) in.seekg(first + id * frame_bytes);
+    RArray2D m(frame_n, frame_n);
     in.read(reinterpret_cast<char*>(m.data()), static_cast<std::streamsize>(m.bytes()));
-    dataset.measurements.push_back(std::move(m));
+    dataset.measurements[static_cast<usize>(id)] = std::move(m);
+    next = id + 1;
+  };
+  if (frames == nullptr) {
+    for (index_t id = 0; id < total; ++id) read_frame(id);
+  } else {
+    for (const index_t id : *frames) read_frame(id);
   }
   PTYCHO_CHECK(in.good(), "truncated measurements in '" << path << "'");
   return dataset;
+}
+}  // namespace
+
+Dataset load_dataset(const std::string& path) { return read_dataset(path, nullptr); }
+
+Dataset load_dataset(const std::string& path, const std::vector<index_t>& frames) {
+  std::vector<index_t> sorted = frames;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  return read_dataset(path, &sorted);
 }
 
 }  // namespace ptycho::io

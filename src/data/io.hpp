@@ -36,6 +36,10 @@ class CsvWriter {
 /// Raw little-endian dump/load of a framed volume (frame + slices + data).
 void save_volume(const std::string& path, const FramedVolume& volume);
 [[nodiscard]] FramedVolume load_volume(const std::string& path);
+/// Load only `window` of the volume file, all slices: one read per window
+/// row, or per slice when the window spans whole rows. The window must be
+/// non-empty and lie inside the file's frame.
+[[nodiscard]] FramedVolume load_volume(const std::string& path, const Rect& window);
 
 }  // namespace ptycho::io
 
@@ -49,5 +53,10 @@ namespace ptycho::io {
 /// from the CLI tool.
 void save_dataset(const std::string& path, const Dataset& dataset);
 [[nodiscard]] Dataset load_dataset(const std::string& path);
+/// Load the header and only the diffraction frames of the listed probe
+/// ids; every other frame stays 0x0. The header is validated exactly as by
+/// the full load, including that the file holds every frame it declares.
+/// An id outside the scan is an error; `{}` loads the header alone.
+[[nodiscard]] Dataset load_dataset(const std::string& path, const std::vector<index_t>& frames);
 
 }  // namespace ptycho::io

@@ -1,6 +1,7 @@
 #include "obs/session.hpp"
 
 #include "common/log.hpp"
+#include "common/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -36,6 +37,8 @@ void Session::finish() {
     log::info() << "trace written to " << config_.trace_path;
   }
   if (metrics()) {
+    // How big the process got, answerable from its own metrics file.
+    registry().gauge("process_peak_rss_bytes").set(static_cast<double>(process_peak_rss_bytes()));
     set_metrics_enabled(false);
     registry().write_json(config_.metrics_path);
     log::info() << "metrics written to " << config_.metrics_path;

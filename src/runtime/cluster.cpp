@@ -87,6 +87,9 @@ void VirtualCluster::run(const RankBody& body) {
         body(ctx);
       } catch (...) {
         errors[ur] = std::current_exception();
+        // A rank that dies of any error has failed for its peers: poison
+        // the fabric so they raise RankFailure instead of waiting on it.
+        poison();
       }
       // Final fold (also on the failure path): whatever the body accrued
       // since its last chunk boundary still reaches the profiler.
@@ -97,9 +100,20 @@ void VirtualCluster::run(const RankBody& body) {
   }
   for (auto& t : threads) t.join();
   if (obs::tracing_enabled()) obs::Tracer::instance().drain_all();
+  // Rethrow the root cause: a rank's own error before the RankFailures
+  // its poison raised on the other ranks.
+  std::exception_ptr rank_failure;
   for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
+    if (!err) continue;
+    try {
+      std::rethrow_exception(err);
+    } catch (const RankFailure&) {
+      if (!rank_failure) rank_failure = err;
+    } catch (...) {
+      throw;
+    }
   }
+  if (rank_failure) std::rethrow_exception(rank_failure);
 }
 
 const MemTracker& VirtualCluster::mem(int rank) const {

@@ -1,10 +1,12 @@
 // data/io round-trip coverage: PGM pixel mapping (including the min==max
 // mid-gray edge case), phase PGM, CSV output, the raw binary volume
-// snapshot read-back, and the dataset loader's rejection of corrupt
-// headers.
+// snapshot read-back, the dataset loader's rejection of corrupt headers,
+// and the partial loaders a rank process reads its own frames and
+// warm-start window with.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "data/io.hpp"
+#include "tensor/ops.hpp"
 
 namespace ptycho {
 namespace {
@@ -209,6 +212,54 @@ TEST_F(IoScratch, VolumeLoaderRejectsInflatedHeaders) {
                Error);
 }
 
+// A 2-slice volume at `frame` whose every voxel is distinct.
+FramedVolume patterned_volume(const Rect& frame) {
+  FramedVolume volume(2, frame);
+  for (index_t s = 0; s < 2; ++s) {
+    for (index_t y = 0; y < frame.h; ++y) {
+      for (index_t x = 0; x < frame.w; ++x) {
+        volume.data(s, y, x) = cplx(static_cast<real>(s * 1000 + y * 10 + x), real(0.5));
+      }
+    }
+  }
+  return volume;
+}
+
+bool bytes_equal(const FramedVolume& a, const FramedVolume& b) {
+  return a.frame == b.frame && a.slices() == b.slices() &&
+         std::memcmp(a.data.data(), b.data.data(), a.data.bytes()) == 0;
+}
+
+TEST_F(IoScratch, VolumeWindowLoadEqualsACopyOfTheFullLoad) {
+  const Rect frame{-3, 5, 6, 7};
+  io::save_volume(path("vol.bin"), patterned_volume(frame));
+  const FramedVolume full = io::load_volume(path("vol.bin"));
+  // An interior window (one read per row), a band of whole rows (one read
+  // per slice), a single voxel at the far corner and the whole frame.
+  for (const Rect& window : {Rect{-2, 6, 3, 4}, Rect{-1, 5, 2, 7}, Rect{2, 11, 1, 1}, frame}) {
+    FramedVolume expected(2, window);
+    copy_region(full, expected, window);
+    EXPECT_TRUE(bytes_equal(io::load_volume(path("vol.bin"), window), expected)) << window;
+  }
+}
+
+TEST_F(IoScratch, VolumeWindowLoadRejectsWindowsOutsideTheFrame) {
+  io::save_volume(path("vol.bin"), patterned_volume(Rect{-3, 5, 6, 7}));
+  // Wholly outside, overhanging each edge, and empty.
+  for (const Rect& window : {Rect{10, 20, 2, 2}, Rect{-4, 6, 2, 2}, Rect{2, 6, 2, 2},
+                             Rect{0, 4, 2, 2}, Rect{0, 11, 2, 2}, Rect{0, 6, 0, 3}}) {
+    EXPECT_THROW((void)io::load_volume(path("vol.bin"), window), Error) << window;
+  }
+}
+
+TEST_F(IoScratch, VolumeWindowLoadStillRejectsATruncatedPayload) {
+  // The window lies in the bytes the file holds; the file is still short.
+  const std::size_t bytes = 2 * 4 * 6 * sizeof(cplx);
+  EXPECT_THROW((void)io::load_volume(forged_volume(path("cut.bin"), {0, 0, 4, 6, 2}, bytes - 1),
+                                     Rect{0, 0, 1, 1}),
+               Error);
+}
+
 // A 2x3-probe, 8x8-window dataset with patterned measurements, built
 // without a simulation so the header tests stay instant.
 Dataset small_dataset() {
@@ -232,10 +283,21 @@ Dataset small_dataset() {
   return dataset;
 }
 
-// The u64 header fields after the name, in file order.
+// The 8-byte header fields after the name, in file order.
 enum HeaderField : std::uint64_t {
-  kRows = 0, kCols = 1, kScanProbeN = 5, kGridProbeN = 6, kSlices = 13, kModel = 14,
+  kRows = 0, kCols = 1, kStepX = 2, kStepY = 3, kMargin = 4, kScanProbeN = 5, kGridProbeN = 6,
+  kDx = 7, kDz = 8, kWavelength = 9, kAperture = 10, kDefocus = 11, kCs = 12, kSlices = 13,
+  kModel = 14, kSigma = 15,
 };
+
+// The bit pattern of a double header field.
+std::uint64_t f64(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+const double kNaN = std::nan("");
+const double kInf = HUGE_VAL;
 
 class DatasetHeader : public IoScratch {
  protected:
@@ -260,6 +322,21 @@ class DatasetHeader : public IoScratch {
     std::ofstream(out, std::ios::binary)
         .write(copy.data(), static_cast<std::streamsize>(copy.size()));
     return out;
+  }
+
+  // Pixel size, slice thickness and wavelength must be finite and positive.
+  void expect_positive_finite(HeaderField field) {
+    for (const double bad : {0.0, -1.0, kNaN, kInf}) {
+      EXPECT_THROW((void)io::load_dataset(patched({{field, f64(bad)}})), Error) << bad;
+    }
+  }
+
+  // The other float fields need only be finite; `valid` is a control.
+  void expect_finite(HeaderField field, double valid) {
+    EXPECT_NO_THROW((void)io::load_dataset(patched({{field, f64(valid)}})));
+    for (const double bad : {kNaN, kInf, -kInf}) {
+      EXPECT_THROW((void)io::load_dataset(patched({{field, f64(bad)}})), Error) << bad;
+    }
   }
 
   std::vector<char> bytes_;
@@ -289,6 +366,47 @@ TEST_F(DatasetHeader, RejectsNoSlices) {
   EXPECT_THROW((void)io::load_dataset(patched({{kSlices, UINT64_MAX}})), Error);
 }
 
+TEST_F(DatasetHeader, RejectsTooManySlices) {
+  EXPECT_NO_THROW((void)io::load_dataset(patched({{kSlices, 1024}})));
+  EXPECT_THROW((void)io::load_dataset(patched({{kSlices, 1025}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kSlices, std::uint64_t{1} << 40}})), Error);
+}
+
+// The fixture's window is 8 px: a raster step or margin beyond it would
+// imply an object field the measurements do not bound.
+TEST_F(DatasetHeader, RejectsARasterStepOutsideTheWindow) {
+  EXPECT_NO_THROW((void)io::load_dataset(patched({{kStepX, 8}})));
+  EXPECT_THROW((void)io::load_dataset(patched({{kStepX, 0}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kStepX, 9}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kStepX, UINT64_MAX}})), Error);
+}
+
+TEST_F(DatasetHeader, RejectsAVerticalStepBeyondTheWindow) {
+  EXPECT_NO_THROW((void)io::load_dataset(patched({{kStepY, 8}})));
+  EXPECT_THROW((void)io::load_dataset(patched({{kStepY, 9}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kStepY, std::uint64_t{1} << 62}})), Error);
+}
+
+TEST_F(DatasetHeader, RejectsAMarginBeyondTheWindow) {
+  EXPECT_NO_THROW((void)io::load_dataset(patched({{kMargin, 8}})));
+  EXPECT_THROW((void)io::load_dataset(patched({{kMargin, 9}})), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({{kMargin, UINT64_MAX}})), Error);
+}
+
+TEST_F(DatasetHeader, RejectsABadPixelSize) { expect_positive_finite(kDx); }
+TEST_F(DatasetHeader, RejectsABadSliceThickness) { expect_positive_finite(kDz); }
+TEST_F(DatasetHeader, RejectsABadWavelength) { expect_positive_finite(kWavelength); }
+
+TEST_F(DatasetHeader, RejectsANonFiniteAperture) { expect_finite(kAperture, 25.0); }
+TEST_F(DatasetHeader, RejectsANonFiniteDefocus) { expect_finite(kDefocus, -2.0); }
+TEST_F(DatasetHeader, RejectsANonFiniteSphericalAberration) { expect_finite(kCs, -2.0); }
+
+TEST_F(DatasetHeader, RejectsANonFiniteNoiseSigma) {
+  expect_finite(kSigma, 0.5);
+  // Finite as a double, infinite once narrowed to the stored precision.
+  EXPECT_THROW((void)io::load_dataset(patched({{kSigma, f64(1e300)}})), Error);
+}
+
 TEST_F(DatasetHeader, RejectsProbeWindowMismatch) {
   EXPECT_THROW((void)io::load_dataset(patched({{kGridProbeN, 16}})), Error);
   EXPECT_THROW((void)io::load_dataset(patched({{kScanProbeN, 4}})), Error);
@@ -304,6 +422,60 @@ TEST_F(DatasetHeader, RejectsMeasurementsLargerThanTheFile) {
   EXPECT_THROW((void)io::load_dataset(patched({{kScanProbeN, huge_n}, {kGridProbeN, huge_n}})),
                Error);
   EXPECT_THROW((void)io::load_dataset(patched({}, /*drop=*/1)), Error);
+}
+
+// ---- partial loads ----------------------------------------------------------
+
+bool frames_equal(const RArray2D& a, const RArray2D& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.bytes()) == 0;
+}
+
+TEST_F(DatasetHeader, PartialLoadReadsOnlyTheListedFrames) {
+  const Dataset full = io::load_dataset(patched({}));
+  // Unsorted, with a repeat: the loader reads each listed frame once.
+  const Dataset partial = io::load_dataset(patched({}), {4, 1, 4});
+  EXPECT_EQ(partial.spec.name, full.spec.name);
+  EXPECT_EQ(partial.field(), full.field());
+  ASSERT_EQ(partial.measurements.size(), full.measurements.size());
+  for (index_t id = 0; id < full.probe_count(); ++id) {
+    const RArray2D& frame = partial.measurements[static_cast<usize>(id)];
+    if (id == 1 || id == 4) {
+      EXPECT_TRUE(frames_equal(frame, full.measurements[static_cast<usize>(id)])) << id;
+    } else {
+      EXPECT_TRUE(frame.empty()) << id;
+    }
+  }
+}
+
+TEST_F(DatasetHeader, EmptyFrameListLoadsTheHeaderAlone) {
+  const Dataset header = io::load_dataset(patched({}), {});
+  EXPECT_EQ(header.probe_count(), 6);
+  ASSERT_EQ(header.measurements.size(), 6u);
+  for (const RArray2D& frame : header.measurements) EXPECT_TRUE(frame.empty());
+}
+
+TEST_F(DatasetHeader, PartialLoadRejectsAnIdOutsideTheScan) {
+  EXPECT_THROW((void)io::load_dataset(patched({}), {0, 6}), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({}), {-1}), Error);
+}
+
+TEST_F(DatasetHeader, PartialLoadStillRejectsATruncatedFile) {
+  // Frame 0 is intact; the last frame is one byte short.
+  EXPECT_THROW((void)io::load_dataset(patched({}, /*drop=*/1), {0}), Error);
+  EXPECT_THROW((void)io::load_dataset(patched({}, /*drop=*/1), {}), Error);
+}
+
+TEST_F(DatasetHeader, CopyingAnUnloadedFrameNamesItsProbe) {
+  const Dataset partial = io::load_dataset(patched({}), {0, 2});
+  EXPECT_EQ(partial.copy_frames({2, 0}).size(), 2u);
+  try {
+    (void)partial.copy_frames({0, 3});
+    FAIL() << "copied a frame that was never loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("probe 3 was not loaded"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

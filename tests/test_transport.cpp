@@ -1,13 +1,14 @@
 // Transport-layer tests: the tag registry, the in-process and socket
 // backends behind the fabric, bitwise parity of a GD reconstruction
-// across transports (volume, cost history, checkpoint tree), and fault
-// parity — a killed rank surfaces as RankFailure on every rank and
-// checkpoint recovery works identically on both backends. The "multi
-// process" socket runs here host each rank on its own thread with its
-// own VirtualCluster + SocketTransport over loopback, which exercises
-// the full wire path (mesh handshake, frames, progress thread) without
-// fork(); the CI release-bench job covers the genuine K-process case
-// through `ptycho reconstruct --launch 2`.
+// across transports (volume, cost history, checkpoint tree), also when
+// each socket rank loads only its own frames and warm-start window as the
+// CLI does, and fault parity — a killed rank surfaces as RankFailure on
+// every rank and checkpoint recovery works identically on both backends.
+// The "multi process" socket runs here host each rank on its own thread
+// with its own VirtualCluster + SocketTransport over loopback, which
+// exercises the full wire path (mesh handshake, frames, progress thread)
+// without fork(); the CI release-bench job covers the genuine K-process
+// case through `ptycho reconstruct --launch 2`.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -27,6 +29,8 @@
 #include "common/crc32.hpp"
 #include "core/gradient_decomposition.hpp"
 #include "core/exec_options.hpp"
+#include "core/reconstructor.hpp"
+#include "data/io.hpp"
 #include "runtime/cluster.hpp"
 #include "test_util.hpp"
 
@@ -115,21 +119,21 @@ class ScratchDir {
   std::string path_;
 };
 
-/// Run one GD job as `nranks` concurrent single-rank processes (threads
-/// here) over a loopback socket mesh. Returns rank 0's result; any rank's
-/// exception is collected into `errors[rank]`.
-ParallelResult run_gd_socket(const Dataset& dataset, const GdConfig& base, int nranks,
-                             std::vector<std::exception_ptr>& errors) {
+/// Run one job as `nranks` concurrent single-rank processes (threads here)
+/// over a loopback socket mesh: `run_rank(transport)` is one process's
+/// work. Returns rank 0's result; any rank's exception is collected into
+/// `errors[rank]`.
+template <class RunRank>
+auto run_socket_ranks(int nranks, std::vector<std::exception_ptr>& errors,
+                      const RunRank& run_rank) {
   const std::vector<int> ports = reserve_ports(nranks);
-  ParallelResult root_result;
+  decltype(run_rank(rt::TransportOptions{})) root_result;
   errors.assign(static_cast<usize>(nranks), nullptr);
   std::vector<std::thread> procs;
   for (int r = 0; r < nranks; ++r) {
     procs.emplace_back([&, r] {
-      GdConfig config = base;
-      config.exec.transport = socket_options(r, ports);
       try {
-        ParallelResult result = reconstruct_gd(dataset, config);
+        auto result = run_rank(socket_options(r, ports));
         if (r == 0) root_result = std::move(result);
       } catch (...) {
         errors[static_cast<usize>(r)] = std::current_exception();
@@ -138,6 +142,33 @@ ParallelResult run_gd_socket(const Dataset& dataset, const GdConfig& base, int n
   }
   for (auto& t : procs) t.join();
   return root_result;
+}
+
+ParallelResult run_gd_socket(const Dataset& dataset, const GdConfig& base, int nranks,
+                             std::vector<std::exception_ptr>& errors) {
+  return run_socket_ranks(nranks, errors, [&](const rt::TransportOptions& transport) {
+    GdConfig config = base;
+    config.exec.transport = transport;
+    return reconstruct_gd(dataset, config);
+  });
+}
+
+/// One rank process as the CLI runs it: read the dataset header, ask
+/// local_inputs, then load only those frames (less `skip`, to model a
+/// frame missing from this process) and that window of the warm start.
+ReconstructionOutcome run_on_local_inputs(const std::string& dataset_path,
+                                          const std::string& warm_path,
+                                          const ReconstructionRequest& request,
+                                          index_t skip = -1) {
+  LocalInputs local;
+  {
+    const Dataset header = io::load_dataset(dataset_path, {});
+    local = Reconstructor(header).local_inputs(request);
+  }
+  std::erase(local.frames, skip);
+  const Dataset dataset = io::load_dataset(dataset_path, local.frames);
+  const FramedVolume warm = io::load_volume(warm_path, local.window);
+  return Reconstructor(dataset).run(request, &warm);
 }
 
 // ---- tag registry ----------------------------------------------------------
@@ -367,6 +398,170 @@ TEST(SocketTransport, GdRunIsBitwiseIdenticalToInProc) {
     const auto it = distributed_tree.find(rel);
     ASSERT_NE(it, distributed_tree.end()) << "missing " << rel;
     EXPECT_EQ(it->second, bytes) << "checkpoint file differs: " << rel;
+  }
+}
+
+// ---- tile-local inputs -----------------------------------------------------
+
+/// The tiny dataset and a 1-iteration warm start, saved as the CLI's inputs.
+class LocalInputsRun : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    io::save_dataset(data_path(), tiny_dataset());
+    ReconstructionRequest warm;
+    warm.nranks = 2;
+    warm.iterations = 1;
+    io::save_volume(warm_path(), Reconstructor(tiny_dataset()).run(warm).volume);
+  }
+  [[nodiscard]] std::string data_path() const { return dir_.path() + "/data.ptyd"; }
+  [[nodiscard]] std::string warm_path() const { return dir_.path() + "/warm.bin"; }
+
+  /// The same request run in-process on the full inputs, and as `nranks`
+  /// socket processes on their local inputs; both must agree bitwise.
+  void expect_parity(ReconstructionRequest request, const std::string& inproc_ckpt,
+                     const std::string& socket_ckpt) {
+    if (!inproc_ckpt.empty()) request.exec.checkpoint = ckpt::Policy{inproc_ckpt, 1};
+    const Dataset full = io::load_dataset(data_path());
+    const FramedVolume warm = io::load_volume(warm_path());
+    const ReconstructionOutcome reference = Reconstructor(full).run(request, &warm);
+
+    if (!socket_ckpt.empty()) request.exec.checkpoint = ckpt::Policy{socket_ckpt, 1};
+    std::vector<std::exception_ptr> errors;
+    const ReconstructionOutcome distributed =
+        run_socket_ranks(request.nranks, errors, [&](const rt::TransportOptions& transport) {
+          ReconstructionRequest rank_request = request;
+          rank_request.exec.transport = transport;
+          return run_on_local_inputs(data_path(), warm_path(), rank_request);
+        });
+    for (auto& err : errors) {
+      if (err) std::rethrow_exception(err);
+    }
+
+    expect_bitwise_equal(distributed.volume, reference.volume);
+    ASSERT_EQ(distributed.cost.values().size(), reference.cost.values().size());
+    for (usize i = 0; i < reference.cost.values().size(); ++i) {
+      EXPECT_EQ(distributed.cost.values()[i], reference.cost.values()[i]) << "iteration " << i;
+    }
+  }
+
+  ScratchDir dir_{"local_inputs"};
+};
+
+TEST_F(LocalInputsRun, SocketRanksLoadOnlyTheirTile) {
+  const Dataset header = io::load_dataset(data_path(), {});
+  ReconstructionRequest request;
+  request.nranks = 4;
+  // In-process and serial runs read every frame and the whole field.
+  for (const Method method : {Method::kGradientDecomposition, Method::kSerial}) {
+    request.method = method;
+    const LocalInputs all = Reconstructor(header).local_inputs(request);
+    EXPECT_EQ(all.frames.size(), static_cast<usize>(header.probe_count()));
+    EXPECT_EQ(all.window, header.field());
+  }
+  const std::vector<int> ports = reserve_ports(4);
+  for (int r = 0; r < 4; ++r) {
+    request.exec.transport = socket_options(r, ports);
+    request.method = Method::kGradientDecomposition;
+    GdConfig gd;
+    gd.nranks = 4;
+    const Partition gd_partition = make_gd_partition(header, gd);
+    const TileSpec& gd_tile = gd_partition.tile(r);
+    const LocalInputs gd_inputs = Reconstructor(header).local_inputs(request);
+    EXPECT_EQ(gd_inputs.frames, gd_tile.own_probes) << "rank " << r;
+    EXPECT_EQ(gd_inputs.window, gd_tile.extended) << "rank " << r;
+
+    request.method = Method::kHaloVoxelExchange;
+    HveConfig hve;
+    hve.nranks = 4;
+    const Partition hve_partition = make_hve_partition(header, hve);
+    const TileSpec& hve_tile = hve_partition.tile(r);
+    const LocalInputs hve_inputs = Reconstructor(header).local_inputs(request);
+    EXPECT_EQ(hve_inputs.frames.size(),
+              hve_tile.own_probes.size() + hve_tile.replicated_probes.size())
+        << "rank " << r;
+    EXPECT_EQ(hve_inputs.window, hve_tile.extended) << "rank " << r;
+  }
+}
+
+TEST_F(LocalInputsRun, GdRunIsBitwiseIdenticalToInProc) {
+  ScratchDir inproc_dir("local_parity_inproc");
+  ScratchDir socket_dir("local_parity_socket");
+  ReconstructionRequest request;
+  request.nranks = 2;
+  request.iterations = 3;
+  request.passes_per_iteration = 2;
+  expect_parity(request, inproc_dir.path(), socket_dir.path());
+
+  const auto reference_tree = tree_contents(inproc_dir.path());
+  const auto distributed_tree = tree_contents(socket_dir.path());
+  ASSERT_FALSE(reference_tree.empty());
+  EXPECT_EQ(distributed_tree.size(), reference_tree.size());
+  for (const auto& [rel, bytes] : reference_tree) {
+    const auto it = distributed_tree.find(rel);
+    ASSERT_NE(it, distributed_tree.end()) << "missing " << rel;
+    EXPECT_EQ(it->second, bytes) << "checkpoint file differs: " << rel;
+  }
+}
+
+TEST_F(LocalInputsRun, HveRunIsBitwiseIdenticalToInProc) {
+  ReconstructionRequest request;
+  request.method = Method::kHaloVoxelExchange;
+  request.nranks = 2;
+  request.iterations = 2;
+  expect_parity(request, "", "");
+}
+
+TEST_F(LocalInputsRun, RankMissingOneOfItsFramesFailsNamingTheProbe) {
+  ReconstructionRequest request;
+  request.nranks = 2;
+  request.iterations = 2;
+  const Dataset header = io::load_dataset(data_path(), {});
+  GdConfig gd;
+  gd.nranks = 2;
+  const index_t missing = make_gd_partition(header, gd).tile(1).own_probes.front();
+
+  std::vector<std::exception_ptr> errors;
+  (void)run_socket_ranks(2, errors, [&](const rt::TransportOptions& transport) {
+    ReconstructionRequest rank_request = request;
+    rank_request.exec.transport = transport;
+    return run_on_local_inputs(data_path(), warm_path(), rank_request,
+                               transport.rank == 1 ? missing : index_t{-1});
+  });
+  // Rank 1 names the frame; its poison fails rank 0 instead of leaving it
+  // waiting on a peer that is gone.
+  ASSERT_NE(errors[1], nullptr);
+  try {
+    std::rethrow_exception(errors[1]);
+  } catch (const rt::RankFailure& e) {
+    FAIL() << "rank 1 failed without naming its frame: " << e.what();
+  } catch (const Error& e) {
+    const std::string expected = "probe " + std::to_string(missing) + " was not loaded";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+  }
+  ASSERT_NE(errors[0], nullptr);
+  EXPECT_THROW(std::rethrow_exception(errors[0]), rt::RankFailure);
+}
+
+TEST_F(LocalInputsRun, InProcRankMissingAFrameRaisesTheNamedErrorNotItsPeers) {
+  // One rank fails on the missing frame and poisons the fabric; the run
+  // rethrows that root cause, not the RankFailure it raised on its peer.
+  GdConfig config;
+  config.nranks = 2;
+  config.iterations = 1;
+  const Dataset header = io::load_dataset(data_path(), {});
+  const index_t missing = make_gd_partition(header, config).tile(1).own_probes.front();
+  std::vector<index_t> frames(static_cast<usize>(header.probe_count()));
+  std::iota(frames.begin(), frames.end(), index_t{0});
+  std::erase(frames, missing);
+  const Dataset dataset = io::load_dataset(data_path(), frames);
+  try {
+    (void)reconstruct_gd(dataset, config);
+    FAIL() << "ran without the frame of probe " << missing;
+  } catch (const rt::RankFailure& e) {
+    FAIL() << "the peer's RankFailure hid the root cause: " << e.what();
+  } catch (const Error& e) {
+    const std::string expected = "probe " + std::to_string(missing) + " was not loaded";
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
   }
 }
 

@@ -125,8 +125,8 @@ int cmd_info(const Options& opts) {
 
 // --launch K: fork one child per rank, each re-entering cmd_reconstruct
 // with an explicit socket-transport roster over loopback ports. The parent
-// only waits; the children do all the work (including loading the dataset
-// — the fork happens before any heavy allocation).
+// only waits; the children do all the work (including loading their share
+// of the dataset — the fork happens before any heavy allocation).
 int cmd_launch(const Options& opts, int nprocs);
 
 int cmd_reconstruct(const Options& opts) {
@@ -190,7 +190,16 @@ int cmd_reconstruct(const Options& opts) {
   }
   const bool root = !distributed || request.exec.transport.rank == 0;
 
-  const Dataset dataset = io::load_dataset(opts.positional().front());
+  // Read the header first, then only what this process's ranks read: a
+  // socket rank loads its tile's frames and (below) its window of the
+  // warm-start volume; serial and in-process runs load everything.
+  const std::string dataset_path = opts.positional().front();
+  LocalInputs local;
+  {
+    const Dataset header = io::load_dataset(dataset_path, {});
+    local = Reconstructor(header).local_inputs(request);
+  }
+  const Dataset dataset = io::load_dataset(dataset_path, local.frames);
 
   // --restore DIR resumes from the newest *valid* snapshot under DIR
   // (--restore latest uses --checkpoint-dir — the directory this run also
@@ -231,7 +240,7 @@ int cmd_reconstruct(const Options& opts) {
                   snapshot.manifest.nranks);
     }
   } else if (!resume_path.empty()) {
-    resume = io::load_volume(resume_path);
+    resume = io::load_volume(resume_path, local.window);
     if (root) std::printf("resuming from %s\n", resume_path.c_str());
   }
 

@@ -43,6 +43,9 @@ REQUIRED_METRIC_COUNTERS = (
     "fft2d_bytes_total",
 )
 REQUIRED_METRIC_GAUGES = ("wall_seconds",)
+# Gauges that must also be positive: the process's own peak RSS, written
+# when the session ends.
+POSITIVE_METRIC_GAUGES = ("process_peak_rss_bytes",)
 
 
 def fail(message):
@@ -246,10 +249,12 @@ def validate_metrics(path):
             fail(f"{path}: counter {key!r} missing or invalid ({value!r})")
         if value == 0:
             fail(f"{path}: counter {key!r} is zero — instrumentation did not fire")
-    for key in REQUIRED_METRIC_GAUGES:
+    for key in REQUIRED_METRIC_GAUGES + POSITIVE_METRIC_GAUGES:
         value = metrics["gauges"].get(key)
         if not isinstance(value, numbers.Number):
             fail(f"{path}: gauge {key!r} missing or non-numeric ({value!r})")
+        if key in POSITIVE_METRIC_GAUGES and not value > 0:
+            fail(f"{path}: gauge {key!r} is {value!r}, expected > 0")
     for name, summary in metrics["histograms"].items():
         for field in ("count", "sum", "min", "max"):
             if not isinstance(summary.get(field), numbers.Number):
