@@ -313,17 +313,18 @@ void BM_BackendCmulFma(benchmark::State& state) {
 }
 BENCHMARK(BM_BackendCmulFma)->Arg(256)->Arg(4096);
 
-/// Decode throughput of one compact format: halves -> f32, the per-item
-/// cost the fast tier pays to read an encoded measurement frame or a
-/// cached transmittance plane.
-void BM_CompactDecode(benchmark::State& state, compact::Format format) {
+/// f16 decode throughput: halves -> f32, the per-item cost the fast tier
+/// pays to read an encoded measurement frame or a cached transmittance
+/// plane.
+void BM_CompactDecodeF16(benchmark::State& state) {
+  const compact::Format format = compact::Format::kF16;
   const auto n = static_cast<usize>(state.range(0));
   std::vector<real> src(n);
   for (usize i = 0; i < n; ++i) {
     src[i] = real(0.25) + static_cast<real>(i % 977) * real(1e-2);
   }
   std::vector<std::uint16_t> packed(n);
-  compact::encode(format, packed.data(), src.data(), n);
+  compact::encode(format, packed.data(), src.data(), n, "the benchmark input");
   std::vector<real> dst(n);
   for (auto _ : state) {
     compact::decode(format, dst.data(), packed.data(), n);
@@ -332,15 +333,6 @@ void BM_CompactDecode(benchmark::State& state, compact::Format format) {
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(n * (sizeof(real) + sizeof(std::uint16_t))));
-}
-
-void BM_CompactDecodeBf16(benchmark::State& state) {
-  BM_CompactDecode(state, compact::Format::kBf16);
-}
-BENCHMARK(BM_CompactDecodeBf16)->Arg(1024)->Arg(65536);
-
-void BM_CompactDecodeF16(benchmark::State& state) {
-  BM_CompactDecode(state, compact::Format::kF16);
 }
 BENCHMARK(BM_CompactDecodeF16)->Arg(1024)->Arg(65536);
 

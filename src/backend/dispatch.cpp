@@ -1,7 +1,8 @@
 // Backend selection: one atomic pointer to the active kernel table,
-// resolved from (backend choice, precision tier). The choice comes from
-// select() (the CLI --backend flag), else CPU detection ("auto"); the
-// tier from set_precision() (the CLI --precision flag, strict by default).
+// resolved from (backend choice, precision tier). In production the
+// choice is always CPU detection ("auto"); select() forces scalar or simd
+// only for tests that compare the two tables. The tier comes from
+// set_precision() (the CLI --precision flag, strict by default).
 // Generic code only — this TU is compiled without ISA extension flags.
 #include "backend/kernels.hpp"
 

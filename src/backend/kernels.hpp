@@ -3,11 +3,12 @@
 // Every hot complex inner loop in the library (FFT butterflies and the
 // 2-D FFT's transposes, Bluestein chirp products, Hadamard/axpy tensor
 // ops, propagator and multislice backprop kernels) calls through the
-// `Kernels` table returned by `kernels()`. The table is selected from:
-//
-//   1. an explicit `select("scalar"|"simd"|"auto")` call (CLI `--backend`),
-//   2. else, lazily at first use, CPU detection ("auto"): AVX2 on x86-64,
-//      NEON on AArch64, falling back to the portable scalar table.
+// `Kernels` table returned by `kernels()`. The table is chosen lazily at
+// first use by CPU detection: AVX2 on x86-64, NEON on AArch64, falling
+// back to the portable scalar table; the precision tier (set_precision,
+// CLI `--precision`) then picks its strict or FMA column. There is no
+// backend flag: `select("scalar"|"simd"|"auto")` is a test seam that pits
+// the scalar table against the vector one.
 //
 // Bitwise contract: for every primitive, the SIMD implementation performs
 // exactly the same IEEE-754 operations per element as the scalar one —
@@ -19,8 +20,8 @@
 // once (scalar_impl.hpp, vector_impl.hpp), as templates over how a complex
 // multiply rounds; the strict and fast tables differ only in that policy.
 //
-// Selection is not synchronized with running kernels: call `select` at
-// process startup, before worker threads launch.
+// Selection is not synchronized with running kernels: call `select` and
+// `set_precision` only while no worker thread runs a kernel.
 #pragma once
 
 #include <string_view>
@@ -153,7 +154,8 @@ enum class Precision { kStrict, kFast };
 /// Force a backend: "scalar", "simd" or "auto" (empty string == "auto").
 /// Returns false (and leaves the active table unchanged) for an unknown
 /// name or for "simd" when simd_available() is false. The active precision
-/// tier is preserved across select() calls.
+/// tier is preserved across select() calls. Tests only: production code
+/// always runs the CPU-detected ("auto") choice.
 bool select(std::string_view name);
 
 /// Set the numerics tier. kFast resolves the active table to the FMA

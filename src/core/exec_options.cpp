@@ -31,7 +31,6 @@ struct ExecFlag {
 constexpr ExecFlag kExecFlags[] = {
     {"threads", "N", "sweep worker threads (0 = auto)"},
     {"pipeline", "M", "pass-graph scheduling: sync|async"},
-    {"backend", "B", "kernel backend: auto|simd|scalar"},
     {"checkpoint-dir", "PATH", "enable periodic checkpointing into PATH"},
     {"checkpoint-every", "N",
      "snapshot cadence in chunks (0 = disabled; pair with --checkpoint-dir)"},
@@ -50,7 +49,7 @@ constexpr ExecFlag kExecFlags[] = {
     {"chaos", "SPEC", "fault injection, e.g. delay=0.5:2,reorder=0.3,seed=9"},
     {"max-restarts", "N", "auto-recover from rank failures up to N times (0 = off)"},
     {"restart-backoff-ms", "N", "base recovery backoff, doubled per restart (default 100)"},
-    {"precision", "P", "numerics tier: strict (bitwise, default) | fast[:bf16|:f16]"},
+    {"precision", "P", "numerics tier: strict (bitwise, default) | fast"},
 };
 
 }  // namespace
@@ -61,7 +60,6 @@ ExecOptions parse_exec_options(const Options& options, const ExecOptions& defaul
   if (options.has("pipeline")) {
     exec.pipeline = pipeline_mode_from_string(options.get_string("pipeline", ""));
   }
-  exec.backend = options.get_string("backend", exec.backend);
   exec.checkpoint.directory = options.get_string("checkpoint-dir", exec.checkpoint.directory);
   exec.checkpoint.every_chunks =
       static_cast<int>(options.get_int("checkpoint-every", exec.checkpoint.every_chunks));

@@ -1,7 +1,8 @@
 // ExecOptions: the one struct for every knob that says *how* a solver
 // runs rather than *what* it computes — worker threads, pipeline mode,
-// kernel backend, checkpoint policy, telemetry sinks, progress cadence and
-// the communication transport.
+// checkpoint policy, telemetry sinks, progress cadence, the communication
+// transport and the numerics tier. The kernel backend is not a knob: CPU
+// detection picks it (backend/kernels.hpp).
 //
 // SerialConfig, GdConfig, HveConfig and ReconstructionRequest all embed
 // an ExecOptions as `exec`, so a new execution knob is added in exactly
@@ -38,10 +39,6 @@ struct ExecOptions {
   /// background checkpoint I/O with later chunks behind hazard fences.
   /// Output (including checkpoint bytes) is bitwise identical either way.
   PipelineMode pipeline = PipelineMode::kSync;
-  /// Kernel backend: "auto" (CPU detection), "simd" or "scalar"; ""
-  /// leaves the process-wide selection untouched. Bitwise identical
-  /// across backends (the backend layer's contract).
-  std::string backend;
   /// Periodic checkpointing (serial and GD; HVE takes no checkpoints and
   /// ignores it).
   ckpt::Policy checkpoint;
@@ -73,14 +70,14 @@ struct ExecOptions {
 
 /// Interpret the shared execution flags out of parsed options, over
 /// `defaults`:
-///   --threads N            --pipeline sync|async  --backend auto|simd|scalar
+///   --threads N            --pipeline sync|async
 ///   --checkpoint-dir PATH  --checkpoint-every N
 ///   --trace-out PATH       --metrics-out PATH       --progress N
 ///   --transport inproc|socket  --rank N  --peers host:port,host:port,...
 ///   --generation N         --connect-timeout-ms N   --drain-timeout-ms N
 ///   --heartbeat-ms N       --liveness-timeout-ms N  --recv-deadline-ms N
 ///   --chaos SPEC           --max-restarts N         --restart-backoff-ms N
-///   --precision P
+///   --precision strict|fast
 /// Other keys are left for the caller's own flag handling (see
 /// exec_option_keys); malformed values throw ptycho::Error.
 [[nodiscard]] ExecOptions parse_exec_options(const Options& options,

@@ -36,18 +36,10 @@ class GradientEngine {
                                dataset_.spec.slices, compact_trans);
   }
 
-  /// f_i plus gradient accumulation into `grad` over the window, against an
-  /// explicitly provided measurement (rank-local copy).
-  double probe_gradient_with(index_t probe_id, View2D<const real> measurement,
-                             const FramedVolume& volume, FramedVolume& grad,
-                             MultisliceWorkspace& ws) const {
-    return op_.cost_and_gradient(dataset_.probe, volume, window(probe_id), measurement, grad,
-                                 ws);
-  }
-
-  /// Joint evaluation with an explicit (refined) probe: object gradient
-  /// into `grad`, probe gradient accumulated into `probe_grad` when
-  /// non-null. Used by the probe-refinement path of the solvers.
+  /// f_i plus gradient accumulation into `grad` over the window, for an
+  /// explicit probe (the dataset's, or a refined one) and an explicit
+  /// measurement (a rank-local copy). The probe gradient is accumulated
+  /// into `probe_grad` when non-null (probe refinement).
   double probe_gradient_joint(index_t probe_id, const Probe& probe,
                               View2D<const real> measurement, const FramedVolume& volume,
                               FramedVolume& grad, MultisliceWorkspace& ws,

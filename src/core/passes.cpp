@@ -483,8 +483,9 @@ void HveLocalSweepPass::on_chunk(SolverState& state, const StepPoint& point) {
       const index_t id = probes_[p];
       grad_scratch_->frame = engine_.window(id);
       grad_scratch_->data.fill(cplx{});
-      const double f = engine_.probe_gradient_with(id, measurements_[p].view(), *state.volume,
-                                                   *grad_scratch_, *workspace_);
+      const double f =
+          engine_.probe_gradient_joint(id, engine_.dataset().probe, measurements_[p].view(),
+                                       *state.volume, *grad_scratch_, *workspace_);
       // Count the cost of *owned* probes only so the recorded global cost
       // sums each f_i exactly once.
       if (p < own_count_ && epoch == 0) state.sweep_cost += f;

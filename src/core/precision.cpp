@@ -7,20 +7,14 @@ namespace ptycho {
 PrecisionPolicy parse_precision(std::string_view spec) {
   PrecisionPolicy policy;
   if (spec.empty() || spec == "strict") return policy;
-  PTYCHO_REQUIRE(spec == "fast" || spec == "fast:bf16" || spec == "fast:f16",
-                 "--precision must be strict | fast | fast:bf16 | fast:f16");
+  PTYCHO_REQUIRE(spec == "fast",
+                 "--precision must be strict | fast, not '" << spec << "'");
   policy.tier = backend::Precision::kFast;
-  // Plain "fast" means f16: its 11-bit mantissa keeps measurement
-  // quantization (~5e-4 relative) inside the 1e-3 tolerance gate, and
-  // measurements are magnitudes — far from f16's range limits. bf16 is
-  // the explicit wide-range option, gated at a looser documented bound.
-  policy.storage = spec == "fast:bf16" ? compact::Format::kBf16 : compact::Format::kF16;
+  // f16's 11-bit mantissa keeps measurement quantization (~5e-4
+  // relative) inside the 1e-3 tolerance gate; its range is checked where
+  // each array is encoded (compact::encode).
+  policy.storage = compact::Format::kF16;
   return policy;
-}
-
-std::string to_string(const PrecisionPolicy& policy) {
-  if (!policy.fast()) return "strict";
-  return std::string("fast:") + compact::format_name(policy.storage);
 }
 
 void apply_precision(const PrecisionPolicy& policy) {

@@ -1,15 +1,16 @@
 // Engine-wide precision policy: which numerics tier the backend kernels
 // run at, and which compact storage format (if any) holds the fast tier's
-// read-mostly arrays. Parsed from --precision, carried by ExecOptions.
+// read-mostly arrays. Parsed from --precision, carried by ExecOptions;
+// it is the only numerics option (the kernel table's ISA always comes
+// from CPU detection).
 //
-//   strict     — today's bitwise-deterministic no-FMA f32 path (default).
-//   fast       — FMA kernel tables + f16 compact storage (same as fast:f16)
-//                + spectral roundtrip elision in the multislice operator
-//                (the far-field F·F⁻¹ pairs, see physics/multislice.cpp).
-//   fast:f16   — explicit storage pick: f16 (binary16) quantization stays
-//                inside the 1e-3 tolerance gate.
-//   fast:bf16  — wide-range storage pick (8-bit mantissa, f32 exponent
-//                range); gated at a looser documented bound.
+//   strict  — the bitwise-deterministic no-FMA f32 path (default).
+//   fast    — FMA kernel tables + f16 compact storage of the measurement
+//             stack and the transmittance cache + spectral roundtrip
+//             elision in the multislice operator (the far-field F·F⁻¹
+//             pairs, see physics/multislice.cpp). f16 quantization stays
+//             inside the 1e-3 tolerance gate; a value past f16's range
+//             (|x| >= 65520) is an error that points at strict.
 //
 // Strict-tier guarantees (bitwise identity across backends, thread
 // counts, transports) are untouched by this knob at its default.
@@ -19,7 +20,6 @@
 // runs restore across tiers freely.
 #pragma once
 
-#include <string>
 #include <string_view>
 
 #include "backend/kernels.hpp"
@@ -38,12 +38,9 @@ struct PrecisionPolicy {
   }
 };
 
-/// Parse "strict" | "fast" | "fast:bf16" | "fast:f16". Throws on anything
-/// else (flag values are user input; fail loudly, not quietly strict).
+/// Parse "strict" | "fast" ("" means strict). Throws on anything else
+/// (flag values are user input; fail loudly, not quietly strict).
 [[nodiscard]] PrecisionPolicy parse_precision(std::string_view spec);
-
-/// Canonical spelling, re-parseable by parse_precision.
-[[nodiscard]] std::string to_string(const PrecisionPolicy& policy);
 
 /// Apply the tier to the process-wide backend dispatch (storage is applied
 /// locally by the passes that own compact arrays).

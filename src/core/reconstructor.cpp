@@ -5,7 +5,6 @@
 #include <numeric>
 #include <thread>
 
-#include "backend/kernels.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
 #include "core/precision.hpp"
@@ -68,15 +67,10 @@ const char* to_string(Method method) {
 
 ReconstructionOutcome Reconstructor::run(const ReconstructionRequest& request,
                                          const FramedVolume* initial) const {
-  if (!request.exec.backend.empty()) {
-    PTYCHO_REQUIRE(backend::select(request.exec.backend),
-                   "backend '" << request.exec.backend
-                               << "' is not available (want scalar|simd|auto; simd requires "
-                                  "CPU support)");
-  }
-  // The precision tier re-resolves the kernel tables process-wide, exactly
-  // like the backend choice above; strict (the default) maps onto the same
-  // tables the engine used before the knob existed.
+  // The precision tier re-resolves the kernel tables process-wide; strict
+  // (the default) maps onto the same tables the engine used before the
+  // knob existed. Besides this call, only `ptycho reconstruct` applies the
+  // tier, before it loads the dataset (the probe is synthesized there).
   apply_precision(request.exec.precision);
   // One session for the whole supervised run: recovery counters must
   // accumulate across attempts, not reset with each retry.
@@ -86,9 +80,6 @@ ReconstructionOutcome Reconstructor::run(const ReconstructionRequest& request,
   obs::instant(request.exec.precision.fast() ? "precision-fast" : "precision-strict");
   if (obs::metrics_enabled()) {
     obs::registry().gauge("ptycho.precision").set(request.exec.precision.fast() ? 1.0 : 0.0);
-    obs::registry()
-        .gauge("ptycho.precision.storage")
-        .set(static_cast<double>(request.exec.precision.storage));
   }
 
   // Supervised retry loop (in-process clusters only: a distributed rank

@@ -25,10 +25,10 @@ struct ReconstructionRequest {
   int iterations = 10;           ///< TOTAL iterations (a restore continues toward this)
   real step = real(0.1);
   int passes_per_iteration = 1;  ///< GD comm frequency / serial chunks
-  /// Execution knobs — threads, pipeline mode, kernel backend,
-  /// checkpoint policy, trace/metrics sinks, progress cadence, transport.
+  /// Execution knobs — threads, pipeline mode, checkpoint policy,
+  /// trace/metrics sinks, progress cadence, transport, numerics tier.
   /// Copied wholesale into whichever solver config the method selects;
-  /// every field is bitwise-neutral (see ExecOptions).
+  /// every field but the tier is bitwise-neutral (see ExecOptions).
   ExecOptions exec;
   UpdateMode mode = UpdateMode::kSgd;
   SyncPolicy sync;               ///< GD only

@@ -128,7 +128,8 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
     if (compact) {
       compact::encode(ws.compact_trans, ws.trans_c[static_cast<usize>(s)].data(),
                       reinterpret_cast<const real*>(ws.trans_scratch.data()),
-                      static_cast<usize>(n) * static_cast<usize>(n) * 2);
+                      static_cast<usize>(n) * static_cast<usize>(n) * 2,
+                      "a transmittance plane");
     }
   }
   if (cacheable) {

@@ -3,7 +3,6 @@
 // lives in compact_simd.cpp).
 #include "tensor/compact.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -25,32 +24,6 @@ inline float bits_f32(std::uint32_t b) {
 }
 
 }  // namespace
-
-const char* format_name(Format f) {
-  switch (f) {
-    case Format::kBf16: return "bf16";
-    case Format::kF16: return "f16";
-    case Format::kNone: break;
-  }
-  return "f32";
-}
-
-std::uint16_t bf16_from_f32(float v) {
-  const std::uint32_t bits = f32_bits(v);
-  if ((bits & 0x7fffffffu) > 0x7f800000u) {
-    // NaN: truncate the payload and force the quiet bit — rounding could
-    // otherwise carry a small payload up into the exponent (an inf).
-    return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
-  }
-  // Round-to-nearest-even on the discarded 16 bits. Inf survives (its low
-  // half is zero); large finite values may round up to inf, as IEEE says.
-  const std::uint32_t rounding = 0x7fffu + ((bits >> 16) & 1u);
-  return static_cast<std::uint16_t>((bits + rounding) >> 16);
-}
-
-float f32_from_bf16(std::uint16_t h) {
-  return bits_f32(static_cast<std::uint32_t>(h) << 16);
-}
 
 std::uint16_t f16_from_f32(float v) {
   const std::uint32_t bits = f32_bits(v);
@@ -92,6 +65,13 @@ std::uint16_t f16_from_f32(float v) {
   return static_cast<std::uint16_t>(sign | half);
 }
 
+bool f16_overflows(float v) {
+  // 65520 (0x477ff000) is the round-to-nearest-even tie between 65504,
+  // the largest finite binary16, and 2^16, which is past it.
+  const std::uint32_t abs = f32_bits(v) & 0x7fffffffu;
+  return abs >= 0x477ff000u && abs < 0x7f800000u;
+}
+
 float f32_from_f16(std::uint16_t h) {
   const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
   const std::uint32_t exp = (h >> 10) & 0x1fu;
@@ -111,16 +91,13 @@ float f32_from_f16(std::uint16_t h) {
 
 namespace {
 
-void s_encode_bf16(std::uint16_t* dst, const float* src, usize n) {
-  for (usize i = 0; i < n; ++i) dst[i] = bf16_from_f32(src[i]);
-}
-
-void s_decode_bf16(float* dst, const std::uint16_t* src, usize n) {
-  for (usize i = 0; i < n; ++i) dst[i] = f32_from_bf16(src[i]);
-}
-
-void s_encode_f16(std::uint16_t* dst, const float* src, usize n) {
-  for (usize i = 0; i < n; ++i) dst[i] = f16_from_f32(src[i]);
+bool s_encode_f16(std::uint16_t* dst, const float* src, usize n) {
+  bool overflow = false;
+  for (usize i = 0; i < n; ++i) {
+    dst[i] = f16_from_f32(src[i]);
+    overflow |= f16_overflows(src[i]);
+  }
+  return overflow;
 }
 
 void s_decode_f16(float* dst, const std::uint16_t* src, usize n) {
@@ -128,7 +105,7 @@ void s_decode_f16(float* dst, const std::uint16_t* src, usize n) {
 }
 
 constexpr Codec kScalarCodec = {
-    "scalar", &s_encode_bf16, &s_decode_bf16, &s_encode_f16, &s_decode_f16,
+    "scalar", &s_encode_f16, &s_decode_f16,
 };
 
 bool simd_codec_usable() {
@@ -150,22 +127,17 @@ const Codec& codec() {
   return *active;
 }
 
-void encode(Format f, std::uint16_t* dst, const float* src, usize n) {
-  switch (f) {
-    case Format::kBf16: codec().encode_bf16(dst, src, n); return;
-    case Format::kF16: codec().encode_f16(dst, src, n); return;
-    case Format::kNone: break;
+void encode(Format f, std::uint16_t* dst, const float* src, usize n, const char* what) {
+  PTYCHO_REQUIRE(f == Format::kF16, "compact::encode called with Format::kNone");
+  if (codec().encode_f16(dst, src, n)) {
+    PTYCHO_FAIL(what << " holds a value beyond f16's range (|x| >= 65520), which the fast "
+                        "tier's 16-bit storage cannot hold; rerun with --precision strict");
   }
-  PTYCHO_REQUIRE(false, "compact::encode called with Format::kNone");
 }
 
 void decode(Format f, float* dst, const std::uint16_t* src, usize n) {
-  switch (f) {
-    case Format::kBf16: codec().decode_bf16(dst, src, n); return;
-    case Format::kF16: codec().decode_f16(dst, src, n); return;
-    case Format::kNone: break;
-  }
-  PTYCHO_REQUIRE(false, "compact::decode called with Format::kNone");
+  PTYCHO_REQUIRE(f == Format::kF16, "compact::decode called with Format::kNone");
+  codec().decode_f16(dst, src, n);
 }
 
 FrameStack::FrameStack(const std::vector<RArray2D>& frames, Format format) : format_(format) {
@@ -180,7 +152,7 @@ FrameStack::FrameStack(const std::vector<RArray2D>& frames, Format format) : for
     const RArray2D& f = frames[i];
     PTYCHO_REQUIRE(f.rows() == rows_ && f.cols() == cols_,
                    "FrameStack frames must share one shape");
-    encode(format_, bits_.data() + i * frame_n, f.data(), frame_n);
+    encode(format_, bits_.data() + i * frame_n, f.data(), frame_n, "the measurement stack");
   }
 }
 

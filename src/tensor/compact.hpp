@@ -1,19 +1,19 @@
-// Compact (half-width) storage for read-mostly f32 arrays: bf16 and f16
+// Compact (half-width) storage for read-mostly f32 arrays: f16
 // encode/decode between float and 16-bit payloads, halving the footprint
 // and read bandwidth of the two biggest fast-tier arrays — measurement
 // frames and the transmittance cache.
 //
 // Contract (tests/test_compact.cpp):
-//  - bf16 encode is IEEE round-to-nearest-even truncation of the top 16
-//    bits; decode (<<16) is exact. NaN payloads are quieted, never turned
-//    into inf.
 //  - f16 encode is IEEE binary16 round-to-nearest-even, bitwise identical
 //    to the F16C hardware instruction (_mm256_cvtps_ph with
 //    _MM_FROUND_TO_NEAREST_INT), including denormals, overflow-to-inf and
 //    NaN quieting; decode is exact (every binary16 value is a float).
 //  - The SIMD codec paths produce bitwise-identical output to the scalar
 //    reference for every input bit pattern (same contract style as the
-//    backend kernel tables).
+//    backend kernel tables), and the same overflow verdict.
+//  - A finite input f16 cannot hold (|x| >= 65520, which rounds to inf)
+//    is an error, not a silent inf: the codec's encode loop flags it and
+//    encode() throws. Inf and NaN inputs pass through unflagged.
 //
 // Encoding is monotone on ordered finite inputs and loses at most half a
 // ULP of the destination format — which is why compact storage is a
@@ -29,17 +29,14 @@
 namespace ptycho::compact {
 
 /// Storage format for a compacted array. kNone means "keep f32".
-enum class Format { kNone, kBf16, kF16 };
-
-[[nodiscard]] const char* format_name(Format f);
+enum class Format { kNone, kF16 };
 
 /// Function table for one codec implementation (scalar reference or the
 /// vector path compiled for this architecture).
 struct Codec {
   const char* name;
-  void (*encode_bf16)(std::uint16_t* dst, const float* src, usize n);
-  void (*decode_bf16)(float* dst, const std::uint16_t* src, usize n);
-  void (*encode_f16)(std::uint16_t* dst, const float* src, usize n);
+  /// Returns true when some input overflowed (see f16_overflows).
+  bool (*encode_f16)(std::uint16_t* dst, const float* src, usize n);
   void (*decode_f16)(float* dst, const std::uint16_t* src, usize n);
 };
 
@@ -53,15 +50,17 @@ struct Codec {
 /// The best codec usable on this CPU (vector when available, else scalar).
 [[nodiscard]] const Codec& codec();
 
-/// Scalar building blocks, exposed for tests.
-[[nodiscard]] std::uint16_t bf16_from_f32(float v);
-[[nodiscard]] float f32_from_bf16(std::uint16_t h);
+/// Scalar building blocks, shared by the vector codecs' tails and tests.
 [[nodiscard]] std::uint16_t f16_from_f32(float v);
 [[nodiscard]] float f32_from_f16(std::uint16_t h);
+/// True for a finite v that f16 cannot hold: |v| >= 65520 rounds to inf.
+[[nodiscard]] bool f16_overflows(float v);
 
 /// Encode/decode through the active codec. kNone is a caller bug (there is
-/// no 16-bit target to speak of) and throws.
-void encode(Format f, std::uint16_t* dst, const float* src, usize n);
+/// no 16-bit target to speak of) and throws. An overflowing input (see
+/// f16_overflows) throws ptycho::Error naming `what`, the array being
+/// encoded, and pointing at --precision strict; `dst` is then unspecified.
+void encode(Format f, std::uint16_t* dst, const float* src, usize n, const char* what);
 void decode(Format f, float* dst, const std::uint16_t* src, usize n);
 
 /// A stack of equally-sized f32 frames held in compact form. Frames are
@@ -72,6 +71,7 @@ class FrameStack {
   FrameStack() = default;
 
   /// Encode `frames` (all rows*cols-identical) into one contiguous block.
+  /// Throws ptycho::Error if a value overflows the format.
   FrameStack(const std::vector<RArray2D>& frames, Format format);
 
   [[nodiscard]] bool empty() const { return count_ == 0; }

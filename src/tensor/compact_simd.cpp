@@ -1,8 +1,10 @@
-// Vector compact codec: AVX2 integer bf16 rounding + F16C half conversion
-// on x86-64, NEON on AArch64. The only TU built with -mf16c; nothing here
-// runs unless compact.cpp verified the CPU. Output is bitwise identical to
-// the scalar reference in compact.cpp for every input bit pattern
-// (tests/test_compact.cpp sweeps the interesting ranges).
+// Vector compact codec: F16C half conversion (AVX2 for the integer
+// overflow test) on x86-64, NEON on AArch64. The only TU built with
+// -mf16c; nothing here runs unless compact.cpp verified the CPU. Output
+// is bitwise identical to the scalar reference in compact.cpp for every
+// input bit pattern (tests/test_compact.cpp sweeps the interesting
+// ranges), and the encode loops raise the same overflow verdict as
+// compact::f16_overflows.
 #include "tensor/compact.hpp"
 
 #if defined(__AVX2__) && defined(__F16C__)
@@ -14,59 +16,34 @@ namespace {
 
 constexpr usize kW = 16;  // floats per iteration (two __m256 blocks)
 
-/// bf16 RNE on 8 floats as integers; returns 8 x u32 with the result in
-/// the low 16 bits of each lane. Same algorithm as bf16_from_f32.
-inline __m256i bf16_round8(__m256i v) {
-  const __m256i abs = _mm256_and_si256(v, _mm256_set1_epi32(0x7fffffff));
-  // abs <= 0x7fffffff so signed compare against +0x7f800000 is exact.
-  const __m256i is_nan = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7f800000));
-  const __m256i top = _mm256_srli_epi32(v, 16);
-  const __m256i nan_r = _mm256_or_si256(top, _mm256_set1_epi32(0x0040));
-  const __m256i round =
-      _mm256_add_epi32(_mm256_set1_epi32(0x7fff), _mm256_and_si256(top, _mm256_set1_epi32(1)));
-  const __m256i rne = _mm256_srli_epi32(_mm256_add_epi32(v, round), 16);
-  return _mm256_blendv_epi8(rne, nan_r, is_nan);
+/// All-ones in each lane holding a finite value f16 cannot hold
+/// (f16_overflows): 0x477ff000 <= |bits| < 0x7f800000.
+inline __m256i overflow8(__m256 v) {
+  const __m256i abs = _mm256_and_si256(_mm256_castps_si256(v), _mm256_set1_epi32(0x7fffffff));
+  // abs <= 0x7fffffff, so signed compares are exact.
+  const __m256i big = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x477fefff));
+  const __m256i nonfinite = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7f7fffff));
+  return _mm256_andnot_si256(nonfinite, big);
 }
 
-/// Pack two 8 x u32 (values < 0x10000) into 16 x u16 in order.
-inline __m256i pack16(__m256i lo, __m256i hi) {
-  // packus interleaves the 128-bit lanes: [lo0 hi0 lo1 hi1] -> permute fixes it.
-  return _mm256_permute4x64_epi64(_mm256_packus_epi32(lo, hi), 0xD8);
-}
-
-void v_encode_bf16(std::uint16_t* dst, const float* src, usize n) {
+bool v_encode_f16(std::uint16_t* dst, const float* src, usize n) {
+  __m256i overflow = _mm256_setzero_si256();
   usize i = 0;
   for (; i + kW <= n; i += kW) {
-    const __m256i lo = bf16_round8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
-    const __m256i hi =
-        bf16_round8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 8)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), pack16(lo, hi));
+    const __m256 f0 = _mm256_loadu_ps(src + i);
+    const __m256 f1 = _mm256_loadu_ps(src + i + 8);
+    overflow = _mm256_or_si256(overflow, _mm256_or_si256(overflow8(f0), overflow8(f1)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_cvtps_ph(f0, _MM_FROUND_TO_NEAREST_INT));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 8),
+                     _mm256_cvtps_ph(f1, _MM_FROUND_TO_NEAREST_INT));
   }
-  for (; i < n; ++i) dst[i] = bf16_from_f32(src[i]);
-}
-
-void v_decode_bf16(float* dst, const std::uint16_t* src, usize n) {
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m128i h0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i h1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i + 8));
-    const __m256i w0 = _mm256_slli_epi32(_mm256_cvtepu16_epi32(h0), 16);
-    const __m256i w1 = _mm256_slli_epi32(_mm256_cvtepu16_epi32(h1), 16);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), w0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 8), w1);
+  bool tail = false;
+  for (; i < n; ++i) {
+    dst[i] = f16_from_f32(src[i]);
+    tail |= f16_overflows(src[i]);
   }
-  for (; i < n; ++i) dst[i] = f32_from_bf16(src[i]);
-}
-
-void v_encode_f16(std::uint16_t* dst, const float* src, usize n) {
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m128i h0 = _mm256_cvtps_ph(_mm256_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
-    const __m128i h1 = _mm256_cvtps_ph(_mm256_loadu_ps(src + i + 8), _MM_FROUND_TO_NEAREST_INT);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), h0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 8), h1);
-  }
-  for (; i < n; ++i) dst[i] = f16_from_f32(src[i]);
+  return tail || _mm256_testz_si256(overflow, overflow) == 0;
 }
 
 void v_decode_f16(float* dst, const std::uint16_t* src, usize n) {
@@ -81,7 +58,7 @@ void v_decode_f16(float* dst, const std::uint16_t* src, usize n) {
 }
 
 constexpr Codec kAvx2Codec = {
-    "avx2-f16c", &v_encode_bf16, &v_decode_bf16, &v_encode_f16, &v_decode_f16,
+    "avx2-f16c", &v_encode_f16, &v_decode_f16,
 };
 
 }  // namespace
@@ -99,47 +76,31 @@ namespace {
 
 constexpr usize kW = 8;
 
-inline uint16x4_t bf16_round4(uint32x4_t v) {
-  const uint32x4_t abs = vandq_u32(v, vdupq_n_u32(0x7fffffffu));
-  const uint32x4_t is_nan = vcgtq_u32(abs, vdupq_n_u32(0x7f800000u));
-  const uint32x4_t top = vshrq_n_u32(v, 16);
-  const uint32x4_t nan_r = vorrq_u32(top, vdupq_n_u32(0x0040u));
-  const uint32x4_t round =
-      vaddq_u32(vdupq_n_u32(0x7fffu), vandq_u32(top, vdupq_n_u32(1u)));
-  const uint32x4_t rne = vshrq_n_u32(vaddq_u32(v, round), 16);
-  return vmovn_u32(vbslq_u32(is_nan, nan_r, rne));
+/// All-ones in each lane holding a finite value f16 cannot hold
+/// (f16_overflows): 0x477ff000 <= |bits| < 0x7f800000.
+inline uint32x4_t overflow4(float32x4_t v) {
+  const uint32x4_t abs = vandq_u32(vreinterpretq_u32_f32(v), vdupq_n_u32(0x7fffffffu));
+  return vandq_u32(vcgeq_u32(abs, vdupq_n_u32(0x477ff000u)),
+                   vcltq_u32(abs, vdupq_n_u32(0x7f800000u)));
 }
 
-void v_encode_bf16(std::uint16_t* dst, const float* src, usize n) {
+bool v_encode_f16(std::uint16_t* dst, const float* src, usize n) {
+  uint32x4_t overflow = vdupq_n_u32(0);
   usize i = 0;
   for (; i + kW <= n; i += kW) {
-    const uint16x4_t lo = bf16_round4(vreinterpretq_u32_f32(vld1q_f32(src + i)));
-    const uint16x4_t hi = bf16_round4(vreinterpretq_u32_f32(vld1q_f32(src + i + 4)));
-    vst1q_u16(dst + i, vcombine_u16(lo, hi));
-  }
-  for (; i < n; ++i) dst[i] = bf16_from_f32(src[i]);
-}
-
-void v_decode_bf16(float* dst, const std::uint16_t* src, usize n) {
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const uint16x8_t h = vld1q_u16(src + i);
-    const uint32x4_t w0 = vshll_n_u16(vget_low_u16(h), 16);
-    const uint32x4_t w1 = vshll_n_u16(vget_high_u16(h), 16);
-    vst1q_f32(dst + i, vreinterpretq_f32_u32(w0));
-    vst1q_f32(dst + i + 4, vreinterpretq_f32_u32(w1));
-  }
-  for (; i < n; ++i) dst[i] = f32_from_bf16(src[i]);
-}
-
-void v_encode_f16(std::uint16_t* dst, const float* src, usize n) {
-  usize i = 0;
-  for (; i + kW <= n; i += kW) {
-    const float16x4_t lo = vcvt_f16_f32(vld1q_f32(src + i));
-    const float16x4_t hi = vcvt_f16_f32(vld1q_f32(src + i + 4));
+    const float32x4_t f0 = vld1q_f32(src + i);
+    const float32x4_t f1 = vld1q_f32(src + i + 4);
+    overflow = vorrq_u32(overflow, vorrq_u32(overflow4(f0), overflow4(f1)));
+    const float16x4_t lo = vcvt_f16_f32(f0);
+    const float16x4_t hi = vcvt_f16_f32(f1);
     vst1q_u16(dst + i, vcombine_u16(vreinterpret_u16_f16(lo), vreinterpret_u16_f16(hi)));
   }
-  for (; i < n; ++i) dst[i] = f16_from_f32(src[i]);
+  bool tail = false;
+  for (; i < n; ++i) {
+    dst[i] = f16_from_f32(src[i]);
+    tail |= f16_overflows(src[i]);
+  }
+  return tail || vmaxvq_u32(overflow) != 0;
 }
 
 void v_decode_f16(float* dst, const std::uint16_t* src, usize n) {
@@ -153,7 +114,7 @@ void v_decode_f16(float* dst, const std::uint16_t* src, usize n) {
 }
 
 constexpr Codec kNeonCodec = {
-    "neon", &v_encode_bf16, &v_decode_bf16, &v_encode_f16, &v_decode_f16,
+    "neon", &v_encode_f16, &v_decode_f16,
 };
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Backend dispatch tests: the bitwise scalar==SIMD contract on every
 // kernel primitive (aligned, unaligned and tail-remainder sizes), the
-// selection/override paths, and end-to-end bitwise identity of FFTs and a
+// select() test seam, and end-to-end bitwise identity of FFTs and a
 // full reconstruction across backends.
 #include <gtest/gtest.h>
 
@@ -329,22 +329,24 @@ TEST(BackendEndToEnd, Fft2DBitwiseAcrossBackends) {
   EXPECT_TRUE(bitwise_equal(a.data(), b.data(), static_cast<usize>(rows * cols)));
 }
 
-/// The acceptance-criteria check: --backend=scalar and --backend=simd give
+/// The acceptance-criteria check: the scalar and the SIMD table give
 /// bitwise-identical reconstructions on the tier-1 synthetic input.
+/// (Reconstructor::run re-applies the tier but keeps the selected table.)
 TEST(BackendEndToEnd, ReconstructionBitwiseAcrossBackends) {
   if (!simd_available()) GTEST_SKIP() << "no SIMD backend on this CPU";
   BackendGuard guard;
   const Dataset dataset = make_synthetic_dataset(repro_tiny_spec());
-  const auto run_with = [&](const char* backend) {
+  const auto run = [&] {
     ReconstructionRequest request;
     request.method = Method::kSerial;
     request.iterations = 2;
     request.mode = UpdateMode::kFullBatch;
-    request.exec.backend = backend;
     return Reconstructor(dataset).run(request).volume;
   };
-  const FramedVolume v_scalar = run_with("scalar");
-  const FramedVolume v_simd = run_with("simd");
+  ASSERT_TRUE(select("scalar"));
+  const FramedVolume v_scalar = run();
+  ASSERT_TRUE(select("simd"));
+  const FramedVolume v_simd = run();
   ASSERT_EQ(v_scalar.data.size(), v_simd.data.size());
   EXPECT_TRUE(bitwise_equal(v_scalar.data.data(), v_simd.data.data(),
                             static_cast<usize>(v_scalar.data.size())));

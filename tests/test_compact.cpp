@@ -1,5 +1,6 @@
-// Compact-storage codec tests (tensor/compact.hpp): bf16/f16 round-trip
-// accuracy and monotonicity, exact behavior on denormals/inf/NaN, bitwise
+// Compact-storage codec tests (tensor/compact.hpp): f16 round-trip
+// accuracy and monotonicity, exact behavior on denormals/inf/NaN, the
+// overflow check (the end-to-end cases are in test_precision), bitwise
 // identity of the vector codec against the scalar reference, FrameStack
 // round trips, and f32-vs-compact parity of the transmittance cache.
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/random.hpp"
 #include "data/synthetic.hpp"
 #include "physics/multislice.hpp"
@@ -18,12 +21,6 @@
 
 namespace ptycho::compact {
 namespace {
-
-std::uint32_t f32_bits(float v) {
-  std::uint32_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
 
 float bits_f32(std::uint32_t b) {
   float v;
@@ -66,42 +63,6 @@ std::vector<float> adversarial_floats() {
     out.push_back(static_cast<float>(rng.normal()));  // the realistic regime
   }
   return out;
-}
-
-TEST(Bf16, DecodeIsExactTruncation) {
-  for (std::uint32_t h = 0; h <= 0xffffu; ++h) {
-    const float f = f32_from_bf16(static_cast<std::uint16_t>(h));
-    EXPECT_EQ(f32_bits(f), h << 16);
-  }
-}
-
-TEST(Bf16, RoundTripBounds) {
-  // Finite normals: round-to-nearest loses at most half a ULP of the 8-bit
-  // mantissa, i.e. relative error <= 2^-9 / (1 - 2^-9).
-  Rng rng(7);
-  for (int i = 0; i < 20000; ++i) {
-    const auto f = static_cast<float>(rng.normal() * std::exp(rng.normal() * 8.0));
-    if (!std::isfinite(f) || f == 0.0F) continue;
-    const float r = f32_from_bf16(bf16_from_f32(f));
-    EXPECT_LE(std::abs(r - f), std::abs(f) * (1.0F / 256.0F)) << "f=" << f;
-  }
-}
-
-TEST(Bf16, SpecialValues) {
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(f32_from_bf16(bf16_from_f32(inf)), inf);
-  EXPECT_EQ(f32_from_bf16(bf16_from_f32(-inf)), -inf);
-  EXPECT_EQ(f32_bits(f32_from_bf16(bf16_from_f32(0.0F))), 0u);
-  EXPECT_EQ(f32_bits(f32_from_bf16(bf16_from_f32(-0.0F))), 0x80000000u);
-  // Every NaN stays a NaN — in particular payloads whose top bits are zero
-  // must not round up into the infinity encoding.
-  for (std::uint32_t payload : {0x7f800001u, 0x7f80ffffu, 0x7fc00000u, 0x7fffffffu}) {
-    const std::uint16_t h = bf16_from_f32(bits_f32(payload));
-    EXPECT_TRUE(std::isnan(f32_from_bf16(h))) << std::hex << payload;
-  }
-  // RNE: 1.0 + odd tie rounds to even.
-  EXPECT_EQ(bf16_from_f32(bits_f32(0x3f808000u)), 0x3f80u);  // tie, even stays
-  EXPECT_EQ(bf16_from_f32(bits_f32(0x3f818000u)), 0x3f82u);  // tie, odd rounds up
 }
 
 TEST(F16, DecodeAllPayloadsRoundTrip) {
@@ -154,14 +115,64 @@ TEST(F16, Monotone) {
   }
   std::sort(finite.begin(), finite.end());
   float prev_f16 = -std::numeric_limits<float>::infinity();
-  float prev_bf16 = -std::numeric_limits<float>::infinity();
   for (float f : finite) {
     const float rf = f32_from_f16(f16_from_f32(f));
-    const float rb = f32_from_bf16(bf16_from_f32(f));
     EXPECT_GE(rf, prev_f16) << "f=" << f;
-    EXPECT_GE(rb, prev_bf16) << "f=" << f;
     prev_f16 = rf;
-    prev_bf16 = rb;
+  }
+}
+
+TEST(F16, OverflowIsFlaggedNotSilent) {
+  // A finite value at or past 65520 (the tie between 65504, the largest
+  // finite half, and 2^16) rounds to inf: the codec flags it and encode()
+  // throws. Values below the tie encode to finite halves; inf and NaN
+  // inputs pass through unflagged. Each value runs at every position of a
+  // 40-element block, so the vector codec sees it in its body and in its
+  // scalar tail; scalar and vector agree on the bytes and the verdict.
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Case {
+    float v;
+    bool overflows;
+  };
+  const Case cases[] = {
+      {std::nextafter(65504.0F, 0.0F), false},  // just below the max finite half
+      {65504.0F, false},                        // the max finite half
+      {std::nextafter(65504.0F, inf), false},   // just above: rounds back to 65504
+      {bits_f32(0x477fefffu), false},           // the last float below the tie
+      {65520.0F, true},                         // the tie: rounds to inf
+      {std::nextafter(65520.0F, inf), true},
+      {std::numeric_limits<float>::max(), true},
+      {inf, false},
+      {std::numeric_limits<float>::quiet_NaN(), false},
+      {bits_f32(0x7f800001u), false},  // signalling NaN
+  };
+  const Codec& active = codec();
+  constexpr usize kBlock = 40;
+  for (const Case& c : cases) {
+    for (const float v : {c.v, -c.v}) {
+      EXPECT_EQ(f16_overflows(v), c.overflows) << v;
+      for (usize at = 0; at < kBlock; ++at) {
+        std::vector<float> block(kBlock, 1.0F);
+        block[at] = v;
+        std::vector<std::uint16_t> enc_sc(kBlock), enc_active(kBlock);
+        EXPECT_EQ(scalar_codec().encode_f16(enc_sc.data(), block.data(), kBlock), c.overflows)
+            << v << " at " << at;
+        EXPECT_EQ(active.encode_f16(enc_active.data(), block.data(), kBlock), c.overflows)
+            << active.name << " " << v << " at " << at;
+        EXPECT_EQ(enc_sc, enc_active) << active.name << " " << v << " at " << at;
+        std::string msg;
+        try {
+          encode(Format::kF16, enc_active.data(), block.data(), kBlock, "the block");
+        } catch (const Error& e) {
+          msg = e.what();
+        }
+        EXPECT_EQ(msg.empty(), !c.overflows) << v << " at " << at;
+        if (c.overflows) {
+          EXPECT_NE(msg.find("the block"), std::string::npos) << msg;
+          EXPECT_NE(msg.find("--precision strict"), std::string::npos) << msg;
+        }
+      }
+    }
   }
 }
 
@@ -176,20 +187,15 @@ TEST(Codec, SimdMatchesScalarBitwise) {
   for (const usize n : {usize{0}, usize{1}, usize{7}, usize{8}, usize{15}, usize{16},
                         usize{17}, usize{64}, inputs.size()}) {
     std::vector<std::uint16_t> enc_sc(n), enc_vec(n);
-    sc.encode_bf16(enc_sc.data(), inputs.data(), n);
-    vec.encode_bf16(enc_vec.data(), inputs.data(), n);
-    EXPECT_EQ(enc_sc, enc_vec) << "bf16 encode n=" << n;
-    sc.encode_f16(enc_sc.data(), inputs.data(), n);
-    vec.encode_f16(enc_vec.data(), inputs.data(), n);
+    const bool over_sc = sc.encode_f16(enc_sc.data(), inputs.data(), n);
+    const bool over_vec = vec.encode_f16(enc_vec.data(), inputs.data(), n);
     EXPECT_EQ(enc_sc, enc_vec) << "f16 encode n=" << n;
+    EXPECT_EQ(over_sc, over_vec) << "f16 overflow verdict n=" << n;
   }
-  // Decode: every 16-bit payload, both formats.
+  // Decode: every 16-bit payload.
   std::vector<std::uint16_t> all(65536);
   for (usize i = 0; i < all.size(); ++i) all[i] = static_cast<std::uint16_t>(i);
   std::vector<float> dec_sc(all.size()), dec_vec(all.size());
-  sc.decode_bf16(dec_sc.data(), all.data(), all.size());
-  vec.decode_bf16(dec_vec.data(), all.data(), all.size());
-  EXPECT_EQ(0, std::memcmp(dec_sc.data(), dec_vec.data(), all.size() * sizeof(float)));
   sc.decode_f16(dec_sc.data(), all.data(), all.size());
   vec.decode_f16(dec_vec.data(), all.data(), all.size());
   EXPECT_EQ(0, std::memcmp(dec_sc.data(), dec_vec.data(), all.size() * sizeof(float)));
@@ -205,23 +211,19 @@ TEST(FrameStack, RoundTripAndShape) {
     }
     frames.push_back(std::move(f));
   }
-  for (Format fmt : {Format::kBf16, Format::kF16}) {
-    FrameStack stack(frames, fmt);
-    EXPECT_EQ(stack.count(), frames.size());
-    EXPECT_EQ(stack.rows(), 6);
-    EXPECT_EQ(stack.cols(), 9);
-    // Half the f32 footprint, exactly.
-    EXPECT_EQ(stack.bytes(), frames.size() * 6 * 9 * sizeof(std::uint16_t));
-    RArray2D out(6, 9);
-    for (usize i = 0; i < frames.size(); ++i) {
-      stack.decode_into(i, out.view());
-      for (index_t y = 0; y < 6; ++y) {
-        for (index_t x = 0; x < 9; ++x) {
-          const real v = frames[i](y, x);
-          const real tol = fmt == Format::kF16 ? v * real(1.0F / 1024.0F) + real(3e-8)
-                                               : v * real(1.0F / 256.0F);
-          EXPECT_NEAR(out(y, x), v, tol) << "frame " << i;
-        }
+  FrameStack stack(frames, Format::kF16);
+  EXPECT_EQ(stack.count(), frames.size());
+  EXPECT_EQ(stack.rows(), 6);
+  EXPECT_EQ(stack.cols(), 9);
+  // Half the f32 footprint, exactly.
+  EXPECT_EQ(stack.bytes(), frames.size() * 6 * 9 * sizeof(std::uint16_t));
+  RArray2D out(6, 9);
+  for (usize i = 0; i < frames.size(); ++i) {
+    stack.decode_into(i, out.view());
+    for (index_t y = 0; y < 6; ++y) {
+      for (index_t x = 0; x < 9; ++x) {
+        const real v = frames[i](y, x);
+        EXPECT_NEAR(out(y, x), v, v * real(1.0F / 1024.0F) + real(3e-8)) << "frame " << i;
       }
     }
   }
@@ -260,19 +262,17 @@ TEST(TransmittanceCache, CompactMatchesF32) {
   ws_f32.cache_transmittance = true;
   const double cost_f32 = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_f32);
 
-  for (Format fmt : {Format::kBf16, Format::kF16}) {
-    MultisliceWorkspace ws_c(n, 3, fmt);
-    ws_c.cache_transmittance = true;
-    const double first = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_c);
-    // Same (revision, window): the second evaluation must hit the encoded
-    // cache and reproduce the first bitwise.
-    const double second = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_c);
-    EXPECT_EQ(first, second) << format_name(fmt);
-    EXPECT_NEAR(first, cost_f32, std::abs(cost_f32) * 2e-2) << format_name(fmt);
-    // The compact cache must not have allocated the f32 planes.
-    for (const CArray2D& plane : ws_c.trans) EXPECT_TRUE(plane.empty());
-    EXPECT_FALSE(ws_c.trans_c.empty());
-  }
+  MultisliceWorkspace ws_c(n, 3, Format::kF16);
+  ws_c.cache_transmittance = true;
+  const double first = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_c);
+  // Same (revision, window): the second evaluation must hit the encoded
+  // cache and reproduce the first bitwise.
+  const double second = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_c);
+  EXPECT_EQ(first, second);
+  EXPECT_NEAR(first, cost_f32, std::abs(cost_f32) * 2e-2);
+  // The compact cache must not have allocated the f32 planes.
+  for (const CArray2D& plane : ws_c.trans) EXPECT_TRUE(plane.empty());
+  EXPECT_FALSE(ws_c.trans_c.empty());
 }
 
 }  // namespace

@@ -73,11 +73,12 @@ DatasetSpec spec_by_name(const std::string& name) {
 }
 
 // Each subcommand rejects any key it does not read, so a typo'd or retired
-// flag fails instead of being silently ignored. main() reads --backend and
-// --precision for every subcommand.
+// flag fails instead of being silently ignored. Only reconstruct takes
+// --precision: simulate always runs the strict kernels, so a dataset is a
+// pure function of its spec and seed.
 
 int cmd_simulate(const Options& opts) {
-  opts.reject_unknown({"spec", "seed", "dose", "out", "backend", "precision"});
+  opts.reject_unknown({"spec", "seed", "dose", "out"});
   const DatasetSpec spec = spec_by_name(opts.get_string("spec", "small"));
   SpecimenParams specimen;
   specimen.seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
@@ -97,7 +98,7 @@ int cmd_simulate(const Options& opts) {
 }
 
 int cmd_info(const Options& opts) {
-  opts.reject_unknown({"backend", "precision"});
+  opts.reject_unknown({});
   PTYCHO_CHECK(!opts.positional().empty(), "info needs a dataset file");
   const Dataset dataset = io::load_dataset(opts.positional().front());
   const Rect field = dataset.field();
@@ -130,9 +131,9 @@ int cmd_info(const Options& opts) {
 int cmd_launch(const Options& opts, int nprocs);
 
 int cmd_reconstruct(const Options& opts) {
-  // The shared execution flags (which include --backend and --precision)
-  // plus this function's and cmd_launch's own; the keys cmd_launch injects
-  // into its children are all among them.
+  // The shared execution flags (which include --precision) plus this
+  // function's and cmd_launch's own; the keys cmd_launch injects into its
+  // children are all among them.
   std::vector<std::string> known = exec_option_keys();
   known.insert(known.end(), {"method", "ranks", "iterations", "step", "passes", "mode", "no-appp",
                              "refine-probe", "fault-rank", "fault-step", "fault-kind", "restore",
@@ -152,10 +153,14 @@ int cmd_reconstruct(const Options& opts) {
   request.iterations = static_cast<int>(opts.get_int("iterations", 10));
   request.step = static_cast<real>(opts.get_double("step", 0.1));
   request.passes_per_iteration = static_cast<int>(opts.get_int("passes", 1));
-  // Execution knobs (threads, pipeline, backend, checkpoint, trace/metrics,
-  // progress, transport) come from the shared parser — the same flags work
-  // on the benches. All of them are bitwise-neutral.
+  // Execution knobs (threads, pipeline, checkpoint, trace/metrics,
+  // progress, transport, precision) come from the shared parser — the same
+  // flags work on the benches. All but the tier are bitwise-neutral.
   request.exec = parse_exec_options(opts);
+  // Loading the dataset synthesizes its probe with FFTs, so the tier must
+  // be in force before the load, as it is for the run (which applies it
+  // again).
+  apply_precision(request.exec.precision);
   request.mode = opts.get_string("mode", "sgd") == "full-batch" ? UpdateMode::kFullBatch
                                                                 : UpdateMode::kSgd;
   request.sync.appp = !opts.get_bool("no-appp", false);
@@ -248,8 +253,7 @@ int cmd_reconstruct(const Options& opts) {
     std::printf("reconstructing with %s on %d rank(s)%s, %d iterations (backend %s)...\n",
                 to_string(request.method), request.nranks,
                 distributed ? " [socket transport]" : "", request.iterations,
-                request.exec.backend.empty() ? backend::active_name()
-                                             : request.exec.backend.c_str());
+                backend::active_name());
   }
   Reconstructor reconstructor(dataset);
   const ReconstructionOutcome outcome =
@@ -404,20 +408,6 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const Options opts = Options::parse(argc - 1, argv + 1);
   try {
-    // Select the kernel backend up front so every subcommand (simulate
-    // runs the same FFT/multislice kernels) honors the flag; a request
-    // that cannot be satisfied is an error.
-    const std::string backend = opts.get_string("backend", "");
-    if (!backend.empty()) {
-      PTYCHO_CHECK(backend::select(backend),
-                   "--backend " << backend << " is not available (want scalar|simd|auto; "
-                                << "simd requires CPU support)");
-    }
-    // The precision tier re-resolves the same dispatch point (the solvers
-    // re-apply it from ExecOptions, but simulate/info never build one).
-    if (opts.has("precision")) {
-      apply_precision(parse_precision(opts.get_string("precision", "")));
-    }
     if (command == "simulate") return cmd_simulate(opts);
     if (command == "info") return cmd_info(opts);
     if (command == "reconstruct") return cmd_reconstruct(opts);
