@@ -10,8 +10,8 @@
 #include "common/timer.hpp"
 #include "core/accbuf.hpp"
 #include "core/pipeline.hpp"
-#include "core/stitcher.hpp"
 #include "partition/assignment.hpp"
+#include "runtime/memtrack.hpp"
 
 namespace ptycho {
 
@@ -56,8 +56,20 @@ Partition make_gd_partition(const Dataset& dataset, const GdConfig& config) {
   return Partition(dataset.scan, pc);
 }
 
+void record_cluster_stats(const rt::VirtualCluster& cluster, ParallelResult& result) {
+  result.breakdown.clear();
+  result.peak_bytes.clear();
+  for (int r = 0; r < cluster.nranks(); ++r) {
+    result.breakdown.push_back(breakdown_from(cluster.profiler(r)));
+    result.peak_bytes.push_back(cluster.is_local(r) ? cluster.mem(r).peak() : 0);
+  }
+  result.mean_peak_bytes = cluster.mean_peak_bytes();
+  result.max_peak_bytes = cluster.max_peak_bytes();
+  result.fabric = cluster.fabric_stats();
+}
+
 ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
-                              const FramedVolume* initial) {
+                              FramedVolume* initial) {
   PTYCHO_REQUIRE(config.nranks >= 1, "need at least one rank");
   PTYCHO_REQUIRE(config.iterations >= 1, "need at least one iteration");
   PTYCHO_REQUIRE(config.passes_per_iteration >= 1, "passes_per_iteration must be >= 1");
@@ -113,24 +125,26 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
   cluster.inject_fault(config.fault);
   ParallelResult result;
   if (config.restore != nullptr) result.cost.assign(config.restore->manifest.cost_values);
-  std::mutex result_mutex;  // guards result.volume/cost writes from rank 0
+  std::mutex result_mutex;  // guards result.volume/cost writes
 
   cluster.run([&](rt::RankContext& ctx) {
     const TileSpec& tile = partition.tile(ctx.rank());
+    if (cluster.distributed()) check_output_agreement(ctx, config.output);
 
     // --- per-rank state (all tracked as this rank's device memory) -------
-    // The tile volume and the probe outlive the sweep state: the stitch
-    // reads the one, probe_field the other. Both are still allocated in
-    // sequence with it, in this order: the sweep's speed depends on where
-    // these buffers land relative to each other (allocating the two first
-    // cost ~9% CPU on gd-small, 4-vCPU x86-64 VM).
+    // The tile volume and the probe outlive the sweep state: the result
+    // placement reads the one, probe_field the other. Both are still
+    // allocated in sequence with it, in this order: the sweep's speed
+    // depends on where these buffers land relative to each other
+    // (allocating the two first cost ~9% CPU on gd-small, 4-vCPU x86-64 VM).
     FramedVolume volume;
     std::optional<Probe> local_probe;
     {
-      // Rank-local copies of this tile's measurements: each rank holds only
-      // its own probe locations' data (the memory-reduction core claim),
-      // and a rank process loads no other frames from disk.
-      const std::vector<RArray2D> local_meas = dataset.copy_frames(tile.own_probes);
+      // This tile's measurements, read in place: each rank reads only its
+      // own probe locations' frames (the memory-reduction core claim), and
+      // a rank process loads no other frames from disk. They are this
+      // rank's memory, so its tracker is charged for them.
+      const rt::ChargeScope frames(ctx.mem(), dataset.frame_bytes(tile.own_probes));
       volume = FramedVolume(slices, tile.extended);
       AccumulationBuffer accbuf(slices, tile.extended);
 
@@ -161,6 +175,13 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
         }
       } else if (initial != nullptr) {
         copy_region(*initial, volume, tile.extended);
+        // A socket rank's warm start is its extended tile alone: spent now.
+        // It was loaded before this rank's tracking began, so it is freed
+        // untracked too.
+        if (cluster.distributed()) {
+          const rt::UntrackedScope untracked;
+          *initial = FramedVolume{};
+        }
       } else {
         volume.data.fill(cplx(1, 0));
       }
@@ -181,7 +202,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
       auto ckpt_pass =
           std::make_unique<CheckpointPass>(config.exec.checkpoint, run_info, /*deferred=*/async);
       pipeline.emplace<SweepPass>(engine, config.mode, threads,
-                                  SweepPass::Items{&tile.own_probes, &local_meas}, refine,
+                                  SweepPass::Items{&tile.own_probes}, refine,
                                   config.exec.precision);
       pipeline.emplace<SyncGradientsPass>(partition, ctx.rank(), config.sync, config.mode);
       pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/true);
@@ -219,25 +240,19 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
       schedule.items = static_cast<index_t>(tile.own_probes.size());
       pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
     }
-    // The sweep state is freed: return it to the OS before rank 0
-    // allocates the full field.
+    // The sweep state is freed: return it to the OS before the result
+    // is placed.
     release_free_heap();
 
-    FramedVolume stitched = stitch_on_root(ctx, partition, volume);
-    if (ctx.rank() == 0) {
+    place_owned_region(ctx, cluster.distributed(), partition, volume, config.output,
+                       result.volume, result.image, result_mutex);
+    if (ctx.rank() == 0 && config.refine_probe) {
       std::lock_guard<std::mutex> lock(result_mutex);
-      result.volume = std::move(stitched);
-      if (config.refine_probe) result.probe_field = local_probe->field().clone();
+      result.probe_field = local_probe->field().clone();
     }
   });
 
-  result.breakdown.reserve(static_cast<usize>(partition.nranks()));
-  for (int r = 0; r < partition.nranks(); ++r) {
-    result.breakdown.push_back(breakdown_from(cluster.profiler(r)));
-  }
-  result.mean_peak_bytes = cluster.mean_peak_bytes();
-  result.max_peak_bytes = cluster.max_peak_bytes();
-  result.fabric = cluster.fabric_stats();
+  record_cluster_stats(cluster, result);
   result.wall_seconds = timer.seconds();
   return result;
 }

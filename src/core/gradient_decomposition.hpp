@@ -5,8 +5,8 @@
 // probe: local gradient, AccBuf accumulation and (in SGD mode) an
 // immediate local update; every 1/passes_per_iteration of the sweep the
 // accumulated buffers are reconciled through the forward/backward passes
-// (APPP) and applied. Finally halos are dropped and the owned tiles
-// stitched (steps 20-21).
+// (APPP) and applied. Finally halos are dropped and each rank leaves its
+// owned tile where the result lives (steps 20-21, core/stitcher.hpp).
 #pragma once
 
 #include <vector>
@@ -18,6 +18,7 @@
 #include "core/gradient_engine.hpp"
 #include "core/optimizer.hpp"
 #include "core/passes.hpp"
+#include "core/stitcher.hpp"
 #include "runtime/perfmodel.hpp"
 
 namespace ptycho {
@@ -60,23 +61,33 @@ struct GdConfig {
   const ckpt::Snapshot* restore = nullptr;
   /// Fault injection (testing): kill a rank at a configured step.
   rt::FaultPlan fault;
+  /// Where a socket rank leaves its owned region (in-process runs return
+  /// the assembled volume instead).
+  VolumeOutput output;
 };
 
 /// Result common to both decomposed solvers.
 struct ParallelResult {
-  FramedVolume volume;                         ///< stitched reconstruction (rank-0 view)
+  /// The assembled reconstruction (in-process runs; a socket rank wrote
+  /// its owned rows to output.path instead and returns none).
+  FramedVolume volume;
+  FramedVolume image;                          ///< socket rank 0 with output.image: middle slice
   CostHistory cost;                            ///< global F(V) per iteration
   std::vector<rt::BreakdownEntry> breakdown;   ///< per-rank compute/wait/comm seconds
   double mean_peak_bytes = 0.0;                ///< tracked per-rank peak memory, averaged
   usize max_peak_bytes = 0;
+  std::vector<usize> peak_bytes;               ///< tracked peak per rank (0: not in this process)
   rt::FabricStats fabric;                      ///< message/byte counts per rank
   double wall_seconds = 0.0;
   CArray2D probe_field;                        ///< refined probe (when enabled)
   [[nodiscard]] rt::BreakdownEntry mean_breakdown() const;
 };
 
+/// `initial` warm-starts the run: each rank copies its extended tile out
+/// of it. A socket rank, whose warm start is its extended tile alone,
+/// then frees it, before the sweep; in-process ranks only read it.
 [[nodiscard]] ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
-                                            const FramedVolume* initial = nullptr);
+                                            FramedVolume* initial = nullptr);
 
 /// The partition a GdConfig implies (exposed for benches/tests).
 [[nodiscard]] Partition make_gd_partition(const Dataset& dataset, const GdConfig& config);
@@ -92,5 +103,9 @@ struct ParallelResult {
 /// One rank's compute/wait/comm seconds from its phase profile (update
 /// time counts as compute).
 [[nodiscard]] rt::BreakdownEntry breakdown_from(const PhaseProfiler& prof);
+
+/// Fill `result`'s per-rank breakdown, tracked peaks and fabric counts
+/// from a finished cluster.
+void record_cluster_stats(const rt::VirtualCluster& cluster, ParallelResult& result);
 
 }  // namespace ptycho

@@ -38,8 +38,9 @@ class GradientEngine {
 
   /// f_i plus gradient accumulation into `grad` over the window, for an
   /// explicit probe (the dataset's, or a refined one) and an explicit
-  /// measurement (a rank-local copy). The probe gradient is accumulated
-  /// into `probe_grad` when non-null (probe refinement).
+  /// measurement (the dataset's frame, or a decoded compact copy). The
+  /// probe gradient is accumulated into `probe_grad` when non-null (probe
+  /// refinement).
   double probe_gradient_joint(index_t probe_id, const Probe& probe,
                               View2D<const real> measurement, const FramedVolume& volume,
                               FramedVolume& grad, MultisliceWorkspace& ws,
@@ -51,8 +52,8 @@ class GradientEngine {
   /// f_i only.
   double probe_cost(index_t probe_id, const FramedVolume& volume,
                     MultisliceWorkspace& ws) const {
-    return op_.cost(dataset_.probe, volume, window(probe_id),
-                    dataset_.measurements[static_cast<usize>(probe_id)].view(), ws);
+    return op_.cost(dataset_.probe, volume, window(probe_id), dataset_.frame(probe_id).view(),
+                    ws);
   }
 
  private:

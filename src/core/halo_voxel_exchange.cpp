@@ -6,9 +6,9 @@
 #include "common/memory.hpp"
 #include "common/timer.hpp"
 #include "core/pipeline.hpp"
-#include "core/stitcher.hpp"
 #include "partition/assignment.hpp"
 #include "partition/overlap.hpp"
+#include "runtime/memtrack.hpp"
 
 namespace ptycho {
 
@@ -25,7 +25,7 @@ bool hve_feasible(const Dataset& dataset, const HveConfig& config) {
 }
 
 ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
-                               const FramedVolume* initial) {
+                               FramedVolume* initial) {
   PTYCHO_REQUIRE(config.nranks >= 1, "need at least one rank");
   PTYCHO_REQUIRE(config.iterations >= 1, "need at least one iteration");
   PTYCHO_REQUIRE(config.local_epochs >= 1, "local_epochs must be >= 1");
@@ -49,22 +49,29 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
 
   cluster.run([&](rt::RankContext& ctx) {
     const TileSpec& tile = partition.tile(ctx.rank());
+    if (cluster.distributed()) check_output_agreement(ctx, config.output);
 
-    // The tile volume outlives the sweep state for the stitch, but is
-    // allocated after the frames, as the sweep's buffer placement was
-    // measured with (see reconstruct_gd).
+    // The tile volume outlives the sweep state for the result placement.
     FramedVolume volume;
     {
-      // Assigned probes: own + replicated, all with locally replicated
-      // measurements (the redundancy the paper criticizes).
+      // Assigned probes: own + replicated, all with locally held
+      // measurements (the redundancy the paper criticizes), read in place
+      // and charged to this rank's tracker.
       std::vector<index_t> probes = tile.own_probes;
       probes.insert(probes.end(), tile.replicated_probes.begin(),
                     tile.replicated_probes.end());
-      const std::vector<RArray2D> local_meas = dataset.copy_frames(probes);
+      const rt::ChargeScope frames(ctx.mem(), dataset.frame_bytes(probes));
 
       volume = FramedVolume(slices, tile.extended);
       if (initial != nullptr) {
         copy_region(*initial, volume, tile.extended);
+        // A socket rank's warm start is its extended tile alone: spent now.
+        // It was loaded before this rank's tracking began, so it is freed
+        // untracked too.
+        if (cluster.distributed()) {
+          const rt::UntrackedScope untracked;
+          *initial = FramedVolume{};
+        }
       } else {
         volume.data.fill(cplx(1, 0));
       }
@@ -79,7 +86,7 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
                               ? config.exec.threads
                               : std::max(1, ThreadPool::hardware_threads() / ctx.nranks());
       ReconstructionPipeline pipeline;
-      pipeline.emplace<HveLocalSweepPass>(engine, probes, local_meas, tile.own_probes.size(),
+      pipeline.emplace<HveLocalSweepPass>(engine, probes, tile.own_probes.size(),
                                           config.local_epochs, config.mode, threads,
                                           config.exec.precision);
       pipeline.emplace<HaloPastePass>(pastes);
@@ -100,24 +107,15 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
       schedule.iterations = config.iterations;
       pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
     }
-    // The sweep state is freed: return it to the OS before rank 0
-    // allocates the full field.
+    // The sweep state is freed: return it to the OS before the result
+    // is placed.
     release_free_heap();
 
-    FramedVolume stitched = stitch_on_root(ctx, partition, volume);
-    if (ctx.rank() == 0) {
-      std::lock_guard<std::mutex> lock(result_mutex);
-      result.volume = std::move(stitched);
-    }
+    place_owned_region(ctx, cluster.distributed(), partition, volume, config.output,
+                       result.volume, result.image, result_mutex);
   });
 
-  result.breakdown.reserve(static_cast<usize>(partition.nranks()));
-  for (int r = 0; r < partition.nranks(); ++r) {
-    result.breakdown.push_back(breakdown_from(cluster.profiler(r)));
-  }
-  result.mean_peak_bytes = cluster.mean_peak_bytes();
-  result.max_peak_bytes = cluster.max_peak_bytes();
-  result.fabric = cluster.fabric_stats();
+  record_cluster_stats(cluster, result);
   result.wall_seconds = timer.seconds();
   return result;
 }

@@ -35,12 +35,15 @@ struct HveConfig {
   /// Rings of replicated neighbour probes ("two extra rows", Sec. VI-A).
   int extra_rings = 2;
   bool record_cost = true;
+  /// Where a socket rank leaves its owned region (see GdConfig::output).
+  VolumeOutput output;
 };
 
 /// Throws ptycho::Error if the partition violates the paste-feasibility
 /// constraint (tiles smaller than halos — the "NA" cells of Table II).
+/// `initial` is read, and freed by a socket rank, as by reconstruct_gd.
 [[nodiscard]] ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
-                                             const FramedVolume* initial = nullptr);
+                                             FramedVolume* initial = nullptr);
 
 [[nodiscard]] Partition make_hve_partition(const Dataset& dataset, const HveConfig& config);
 

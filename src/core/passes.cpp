@@ -134,17 +134,15 @@ void PassEngine::run_allreduce(rt::RankContext& ctx, FramedVolume& buf) {
 SweepPass::SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, Items items,
                      RefineSchedule refine, PrecisionPolicy precision)
     : engine_(engine), mode_(mode), items_(items), refine_(refine), precision_(precision) {
-  // Compact measurement frames are indexed by ITEM, so they are only built
-  // when item order and frame order coincide: an explicit per-item frame
-  // list, or the identity mapping over the dataset. (No current solver
-  // remaps ids while reading the shared dataset frames.)
-  const bool can_compact = precision_.storage != compact::Format::kNone &&
-                           (items_.measurements != nullptr || items_.ids == nullptr);
-  if (can_compact) {
-    const std::vector<RArray2D>& frames = items_.measurements != nullptr
-                                              ? *items_.measurements
-                                              : engine_.dataset().measurements;
-    compact_meas_.emplace(frames, precision_.storage);
+  // Compact measurement frames are indexed by ITEM: frame i of the stack
+  // is the frame of probe_id(i).
+  if (precision_.storage != compact::Format::kNone) {
+    const std::vector<RArray2D>& frames = engine_.dataset().measurements;
+    if (items_.ids != nullptr) {
+      compact_meas_.emplace(frames, *items_.ids, precision_.storage);
+    } else {
+      compact_meas_.emplace(frames, precision_.storage);
+    }
   }
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
@@ -249,17 +247,21 @@ void ProbeRefinePass::on_iteration(SolverState& state, int iteration) {
 }
 
 void CostRecordPass::on_iteration(SolverState& state, int iteration) {
-  (void)iteration;
   if (!record_) return;
-  if (state.ctx != nullptr) {
-    const double global_cost =
-        rt::allreduce_sum_scalar(*state.ctx, state.sweep_cost, rt::Phase::kCost);
-    if (state.ctx->rank() != 0) return;
-    std::lock_guard<std::mutex> lock(*state.cost_mutex);
-    state.cost->record(global_cost);
+  const double cost = state.ctx != nullptr
+                          ? rt::allreduce_sum_scalar(*state.ctx, state.sweep_cost, rt::Phase::kCost)
+                          : state.sweep_cost;
+  // Every rank holds the same reduced cost, so every rank fails here at
+  // the same iteration and none is left waiting on a peer.
+  PTYCHO_CHECK(std::isfinite(cost), "the cost of iteration " << iteration + 1 << " is " << cost
+                                        << ": the reconstruction diverged");
+  if (state.ctx == nullptr) {
+    state.cost->record(cost);
     return;
   }
-  state.cost->record(state.sweep_cost);
+  if (state.ctx->rank() != 0) return;
+  std::lock_guard<std::mutex> lock(*state.cost_mutex);
+  state.cost->record(cost);
 }
 
 void ProgressPass::on_iteration(SolverState& state, int iteration) {
@@ -412,21 +414,19 @@ void CheckpointPass::finalize_pending(SolverState& state) {
 }
 
 HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
-                                     const std::vector<index_t>& probes,
-                                     const std::vector<RArray2D>& measurements,
-                                     usize own_count, int epochs, UpdateMode mode,
-                                     int threads, PrecisionPolicy precision)
+                                     const std::vector<index_t>& probes, usize own_count,
+                                     int epochs, UpdateMode mode, int threads,
+                                     PrecisionPolicy precision)
     : engine_(engine),
       probes_(probes),
-      measurements_(measurements),
       own_count_(own_count),
       epochs_(epochs),
       mode_(mode) {
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
     sweeper_.emplace(engine_, *pool_, precision.storage);
-    if (precision.storage != compact::Format::kNone && !measurements_.empty()) {
-      compact_meas_.emplace(measurements_, precision.storage);
+    if (precision.storage != compact::Format::kNone && !probes_.empty()) {
+      compact_meas_.emplace(engine_.dataset().measurements, probes_, precision.storage);
       sweeper_->set_compact_measurements(&*compact_meas_);
     }
   } else {
@@ -455,8 +455,8 @@ void HveLocalSweepPass::on_chunk(SolverState& state, const StepPoint& point) {
     const auto own = static_cast<index_t>(own_count_);
     const Probe& probe = engine_.dataset().probe;
     const auto id_of = [this](index_t item) { return probes_[static_cast<usize>(item)]; };
-    const auto meas_of = [this](index_t item) {
-      return measurements_[static_cast<usize>(item)].view();
+    const auto meas_of = [this, id_of](index_t item) {
+      return engine_.dataset().frame(id_of(item)).view();
     };
     for (int epoch = 0; epoch < epochs_; ++epoch) {
       if (n == 0) break;
@@ -484,8 +484,9 @@ void HveLocalSweepPass::on_chunk(SolverState& state, const StepPoint& point) {
       grad_scratch_->frame = engine_.window(id);
       grad_scratch_->data.fill(cplx{});
       const double f =
-          engine_.probe_gradient_joint(id, engine_.dataset().probe, measurements_[p].view(),
-                                       *state.volume, *grad_scratch_, *workspace_);
+          engine_.probe_gradient_joint(id, engine_.dataset().probe,
+                                       engine_.dataset().frame(id).view(), *state.volume,
+                                       *grad_scratch_, *workspace_);
       // Count the cost of *owned* probes only so the recorded global cost
       // sums each f_i exactly once.
       if (p < own_count_ && epoch == 0) state.sweep_cost += f;

@@ -149,21 +149,20 @@ enum class SweepSchedule { kAuto };
 /// rank's tracked memory footprint).
 class SweepPass final : public Pass {
  public:
-  /// How sweep items map to dataset probes and measurements. Defaults
-  /// (null pointers) mean the identity mapping over the engine's dataset —
-  /// the serial solver. Tiled solvers point these at the tile's own-probe
-  /// ids and its rank-local measurement copies.
+  /// How sweep items map to dataset probes. The default (null) is the
+  /// identity mapping over the engine's dataset — the serial solver. Tiled
+  /// solvers point it at the tile's own-probe ids. Either way the frames
+  /// are read in place from the engine's dataset.
   struct Items {
     const std::vector<index_t>* ids = nullptr;
-    const std::vector<RArray2D>* measurements = nullptr;
   };
 
   /// `threads` is the resolved worker count for the full-batch sweeper
   /// (callers apply their own auto-division policy before constructing).
   /// `precision` (fast tier) selects the FMA kernel column process-wide at
   /// the dispatch layer — here it only controls compact storage: with a
-  /// 16-bit format the pass snapshots its measurement frames into a
-  /// compact::FrameStack (decoded per item into workspace scratch) and the
+  /// 16-bit format the pass encodes its items' frames, in item order, into
+  /// a compact::FrameStack (decoded per item into workspace scratch) and the
   /// pooled transmittance caches persist compactly. Strict default leaves
   /// every byte of the historical path untouched.
   SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, Items items,
@@ -194,9 +193,7 @@ class SweepPass final : public Pass {
     return items_.ids != nullptr ? (*items_.ids)[static_cast<usize>(item)] : item;
   }
   [[nodiscard]] View2D<const real> measurement(index_t item) const {
-    return items_.measurements != nullptr
-               ? (*items_.measurements)[static_cast<usize>(item)].view()
-               : engine_.dataset().measurements[static_cast<usize>(probe_id(item))].view();
+    return engine_.dataset().frame(probe_id(item)).view();
   }
 
   const GradientEngine& engine_;
@@ -204,9 +201,8 @@ class SweepPass final : public Pass {
   Items items_;
   RefineSchedule refine_;
   PrecisionPolicy precision_;
-  /// Fast tier: the pass's own compact copy of its measurement frames,
-  /// item-indexed exactly like measurement(). Unset on the strict tier (or
-  /// when items remap ids over the shared dataset, where item != frame).
+  /// Fast tier: the pass's own compact copy of its items' frames,
+  /// item-indexed exactly like measurement(). Unset on the strict tier.
   std::optional<compact::FrameStack> compact_meas_;
   // Full-batch machinery (unset in SGD mode).
   std::optional<ThreadPool> pool_;
@@ -320,7 +316,8 @@ class ProbeRefinePass final : public Pass {
 
 /// Convergence recording: per-iteration values of the global cost F(V).
 /// Tiled runs all-reduce the per-rank sweep costs and record on rank 0
-/// (under the shared result mutex).
+/// (under the shared result mutex). A cost that is not finite ends the run
+/// with a ptycho::Error naming the iteration, on every rank.
 class CostRecordPass final : public Pass {
  public:
   explicit CostRecordPass(bool record) : record_(record) {}
@@ -465,15 +462,16 @@ class CheckpointFinalizePass final : public Pass {
 /// so the recorded global cost sums each f_i exactly once.
 class HveLocalSweepPass final : public Pass {
  public:
-  /// `threads` sizes the full-batch sweeper's pool; SGD mode
-  /// ignores them (its machinery is inherently sequential). `precision`
-  /// compacts the full-batch sweeper's measurement frames and workspace
-  /// caches like SweepPass; the SGD loop keeps its rank-local f32 frames
-  /// (its sequential per-probe walk is not bandwidth-bound).
+  /// `probes` lists the own probes first, then the replicated ones, whose
+  /// frames are read in place from the engine's dataset. `threads` sizes
+  /// the full-batch sweeper's pool; SGD mode ignores them (its machinery is
+  /// inherently sequential). `precision` compacts the full-batch sweeper's
+  /// measurement frames and workspace caches like SweepPass; the SGD loop
+  /// reads the f32 frames (its sequential per-probe walk is not
+  /// bandwidth-bound).
   HveLocalSweepPass(const GradientEngine& engine, const std::vector<index_t>& probes,
-                    const std::vector<RArray2D>& measurements, usize own_count, int epochs,
-                    UpdateMode mode = UpdateMode::kSgd, int threads = 1,
-                    PrecisionPolicy precision = {});
+                    usize own_count, int epochs, UpdateMode mode = UpdateMode::kSgd,
+                    int threads = 1, PrecisionPolicy precision = {});
 
   [[nodiscard]] const char* name() const override { return "hve-local-sweep"; }
   [[nodiscard]] obs::Phase phase() const override { return obs::Phase::kCompute; }
@@ -490,7 +488,6 @@ class HveLocalSweepPass final : public Pass {
  private:
   const GradientEngine& engine_;
   const std::vector<index_t>& probes_;
-  const std::vector<RArray2D>& measurements_;
   usize own_count_;
   int epochs_;
   UpdateMode mode_;

@@ -39,6 +39,7 @@ GdConfig gd_config(const ReconstructionRequest& request) {
   config.record_cost = request.record_cost;
   config.restore = request.restore;
   config.fault = request.fault;
+  config.output = request.output;
   return config;
 }
 
@@ -52,6 +53,7 @@ HveConfig hve_config(const ReconstructionRequest& request) {
   config.exec = request.exec;
   config.extra_rings = request.hve_extra_rings;
   config.record_cost = request.record_cost;
+  config.output = request.output;
   return config;
 }
 }  // namespace
@@ -66,7 +68,7 @@ const char* to_string(Method method) {
 }
 
 ReconstructionOutcome Reconstructor::run(const ReconstructionRequest& request,
-                                         const FramedVolume* initial) const {
+                                         FramedVolume initial) const {
   // The precision tier re-resolves the kernel tables process-wide; strict
   // (the default) maps onto the same tables the engine used before the
   // knob existed. Besides this call, only `ptycho reconstruct` applies the
@@ -94,8 +96,9 @@ ReconstructionOutcome Reconstructor::run(const ReconstructionRequest& request,
   for (;;) {
     try {
       // The caller's warm start applies until a snapshot supersedes it.
-      ReconstructionOutcome outcome =
-          run_once(attempt, attempt.restore == request.restore ? initial : nullptr);
+      // Only a socket rank frees it, and a socket rank never retries.
+      const bool warm = !initial.data.empty() && attempt.restore == request.restore;
+      ReconstructionOutcome outcome = run_once(attempt, warm ? &initial : nullptr);
       if (obs::metrics_enabled() && restarts > 0) {
         obs::registry().gauge("runtime.recovery.generation").set(
             static_cast<double>(attempt.exec.transport.generation));
@@ -174,7 +177,7 @@ LocalInputs Reconstructor::local_inputs(const ReconstructionRequest& request) co
 }
 
 ReconstructionOutcome Reconstructor::run_once(const ReconstructionRequest& request,
-                                              const FramedVolume* initial) const {
+                                              FramedVolume* initial) const {
   ReconstructionOutcome outcome;
   switch (request.method) {
     case Method::kSerial: {
@@ -199,6 +202,7 @@ ReconstructionOutcome Reconstructor::run_once(const ReconstructionRequest& reque
     case Method::kGradientDecomposition: {
       ParallelResult result = reconstruct_gd(dataset_, gd_config(request), initial);
       outcome.volume = std::move(result.volume);
+      outcome.image = std::move(result.image);
       outcome.cost = std::move(result.cost);
       outcome.wall_seconds = result.wall_seconds;
       outcome.mean_peak_bytes = result.mean_peak_bytes;
@@ -211,6 +215,7 @@ ReconstructionOutcome Reconstructor::run_once(const ReconstructionRequest& reque
                      "checkpoint/restore is not supported for the HVE solver");
       ParallelResult result = reconstruct_hve(dataset_, hve_config(request), initial);
       outcome.volume = std::move(result.volume);
+      outcome.image = std::move(result.image);
       outcome.cost = std::move(result.cost);
       outcome.wall_seconds = result.wall_seconds;
       outcome.mean_peak_bytes = result.mean_peak_bytes;

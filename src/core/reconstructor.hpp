@@ -43,6 +43,9 @@ struct ReconstructionRequest {
   const ckpt::Snapshot* restore = nullptr;
   /// Fault injection for recovery testing (GD only).
   rt::FaultPlan fault;
+  /// Where a socket rank leaves its owned region (GD and HVE; in-process
+  /// and serial runs return the whole volume instead).
+  VolumeOutput output;
 };
 
 /// The inputs one process reads for a request: the probe ids whose
@@ -53,7 +56,8 @@ struct LocalInputs {
 };
 
 struct ReconstructionOutcome {
-  FramedVolume volume;
+  FramedVolume volume;  ///< empty on a socket rank (it wrote request.output.path)
+  FramedVolume image;   ///< socket rank 0: the middle slice, when request.output.image
   CostHistory cost;
   double wall_seconds = 0.0;
   double mean_peak_bytes = 0.0;  ///< 0 for serial (single address space)
@@ -64,7 +68,10 @@ class Reconstructor {
  public:
   explicit Reconstructor(const Dataset& dataset) : dataset_(dataset) {}
 
-  /// Run a reconstruction; optionally warm-start from `initial`.
+  /// Run a reconstruction, warm-started from `initial` unless it is empty.
+  /// The run owns the warm start: a socket rank, whose warm start is its
+  /// extended tile alone, frees it before the sweep (see reconstruct_gd);
+  /// every other run reads it, in every attempt.
   ///
   /// Self-healing: when `request.exec.max_restarts > 0` and checkpointing
   /// is enabled, a RankFailure does not surface — the facade discovers the
@@ -76,7 +83,7 @@ class Reconstructor {
   /// (socket) runs are supervised by their launch parent instead — each
   /// process exits and is respawned with a fresh roster.
   [[nodiscard]] ReconstructionOutcome run(const ReconstructionRequest& request,
-                                          const FramedVolume* initial = nullptr) const;
+                                          FramedVolume initial = {}) const;
 
   /// What this process's ranks read of the inputs, from the same
   /// partition the solver builds. A socket rank (the transport hosts one
@@ -91,7 +98,7 @@ class Reconstructor {
  private:
   /// One un-supervised attempt: dispatch to the selected solver.
   [[nodiscard]] ReconstructionOutcome run_once(const ReconstructionRequest& request,
-                                               const FramedVolume* initial) const;
+                                               FramedVolume* initial) const;
 
   const Dataset& dataset_;
 };

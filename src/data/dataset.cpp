@@ -10,17 +10,18 @@ usize Dataset::measurement_bytes() const {
   return total;
 }
 
-std::vector<RArray2D> Dataset::copy_frames(const std::vector<index_t>& probe_ids) const {
+const RArray2D& Dataset::frame(index_t id) const {
   const auto n = static_cast<index_t>(spec.grid.probe_n);
-  std::vector<RArray2D> frames;
-  frames.reserve(probe_ids.size());
-  for (const index_t id : probe_ids) {
-    PTYCHO_CHECK(id >= 0 && static_cast<usize>(id) < measurements.size() &&
-                     measurements[static_cast<usize>(id)].rows() == n,
-                 "the diffraction frame of probe " << id << " was not loaded");
-    frames.push_back(measurements[static_cast<usize>(id)].clone());
-  }
-  return frames;
+  PTYCHO_CHECK(id >= 0 && static_cast<usize>(id) < measurements.size() &&
+                   measurements[static_cast<usize>(id)].rows() == n,
+               "the diffraction frame of probe " << id << " was not loaded");
+  return measurements[static_cast<usize>(id)];
+}
+
+usize Dataset::frame_bytes(const std::vector<index_t>& probe_ids) const {
+  usize total = 0;
+  for (const index_t id : probe_ids) total += frame(id).bytes();
+  return total;
 }
 
 usize Dataset::volume_bytes() const {

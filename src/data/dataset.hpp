@@ -45,9 +45,15 @@ struct Dataset {
   [[nodiscard]] index_t probe_count() const { return scan.count(); }
   [[nodiscard]] Rect field() const { return scan.field(); }
 
-  /// Rank-local copies of the listed probes' frames, in list order. Throws
-  /// ptycho::Error naming the first probe whose frame was not loaded.
-  [[nodiscard]] std::vector<RArray2D> copy_frames(const std::vector<index_t>& probe_ids) const;
+  /// The diffraction frame of probe `id`, read in place: the sweeps read
+  /// every frame through it. Throws ptycho::Error naming the probe when
+  /// its frame was not loaded.
+  [[nodiscard]] const RArray2D& frame(index_t id) const;
+
+  /// Bytes of the listed probes' frames: what a rank reading them in place
+  /// charges its memory tracker. Throws like frame() for the first probe
+  /// whose frame was not loaded.
+  [[nodiscard]] usize frame_bytes(const std::vector<index_t>& probe_ids) const;
 
   /// Bytes of the measurement stack (real magnitudes).
   [[nodiscard]] usize measurement_bytes() const;

@@ -1,6 +1,10 @@
 #include "data/io.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -105,16 +109,57 @@ std::uint64_t bytes_left(std::ifstream& in) {
 }  // namespace
 
 void save_volume(const std::string& path, const FramedVolume& volume) {
-  std::ofstream out(path, std::ios::binary);
-  PTYCHO_CHECK(out.good(), "cannot open '" << path << "' for writing");
+  write_volume_region(path, volume.frame, volume, volume.frame, /*size_file=*/true);
+}
+
+void write_volume_region(const std::string& path, const Rect& field,
+                         const FramedVolume& volume, const Rect& region, bool size_file) {
+  PTYCHO_REQUIRE(field.contains(region) && volume.frame.contains(region),
+                 "region " << region << " must lie inside the field " << field
+                           << " and the volume's frame " << volume.frame);
+  struct File {
+    int fd;
+    ~File() {
+      if (fd >= 0) ::close(fd);
+    }
+  } file{::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644)};
+  PTYCHO_CHECK(file.fd >= 0, "cannot open '" << path << "' for writing");
+  const auto write_at = [&](const void* bytes, std::size_t count, off_t offset) {
+    const char* p = static_cast<const char*>(bytes);
+    while (count > 0) {
+      const ssize_t n = ::pwrite(file.fd, p, count, offset);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) PTYCHO_FAIL("write failed for '" << path << "'");
+      p += n;
+      count -= static_cast<std::size_t>(n);
+      offset += n;
+    }
+  };
+  const index_t slices = volume.slices();
   const std::uint64_t magic = kVolumeMagic;
-  const std::int64_t header[5] = {volume.frame.y0, volume.frame.x0, volume.frame.h,
-                                  volume.frame.w, volume.slices()};
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(volume.data.data()),
-            static_cast<std::streamsize>(volume.data.bytes()));
-  PTYCHO_CHECK(out.good(), "write failed for '" << path << "'");
+  const std::int64_t header[5] = {field.y0, field.x0, field.h, field.w, slices};
+  constexpr off_t kFirstVoxel = sizeof(magic) + sizeof(header);
+  write_at(&magic, sizeof(magic), 0);
+  write_at(header, sizeof(header), sizeof(magic));
+  // Rows spanning both the field and the volume's frame are contiguous on
+  // both sides: one write per slice, else one per row.
+  const bool whole_rows = region.x0 == field.x0 && region.w == field.w &&
+                          region.x0 == volume.frame.x0 && region.w == volume.frame.w;
+  const index_t band_rows = whole_rows ? region.h : 1;
+  for (index_t s = 0; s < slices; ++s) {
+    for (index_t y = region.y0; y < region.y1(); y += band_rows) {
+      const index_t voxel = (s * field.h + y - field.y0) * field.w + region.x0 - field.x0;
+      write_at(&volume.at_global(s, y, region.x0),
+               static_cast<std::size_t>(band_rows * region.w) * sizeof(cplx),
+               kFirstVoxel + static_cast<off_t>(voxel) * static_cast<off_t>(sizeof(cplx)));
+    }
+  }
+  if (size_file) {
+    const off_t length = kFirstVoxel + static_cast<off_t>(slices * field.h * field.w) *
+                                           static_cast<off_t>(sizeof(cplx));
+    PTYCHO_CHECK(::ftruncate(file.fd, length) == 0, "cannot size '" << path << "'");
+  }
+  PTYCHO_CHECK(::close(std::exchange(file.fd, -1)) == 0, "write failed for '" << path << "'");
 }
 
 namespace {

@@ -34,7 +34,17 @@ class CsvWriter {
 };
 
 /// Raw little-endian dump/load of a framed volume (frame + slices + data).
+/// save_volume is write_volume_region with region == field == the frame.
 void save_volume(const std::string& path, const FramedVolume& volume);
+/// Write `region` of `volume` (all slices) into the volume file at `path`
+/// holding a volume.slices() x `field` volume: the header, then each region
+/// row at the offset `field` gives it. The file is opened without
+/// truncation, so writers of disjoint regions that tile `field` may run
+/// concurrently, in any order and in any process, with no coordination;
+/// exactly one of them passes `size_file`, which cuts the file to the
+/// volume's length (stale bytes of an older, longer file go).
+void write_volume_region(const std::string& path, const Rect& field,
+                         const FramedVolume& volume, const Rect& region, bool size_file);
 [[nodiscard]] FramedVolume load_volume(const std::string& path);
 /// Load only `window` of the volume file, all slices: one read per window
 /// row, or per slice when the window spans whole rows. The window must be

@@ -20,7 +20,6 @@ const char* to_string(Phase phase) {
     case Phase::kHorizontalBackward: return "horizontal-backward";
     case Phase::kDirect: return "direct";
     case Phase::kAllreduce: return "allreduce";
-    case Phase::kStitch: return "stitch";
     case Phase::kPaste: return "paste";
     case Phase::kCost: return "cost";
     case Phase::kProbe: return "probe";
@@ -28,6 +27,8 @@ const char* to_string(Phase phase) {
     case Phase::kRestoreProbe: return "restore-probe";
     case Phase::kBarrier: return "barrier";
     case Phase::kTest: return "test";
+    case Phase::kImage: return "image";
+    case Phase::kOutput: return "output";
     case Phase::kHeartbeat: return "heartbeat";
   }
   return "unknown";

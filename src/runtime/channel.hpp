@@ -59,7 +59,6 @@ enum class Phase : int {
   kHorizontalBackward = 4, ///< APPP sweep chain, horizontal backward passes
   kDirect = 5,             ///< direct pairwise gradient exchange
   kAllreduce = 6,          ///< gradient allreduce (non-APPP baseline)
-  kStitch = 7,             ///< stitch_on_root volume gather
   kPaste = 8,              ///< HVE halo paste exchange
   kCost = 9,               ///< global cost reduction
   kProbe = 10,             ///< probe refinement sync
@@ -68,14 +67,17 @@ enum class Phase : int {
   kBarrier = 13,           ///< message-based barrier (distributed clusters)
   kTest = 14,              ///< reserved for unit tests
   kHeartbeat = 15,         ///< socket liveness pings (never tag-matched)
+  kImage = 16,             ///< one slice gathered on rank 0 for --image (socket runs)
+  kOutput = 17,            ///< socket ranks' check that they share one output
 };
 
 inline constexpr Phase kAllPhases[] = {
     Phase::kVerticalForward,  Phase::kVerticalBackward, Phase::kHorizontalForward,
     Phase::kHorizontalBackward, Phase::kDirect,         Phase::kAllreduce,
-    Phase::kStitch,           Phase::kPaste,            Phase::kCost,
-    Phase::kProbe,            Phase::kRestore,          Phase::kRestoreProbe,
-    Phase::kBarrier,          Phase::kTest,             Phase::kHeartbeat,
+    Phase::kPaste,            Phase::kCost,             Phase::kProbe,
+    Phase::kRestore,          Phase::kRestoreProbe,     Phase::kBarrier,
+    Phase::kTest,             Phase::kHeartbeat,        Phase::kImage,
+    Phase::kOutput,
 };
 
 [[nodiscard]] constexpr bool phases_unique() {

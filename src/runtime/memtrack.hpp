@@ -63,4 +63,34 @@ class TrackerScope {
   AllocHooks previous_;
 };
 
+/// RAII: suspends the calling thread's allocation tracking, for a buffer
+/// that is no rank's memory (an in-process run's assembled result).
+class UntrackedScope {
+ public:
+  UntrackedScope() : previous_(set_thread_alloc_hooks(AllocHooks{})) {}
+  ~UntrackedScope() { set_thread_alloc_hooks(previous_); }
+  UntrackedScope(const UntrackedScope&) = delete;
+  UntrackedScope& operator=(const UntrackedScope&) = delete;
+
+ private:
+  AllocHooks previous_;
+};
+
+/// RAII: charges `bytes` a rank reads in place — memory it holds but did
+/// not allocate, such as the dataset's diffraction frames — to its
+/// tracker for the scope's lifetime.
+class ChargeScope {
+ public:
+  ChargeScope(MemTracker& tracker, std::size_t bytes) : tracker_(tracker), bytes_(bytes) {
+    tracker_.on_alloc(bytes_);
+  }
+  ~ChargeScope() { tracker_.on_free(bytes_); }
+  ChargeScope(const ChargeScope&) = delete;
+  ChargeScope& operator=(const ChargeScope&) = delete;
+
+ private:
+  MemTracker& tracker_;
+  std::size_t bytes_;
+};
+
 }  // namespace ptycho::rt

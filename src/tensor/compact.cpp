@@ -4,6 +4,7 @@
 #include "tensor/compact.hpp"
 
 #include <cstring>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -140,16 +141,25 @@ void decode(Format f, float* dst, const std::uint16_t* src, usize n) {
   codec().decode_f16(dst, src, n);
 }
 
-FrameStack::FrameStack(const std::vector<RArray2D>& frames, Format format) : format_(format) {
+FrameStack::FrameStack(const std::vector<RArray2D>& frames, Format format)
+    : FrameStack(frames, [&] {
+        std::vector<index_t> all(frames.size());
+        std::iota(all.begin(), all.end(), index_t{0});
+        return all;
+      }(), format) {}
+
+FrameStack::FrameStack(const std::vector<RArray2D>& frames, const std::vector<index_t>& ids,
+                       Format format)
+    : format_(format) {
   PTYCHO_REQUIRE(format != Format::kNone, "FrameStack needs a compact format");
-  if (frames.empty()) return;
-  rows_ = frames.front().rows();
-  cols_ = frames.front().cols();
-  count_ = frames.size();
+  if (ids.empty()) return;
+  rows_ = frames[static_cast<usize>(ids.front())].rows();
+  cols_ = frames[static_cast<usize>(ids.front())].cols();
+  count_ = ids.size();
   const usize frame_n = static_cast<usize>(rows_) * static_cast<usize>(cols_);
   bits_.resize(frame_n * count_);
   for (usize i = 0; i < count_; ++i) {
-    const RArray2D& f = frames[i];
+    const RArray2D& f = frames[static_cast<usize>(ids[i])];
     PTYCHO_REQUIRE(f.rows() == rows_ && f.cols() == cols_,
                    "FrameStack frames must share one shape");
     encode(format_, bits_.data() + i * frame_n, f.data(), frame_n, "the measurement stack");

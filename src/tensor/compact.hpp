@@ -73,6 +73,10 @@ class FrameStack {
   /// Encode `frames` (all rows*cols-identical) into one contiguous block.
   /// Throws ptycho::Error if a value overflows the format.
   FrameStack(const std::vector<RArray2D>& frames, Format format);
+  /// Encode frames[ids[0]], frames[ids[1]], ... in that order: frame i of
+  /// the stack is frames[ids[i]].
+  FrameStack(const std::vector<RArray2D>& frames, const std::vector<index_t>& ids,
+             Format format);
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] usize count() const { return count_; }

@@ -447,8 +447,8 @@ TEST(CkptRestore, AssembledVolumeMatchesStitchedResult) {
   const ckpt::Snapshot snap = ckpt::load_latest(dir.path());
   EXPECT_EQ(snap.manifest.iteration, 2);
   const FramedVolume assembled = ckpt::assemble_volume(snap);
-  // The final snapshot is the converged state the solver stitched: the
-  // elastic assembly must agree with stitch_on_root exactly.
+  // The final snapshot is the converged state the solver returned: the
+  // elastic assembly must agree with the ranks' own assembly exactly.
   ASSERT_EQ(assembled.frame, result.volume.frame);
   EXPECT_LT(volume_rel_diff(assembled, result.volume), 1e-7);
 }

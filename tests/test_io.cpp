@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -243,6 +244,47 @@ TEST_F(IoScratch, VolumeWindowLoadEqualsACopyOfTheFullLoad) {
   }
 }
 
+TEST_F(IoScratch, RegionWritesTileTheFileOverAStaleLongerOne) {
+  const Rect field{-3, 5, 6, 7};
+  const FramedVolume full = patterned_volume(field);
+  io::save_volume(path("expected.bin"), full);
+  std::ifstream expected_in(path("expected.bin"), std::ios::binary);
+  const std::string expected((std::istreambuf_iterator<char>(expected_in)),
+                             std::istreambuf_iterator<char>());
+
+  // A 2x2 partition (tile frames one voxel wider than the owned regions,
+  // so each region is written row by row) and a 2x1 one (frames and
+  // regions span whole rows: one write per slice), each written in a
+  // shuffled order. Region 0 sizes the file, as rank 0 does in a run.
+  struct Case {
+    std::vector<Rect> owned;
+    std::vector<usize> order;
+  };
+  const std::vector<Case> cases = {
+      {{Rect{-3, 5, 2, 3}, Rect{-3, 8, 2, 4}, Rect{-1, 5, 4, 3}, Rect{-1, 8, 4, 4}},
+       {2, 0, 3, 1}},
+      {{Rect{-3, 5, 4, 7}, Rect{1, 5, 2, 7}}, {1, 0}},
+  };
+  for (const auto& [owned, order] : cases) {
+    // A garbage file longer than the volume, as an older run may leave.
+    {
+      std::ofstream stale(path("vol.bin"), std::ios::binary);
+      stale << std::string(expected.size() + 1000, '\x5a');
+    }
+    for (const usize r : order) {
+      const Rect frame = clip(dilate(owned[r], 1), field);
+      FramedVolume tile(2, frame);
+      copy_region(full, tile, frame);
+      io::write_volume_region(path("vol.bin"), field, tile, owned[r], /*size_file=*/r == 0);
+    }
+    std::ifstream in(path("vol.bin"), std::ios::binary);
+    const std::string written((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_EQ(written, expected) << owned.size() << " regions";
+    EXPECT_TRUE(bytes_equal(io::load_volume(path("vol.bin")), full)) << owned.size();
+  }
+}
+
 TEST_F(IoScratch, VolumeWindowLoadRejectsWindowsOutsideTheFrame) {
   io::save_volume(path("vol.bin"), patterned_volume(Rect{-3, 5, 6, 7}));
   // Wholly outside, overhanging each edge, and empty.
@@ -466,15 +508,19 @@ TEST_F(DatasetHeader, PartialLoadStillRejectsATruncatedFile) {
   EXPECT_THROW((void)io::load_dataset(patched({}, /*drop=*/1), {}), Error);
 }
 
-TEST_F(DatasetHeader, CopyingAnUnloadedFrameNamesItsProbe) {
+TEST_F(DatasetHeader, ReadingAnUnloadedFrameNamesItsProbe) {
   const Dataset partial = io::load_dataset(patched({}), {0, 2});
-  EXPECT_EQ(partial.copy_frames({2, 0}).size(), 2u);
-  try {
-    (void)partial.copy_frames({0, 3});
-    FAIL() << "copied a frame that was never loaded";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("probe 3 was not loaded"), std::string::npos)
-        << e.what();
+  EXPECT_EQ(&partial.frame(2), &partial.measurements[2]);
+  EXPECT_EQ(partial.frame_bytes({2, 0}), 2 * partial.frame(0).bytes());
+  for (const auto& read : std::vector<std::function<void()>>{
+           [&] { (void)partial.frame(3); }, [&] { (void)partial.frame_bytes({0, 3}); }}) {
+    try {
+      read();
+      FAIL() << "read a frame that was never loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("probe 3 was not loaded"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -161,6 +161,64 @@ TEST(GdSolver, MemoryPerRankDecreasesWithRanks) {
   EXPECT_LT(nine.mean_peak_bytes / one.mean_peak_bytes, 0.5);
 }
 
+// The frames a rank reads in place are charged to its tracker, so a
+// rank's tracked peak ("memory per GPU") is byte-equal to what the
+// rank-local frame copies they replace recorded.
+TEST(GdSolver, RanksAreChargedForTheFramesTheyReadInPlace) {
+  const Dataset& dataset = tiny_dataset();
+  GdConfig config;
+  config.nranks = 4;
+  config.iterations = 2;
+  config.exec.threads = 1;
+  const ParallelResult sgd = reconstruct_gd(dataset, config);
+  config.nranks = 2;
+  config.mode = UpdateMode::kFullBatch;
+  const ParallelResult full_batch = reconstruct_gd(dataset, config);
+  ASSERT_EQ(sgd.peak_bytes.size(), 4u);
+  ASSERT_EQ(full_batch.peak_bytes.size(), 2u);
+  for (int r = 1; r < 4; ++r) EXPECT_EQ(sgd.peak_bytes[static_cast<usize>(r)], 263360u) << r;
+  EXPECT_EQ(full_batch.peak_bytes[1], 862336u);
+}
+
+// No rank holds the full field: the in-process result is assembled outside
+// every rank's tracked memory. With 9 tiny tiles the field plus a tile
+// volume and the probe outweigh a tile's sweep state, so a root that held
+// the field would outpeak the mirror corner tile it otherwise equals.
+TEST(GdSolver, RootRankHoldsNoFullField) {
+  const Dataset& dataset = tiny_dataset();
+  GdConfig config;
+  config.nranks = 9;
+  config.iterations = 2;
+  config.exec.threads = 1;
+  const ParallelResult result = reconstruct_gd(dataset, config);
+  ASSERT_EQ(result.peak_bytes.size(), 9u);
+  EXPECT_EQ(result.peak_bytes[0], result.peak_bytes[8]);
+  EXPECT_EQ(result.volume.frame, dataset.field());
+}
+
+TEST(GdSolver, NonFiniteCostFailsNamingTheIteration) {
+  const testing::AbsorbingWarmStart& start = testing::absorbing_warm_start();
+  ReconstructionRequest request;
+  request.nranks = 2;
+  request.iterations = 2;
+  request.mode = UpdateMode::kFullBatch;
+  try {
+    (void)Reconstructor(start.dataset).run(request, start.warm.clone());
+    FAIL() << "a diverged run finished";
+  } catch (const rt::RankFailure& e) {
+    FAIL() << "the named error was lost: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cost of iteration 2 is inf"), std::string::npos)
+        << e.what();
+  }
+  // A finite run is unaffected.
+  request.method = Method::kSerial;
+  const ReconstructionOutcome serial =
+      Reconstructor(start.dataset).run(request, start.warm.clone());
+  ASSERT_EQ(serial.cost.values().size(), 2u);
+  for (const double cost : serial.cost.values()) EXPECT_TRUE(std::isfinite(cost));
+}
+
 TEST(GdSolver, BreakdownAndFabricPopulated) {
   const Dataset& dataset = tiny_dataset();
   GdConfig config;

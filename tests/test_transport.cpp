@@ -29,9 +29,11 @@
 #include "common/crc32.hpp"
 #include "core/gradient_decomposition.hpp"
 #include "core/exec_options.hpp"
+#include "core/halo_voxel_exchange.hpp"
 #include "core/reconstructor.hpp"
 #include "data/io.hpp"
 #include "runtime/cluster.hpp"
+#include "tensor/ops.hpp"
 #include "test_util.hpp"
 
 namespace ptycho {
@@ -144,11 +146,15 @@ auto run_socket_ranks(int nranks, std::vector<std::exception_ptr>& errors,
   return root_result;
 }
 
+/// A GD job as `nranks` socket ranks, each writing its owned rows of the
+/// volume into `volume_path`.
 ParallelResult run_gd_socket(const Dataset& dataset, const GdConfig& base, int nranks,
-                             std::vector<std::exception_ptr>& errors) {
+                             std::vector<std::exception_ptr>& errors,
+                             const std::string& volume_path) {
   return run_socket_ranks(nranks, errors, [&](const rt::TransportOptions& transport) {
     GdConfig config = base;
     config.exec.transport = transport;
+    config.output.path = volume_path;
     return reconstruct_gd(dataset, config);
   });
 }
@@ -167,8 +173,7 @@ ReconstructionOutcome run_on_local_inputs(const std::string& dataset_path,
   }
   std::erase(local.frames, skip);
   const Dataset dataset = io::load_dataset(dataset_path, local.frames);
-  const FramedVolume warm = io::load_volume(warm_path, local.window);
-  return Reconstructor(dataset).run(request, &warm);
+  return Reconstructor(dataset).run(request, io::load_volume(warm_path, local.window));
 }
 
 // ---- tag registry ----------------------------------------------------------
@@ -379,13 +384,18 @@ TEST(SocketTransport, GdRunIsBitwiseIdenticalToInProc) {
   GdConfig socket = base;
   socket.exec.checkpoint = ckpt::Policy{socket_dir.path(), 1};
   std::vector<std::exception_ptr> errors;
-  const ParallelResult distributed = run_gd_socket(dataset, socket, base.nranks, errors);
+  const std::string volume_path = socket_dir.path() + "/volume.bin";
+  const ParallelResult distributed =
+      run_gd_socket(dataset, socket, base.nranks, errors, volume_path);
   for (auto& err : errors) {
     if (err) std::rethrow_exception(err);
   }
 
-  // Volume, cost history and the whole checkpoint tree: bitwise.
-  expect_bitwise_equal(distributed.volume, reference.volume);
+  // Volume, cost history and the whole checkpoint tree: bitwise. No socket
+  // rank returns the volume; the ranks wrote it together.
+  EXPECT_TRUE(distributed.volume.data.empty());
+  expect_bitwise_equal(io::load_volume(volume_path), reference.volume);
+  fs::remove(volume_path);
   ASSERT_EQ(distributed.cost.values().size(), reference.cost.values().size());
   for (usize i = 0; i < reference.cost.values().size(); ++i) {
     EXPECT_EQ(distributed.cost.values()[i], reference.cost.values()[i]) << "iteration " << i;
@@ -398,6 +408,142 @@ TEST(SocketTransport, GdRunIsBitwiseIdenticalToInProc) {
     const auto it = distributed_tree.find(rel);
     ASSERT_NE(it, distributed_tree.end()) << "missing " << rel;
     EXPECT_EQ(it->second, bytes) << "checkpoint file differs: " << rel;
+  }
+}
+
+/// Warm-start `config`'s solver from `shared` in process, then as socket
+/// ranks each holding its extended window: a socket rank frees its window
+/// once copied, in-process ranks keep reading the one warm start, and every
+/// socket rank's tracked peak equals its in-process twin's.
+template <class Config, class Solve, class MakePartition>
+void expect_warm_start_spent_untracked(const Dataset& dataset, const Config& config,
+                                       const Solve& solve, const MakePartition& make_partition) {
+  FramedVolume shared(dataset.spec.slices, dataset.field());
+  shared.data.fill(cplx(1, 0));
+  const ParallelResult inproc = solve(dataset, config, &shared);
+  EXPECT_FALSE(shared.data.empty());
+  const Partition partition = make_partition(dataset, config);
+  const int nranks = partition.nranks();
+  std::vector<int> kept(static_cast<usize>(nranks), -1);
+  std::vector<usize> peaks(static_cast<usize>(nranks), 0);
+  std::vector<std::exception_ptr> errors;
+  (void)run_socket_ranks(nranks, errors, [&](const rt::TransportOptions& transport) {
+    Config rank_config = config;
+    rank_config.exec.transport = transport;
+    const Rect window = partition.tile(transport.rank).extended;
+    FramedVolume warm(dataset.spec.slices, window);
+    copy_region(shared, warm, window);
+    ParallelResult result = solve(dataset, rank_config, &warm);
+    const auto r = static_cast<usize>(transport.rank);
+    kept[r] = warm.data.empty() ? 0 : 1;
+    // A socket process tracks only its own rank.
+    peaks[r] = result.max_peak_bytes;
+    return result;
+  });
+  for (auto& err : errors) {
+    if (err) std::rethrow_exception(err);
+  }
+  EXPECT_EQ(kept, std::vector<int>(static_cast<usize>(nranks), 0));
+  ASSERT_EQ(inproc.peak_bytes.size(), peaks.size());
+  for (usize r = 0; r < peaks.size(); ++r) {
+    EXPECT_GT(peaks[r], 0u) << "rank " << r;
+    EXPECT_EQ(peaks[r], inproc.peak_bytes[r]) << "rank " << r;
+  }
+}
+
+TEST(SocketTransport, RankFreesItsWarmStartInProcessRanksKeepIt) {
+  const Dataset& dataset = tiny_dataset();
+  GdConfig gd;
+  gd.nranks = 2;
+  gd.iterations = 1;
+  expect_warm_start_spent_untracked(
+      dataset, gd,
+      [](const Dataset& d, const GdConfig& c, FramedVolume* warm) {
+        return reconstruct_gd(d, c, warm);
+      },
+      make_gd_partition);
+  HveConfig hve;
+  hve.nranks = 2;
+  hve.iterations = 1;
+  expect_warm_start_spent_untracked(
+      dataset, hve,
+      [](const Dataset& d, const HveConfig& c, FramedVolume* warm) {
+        return reconstruct_hve(d, c, warm);
+      },
+      make_hve_partition);
+}
+
+TEST(SocketTransport, RanksGivenDifferentOutputsAllFailNamingIt) {
+  // Each socket rank writes its own rows, so ranks not all given the same
+  // output would leave a file with holes, or rank 0 waiting for image rows
+  // no peer sends. Every rank fails before the sweep instead.
+  const Dataset& dataset = tiny_dataset();
+  ScratchDir dir("disagree");
+  const std::string a = dir.path() + "/a.bin";
+  const std::string b = dir.path() + "/b.bin";
+  struct Case {
+    VolumeOutput rank0;
+    VolumeOutput rank1;
+    std::string named;
+  };
+  const std::vector<Case> cases = {
+      {{a, false}, {"", false}, "same --save-volume"},
+      {{a, false}, {b, false}, "same --save-volume"},
+      {{a, true}, {a, false}, "given --image"},
+  };
+  GdConfig config;
+  config.nranks = 2;
+  config.iterations = 1;
+  for (const Case& c : cases) {
+    std::vector<std::exception_ptr> errors;
+    (void)run_socket_ranks(2, errors, [&](const rt::TransportOptions& transport) {
+      GdConfig rank_config = config;
+      rank_config.exec.transport = transport;
+      rank_config.output = transport.rank == 0 ? c.rank0 : c.rank1;
+      return reconstruct_gd(dataset, rank_config);
+    });
+    for (int r = 0; r < 2; ++r) {
+      ASSERT_NE(errors[static_cast<usize>(r)], nullptr) << c.named << ": rank " << r;
+      try {
+        std::rethrow_exception(errors[static_cast<usize>(r)]);
+      } catch (const rt::RankFailure& e) {
+        FAIL() << c.named << ": rank " << r << " failed without naming it: " << e.what();
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
+            << "rank " << r << ": " << e.what();
+      }
+    }
+    EXPECT_FALSE(fs::exists(a)) << c.named;
+    EXPECT_FALSE(fs::exists(b)) << c.named;
+  }
+}
+
+TEST(SocketTransport, NonFiniteCostFailsEveryRankWithTheNamedError) {
+  // Every rank holds the reduced cost, so each fails on its own check at
+  // the same iteration: none is left waiting for a peer, and none sees
+  // only a RankFailure.
+  const testing::AbsorbingWarmStart& start = testing::absorbing_warm_start();
+  GdConfig config;
+  config.nranks = 2;
+  config.iterations = 2;
+  config.mode = UpdateMode::kFullBatch;
+  std::vector<std::exception_ptr> errors;
+  (void)run_socket_ranks(2, errors, [&](const rt::TransportOptions& transport) {
+    GdConfig rank_config = config;
+    rank_config.exec.transport = transport;
+    FramedVolume warm = start.warm.clone();
+    return reconstruct_gd(start.dataset, rank_config, &warm);
+  });
+  for (int r = 0; r < 2; ++r) {
+    ASSERT_NE(errors[static_cast<usize>(r)], nullptr) << "rank " << r << " finished";
+    try {
+      std::rethrow_exception(errors[static_cast<usize>(r)]);
+    } catch (const rt::RankFailure& e) {
+      FAIL() << "rank " << r << " failed without naming the cost: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("cost of iteration 2 is inf"), std::string::npos)
+          << "rank " << r << ": " << e.what();
+    }
   }
 }
 
@@ -422,10 +568,12 @@ class LocalInputsRun : public ::testing::Test {
                      const std::string& socket_ckpt) {
     if (!inproc_ckpt.empty()) request.exec.checkpoint = ckpt::Policy{inproc_ckpt, 1};
     const Dataset full = io::load_dataset(data_path());
-    const FramedVolume warm = io::load_volume(warm_path());
-    const ReconstructionOutcome reference = Reconstructor(full).run(request, &warm);
+    const ReconstructionOutcome reference =
+        Reconstructor(full).run(request, io::load_volume(warm_path()));
 
     if (!socket_ckpt.empty()) request.exec.checkpoint = ckpt::Policy{socket_ckpt, 1};
+    const index_t image_slice = full.spec.slices / 2;
+    request.output = VolumeOutput{dir_.path() + "/socket.bin", /*image=*/true};
     std::vector<std::exception_ptr> errors;
     const ReconstructionOutcome distributed =
         run_socket_ranks(request.nranks, errors, [&](const rt::TransportOptions& transport) {
@@ -437,7 +585,11 @@ class LocalInputsRun : public ::testing::Test {
       if (err) std::rethrow_exception(err);
     }
 
-    expect_bitwise_equal(distributed.volume, reference.volume);
+    // The ranks wrote the volume together; rank 0 gathered one slice.
+    expect_bitwise_equal(io::load_volume(request.output.path), reference.volume);
+    FramedVolume slice(1, reference.volume.frame);
+    copy(reference.volume.window(image_slice, slice.frame), slice.window(0, slice.frame));
+    expect_bitwise_equal(distributed.image, slice);
     ASSERT_EQ(distributed.cost.values().size(), reference.cost.values().size());
     for (usize i = 0; i < reference.cost.values().size(); ++i) {
       EXPECT_EQ(distributed.cost.values()[i], reference.cost.values()[i]) << "iteration " << i;
@@ -587,7 +739,7 @@ void run_fault_parity_scenario(bool socket_backend) {
   interrupted.fault = rt::FaultPlan{1, 2};
   if (socket_backend) {
     std::vector<std::exception_ptr> errors;
-    (void)run_gd_socket(dataset, interrupted, kRanks, errors);
+    (void)run_gd_socket(dataset, interrupted, kRanks, errors, "");
     // *Every* rank dies with RankFailure: the victim from the injected
     // fault, the others from the poison frame it broadcast.
     for (int r = 0; r < kRanks; ++r) {
@@ -607,10 +759,12 @@ void run_fault_parity_scenario(bool socket_backend) {
   ParallelResult resumed;
   if (socket_backend) {
     std::vector<std::exception_ptr> errors;
-    resumed = run_gd_socket(dataset, restored, kRanks, errors);
+    const std::string volume_path = dir.path() + "/volume.bin";
+    resumed = run_gd_socket(dataset, restored, kRanks, errors, volume_path);
     for (auto& err : errors) {
       if (err) std::rethrow_exception(err);
     }
+    resumed.volume = io::load_volume(volume_path);
   } else {
     resumed = reconstruct_gd(dataset, restored);
   }

@@ -194,6 +194,10 @@ int cmd_reconstruct(const Options& opts) {
     log::set_thread_rank(request.exec.transport.rank);
   }
   const bool root = !distributed || request.exec.transport.rank == 0;
+  // A socket rank writes its owned rows of the volume itself, and rank 0
+  // gathers only the imaged slice; no rank ever holds the whole field.
+  const std::string volume_path = opts.get_string("save-volume", "");
+  const std::string image_path = opts.get_string("image", "");
 
   // Read the header first, then only what this process's ranks read: a
   // socket rank loads its tile's frames and (below) its window of the
@@ -248,19 +252,26 @@ int cmd_reconstruct(const Options& opts) {
     resume = io::load_volume(resume_path, local.window);
     if (root) std::printf("resuming from %s\n", resume_path.c_str());
   }
+  request.output = VolumeOutput{volume_path, !image_path.empty()};
 
   if (root) {
-    std::printf("reconstructing with %s on %d rank(s)%s, %d iterations (backend %s)...\n",
-                to_string(request.method), request.nranks,
+    // Serial ignores --ranks: its width is the sweep's thread count (one
+    // for the sequential SGD loop).
+    const bool serial = request.method == Method::kSerial;
+    const int width = !serial                             ? request.nranks
+                      : request.mode == UpdateMode::kSgd  ? 1
+                      : request.exec.threads > 0          ? request.exec.threads
+                                                          : ThreadPool::hardware_threads();
+    std::printf("reconstructing with %s on %d %s%s, %d iterations (backend %s)...\n",
+                to_string(request.method), width, serial ? "thread(s)" : "rank(s)",
                 distributed ? " [socket transport]" : "", request.iterations,
                 backend::active_name());
   }
   Reconstructor reconstructor(dataset);
-  const ReconstructionOutcome outcome =
-      reconstructor.run(request, resume_path.empty() ? nullptr : &resume);
+  const ReconstructionOutcome outcome = reconstructor.run(request, std::move(resume));
 
-  // Non-root distributed ranks hold no stitched volume or cost history —
-  // rank 0 owns the result, exactly as in the in-process cluster.
+  // Non-root distributed ranks hold no cost history — rank 0 records it,
+  // exactly as in the in-process cluster.
   if (!outcome.cost.empty()) {
     std::printf("cost %.6g -> %.6g (%.1f%%), wall %.2f s", outcome.cost.first(),
                 outcome.cost.last(), outcome.cost.reduction() * 100.0, outcome.wall_seconds);
@@ -271,15 +282,15 @@ int cmd_reconstruct(const Options& opts) {
   }
 
   if (root) {
-    const std::string volume_path = opts.get_string("save-volume", "");
     if (!volume_path.empty()) {
-      io::save_volume(volume_path, outcome.volume);
+      if (!distributed) io::save_volume(volume_path, outcome.volume);
       std::printf("volume saved to %s\n", volume_path.c_str());
     }
-    const std::string image_path = opts.get_string("image", "");
     if (!image_path.empty()) {
-      io::write_phase_pgm(image_path, outcome.volume.window(dataset.spec.slices / 2,
-                                                            outcome.volume.frame));
+      io::write_phase_pgm(image_path,
+                          distributed ? outcome.image.window(0, outcome.image.frame)
+                                      : outcome.volume.window(dataset.spec.slices / 2,
+                                                              outcome.volume.frame));
       std::printf("phase image saved to %s\n", image_path.c_str());
     }
   }
@@ -334,11 +345,10 @@ int cmd_launch(const Options& opts, int nprocs) {
           child.set("resume", "");
           child.set("fault-rank", "-1");
         }
-        // Only rank 0 keeps the file-output flags; the others have nothing
-        // to save anyway and must not race on the paths.
+        // Every rank writes its own rows of --save-volume and sends its
+        // rows of the imaged slice to rank 0; only rank 0 keeps the
+        // telemetry sinks, which the others must not race on.
         if (r != 0) {
-          child.set("save-volume", "");
-          child.set("image", "");
           child.set("trace-out", "");
           child.set("metrics-out", "");
         }
