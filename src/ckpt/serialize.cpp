@@ -113,50 +113,35 @@ Reader::Reader(const std::string& path, std::uint64_t file_magic)
     : in_(path, std::ios::binary), path_(path) {
   PTYCHO_CHECK(in_.good(), "cannot open '" << path << "' for reading");
   // Footer check first: a file without the trailing magic was truncated
-  // mid-write (e.g. by a dying rank) and must not be trusted. CRC-layout
-  // files end [... kFooterMagicV2 u64][crc u32]; legacy files end at
-  // kFooterMagic. The two footer magics differ, so a CRC-layout file
-  // truncated by exactly the trailer length cannot masquerade as legacy.
+  // mid-write (e.g. by a dying rank) and must not be trusted. Files end
+  // [... kFooterMagicV2 u64][crc u32].
   in_.seekg(0, std::ios::end);
   const std::streamoff size = in_.tellg();
-  PTYCHO_CHECK(size >= 20, "'" << path << "' is too short to be a checkpoint file");
+  PTYCHO_CHECK(size >= 24, "'" << path << "' is too short to be a checkpoint file");
   unsigned char footer[8];
-  bool has_crc_trailer = false;
-  if (size >= 24) {
-    in_.seekg(size - 12);
-    in_.read(reinterpret_cast<char*>(footer), sizeof footer);
-    has_crc_trailer = in_.good() && decode_u64(footer) == kFooterMagicV2;
+  in_.seekg(size - 12);
+  in_.read(reinterpret_cast<char*>(footer), sizeof footer);
+  PTYCHO_CHECK(in_.good() && decode_u64(footer) == kFooterMagicV2,
+               "'" << path << "' is truncated or corrupt (bad footer)");
+  unsigned char trailer[4];
+  in_.read(reinterpret_cast<char*>(trailer), sizeof trailer);
+  PTYCHO_CHECK(in_.good(), "'" << path << "' is truncated (missing CRC trailer)");
+  const std::uint32_t stored = decode_u32(trailer);
+  // Stream-verify the whole file (everything before the trailer): a torn
+  // or bit-rotted shard must fail the restore, not poison the volume.
+  in_.seekg(0);
+  std::uint32_t crc = 0;
+  char buf[1 << 16];
+  std::streamoff left = size - 4;
+  while (left > 0) {
+    const auto n = static_cast<std::streamsize>(
+        std::min<std::streamoff>(left, static_cast<std::streamoff>(sizeof buf)));
+    in_.read(buf, n);
+    PTYCHO_CHECK(in_.good(), "read failed while checksumming '" << path << "'");
+    crc = crc32(buf, static_cast<usize>(n), crc);
+    left -= n;
   }
-  if (has_crc_trailer) {
-    unsigned char trailer[4];
-    in_.read(reinterpret_cast<char*>(trailer), sizeof trailer);
-    PTYCHO_CHECK(in_.good(), "'" << path << "' is truncated (missing CRC trailer)");
-    const std::uint32_t stored = decode_u32(trailer);
-    // Stream-verify the whole file (everything before the trailer): a torn
-    // or bit-rotted shard must fail the restore, not poison the volume.
-    in_.seekg(0);
-    std::uint32_t crc = 0;
-    char buf[1 << 16];
-    std::streamoff left = size - 4;
-    while (left > 0) {
-      const auto n = static_cast<std::streamsize>(
-          std::min<std::streamoff>(left, static_cast<std::streamoff>(sizeof buf)));
-      in_.read(buf, n);
-      PTYCHO_CHECK(in_.good(), "read failed while checksumming '" << path << "'");
-      crc = crc32(buf, static_cast<usize>(n), crc);
-      left -= n;
-    }
-    PTYCHO_CHECK(crc == stored,
-                 "'" << path << "' failed its integrity check (CRC mismatch)");
-  } else {
-    // Legacy v1 layout (no CRC). The footer still guards truncation; the
-    // per-file version check downstream decides whether v1 is acceptable.
-    in_.clear();
-    in_.seekg(size - 8);
-    in_.read(reinterpret_cast<char*>(footer), sizeof footer);
-    PTYCHO_CHECK(in_.good() && decode_u64(footer) == kFooterMagic,
-                 "'" << path << "' is truncated or corrupt (bad footer)");
-  }
+  PTYCHO_CHECK(crc == stored, "'" << path << "' failed its integrity check (CRC mismatch)");
   in_.clear();
   in_.seekg(0);
   PTYCHO_CHECK(u64() == file_magic, "'" << path << "' has the wrong file type magic");

@@ -22,15 +22,7 @@
 
 namespace ptycho::ckpt {
 
-/// Trailing marker legacy (pre-CRC) checkpoint files end with
-/// ("PTYCEND!").
-inline constexpr std::uint64_t kFooterMagic = 0x50545943454E4421ULL;
-
-/// Trailing marker for the CRC-carrying layout ("PTYCEND2"), followed by
-/// the 4-byte CRC32 trailer. Deliberately distinct from kFooterMagic: a
-/// CRC-layout file truncated by exactly the trailer length would
-/// otherwise present a valid legacy footer at the legacy offset and slip
-/// past both checks.
+/// Trailing marker ("PTYCEND2"), followed by the 4-byte CRC32 trailer.
 inline constexpr std::uint64_t kFooterMagicV2 = 0x50545943454E4432ULL;
 
 class Writer {
@@ -71,8 +63,9 @@ class Writer {
 
 class Reader {
  public:
-  /// Opens `path`, validates the file magic and the trailing footer magic.
-  /// The format version is available via version() for migration logic.
+  /// Opens `path` and validates the trailing footer magic, the file CRC
+  /// and the file magic. Callers check version() against the one format
+  /// version they read.
   Reader(const std::string& path, std::uint64_t file_magic);
 
   [[nodiscard]] std::uint32_t version() const { return version_; }

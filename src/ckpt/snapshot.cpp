@@ -164,7 +164,6 @@ std::uint64_t write_shard(const std::string& dir, const ShardView& shard) {
     w.u64(shard.rng.cached_normal_bits);
     w.u8(shard.rng.have_cached_normal ? 1 : 0);
     write_framed(w, *shard.volume);
-    write_framed(w, *shard.accbuf);
     write_square(w, *shard.probe);
     write_square(w, *shard.probe_grad);
     w.finish();
@@ -174,7 +173,7 @@ std::uint64_t write_shard(const std::string& dir, const ShardView& shard) {
 
 std::uint64_t write_shard(const std::string& dir, const Shard& shard) {
   return write_shard(dir, ShardView{shard.rank, shard.partial_cost, shard.rng, &shard.volume,
-                                    &shard.accbuf, &shard.probe, &shard.probe_grad});
+                                    nullptr, &shard.probe, &shard.probe_grad});
 }
 
 Shard read_shard(const std::string& dir, int rank) {
@@ -189,7 +188,6 @@ Shard read_shard(const std::string& dir, int rank) {
   shard.rng.cached_normal_bits = r.u64();
   shard.rng.have_cached_normal = r.u8() != 0;
   shard.volume = read_framed(r);
-  shard.accbuf = read_framed(r);
   shard.probe = read_square(r);
   shard.probe_grad = read_square(r);
   return shard;

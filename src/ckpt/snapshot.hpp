@@ -30,10 +30,13 @@
 
 namespace ptycho::ckpt {
 
-/// Snapshot format version (bump on any wire-layout change).
+/// Snapshot format version (bump on any wire-layout change). Readers
+/// accept this version only.
 /// v2: files carry a trailing CRC32 (see ckpt/serialize.hpp) so torn or
 /// bit-rotted shards are detected at restore instead of loading silently.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: shards no longer carry AccBuf_k, which is zero at every snapshot
+/// point (ApplyUpdatePass resets it before any checkpoint hook runs).
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// When and where solvers take snapshots.
 struct Policy {
@@ -79,7 +82,6 @@ struct Shard {
   double partial_cost = 0.0;  ///< sweep cost accumulated in the current iteration
   RngState rng;               ///< this rank's stream, mid-sequence
   FramedVolume volume;        ///< extended tile of V (halo included)
-  FramedVolume accbuf;        ///< AccBuf_k (zero at chunk boundaries, captured anyway)
   CArray2D probe;             ///< this rank's probe wavefield copy
   CArray2D probe_grad;        ///< partially accumulated probe gradient
 };
@@ -99,6 +101,8 @@ struct ShardView {
   double partial_cost = 0.0;
   RngState rng;
   const FramedVolume* volume = nullptr;
+  /// Ignored: no shard carries AccBuf since v3. Kept so positional
+  /// initializers written against the v2 field list still compile.
   const FramedVolume* accbuf = nullptr;
   const CArray2D* probe = nullptr;
   const CArray2D* probe_grad = nullptr;

@@ -1,9 +1,6 @@
 // AccBuf_k of Alg. 1: the accumulated-gradient buffer each rank keeps.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-
 #include "tensor/framed.hpp"
 #include "tensor/ops.hpp"
 
@@ -27,35 +24,6 @@ class AccumulationBuffer {
 
  private:
   FramedVolume volume_;
-};
-
-/// Double-buffer rotation over AccBuf for the asynchronous pipeline: even
-/// global steps accumulate into the solver's primary buffer, odd steps
-/// into a shadow of the same shape. Alternating buffers is what lets a
-/// background checkpoint still *reading* step N's buffer overlap step
-/// N+1's sweep, which *writes* the other one — without the rotation the
-/// two would be a write-after-read hazard and serialize.
-///
-/// Contents stay bitwise-equal to the single-buffer path: every chunk
-/// starts from a zeroed buffer (ApplyUpdatePass resets the one it used),
-/// and both buffers start zeroed, so which physical buffer a chunk used is
-/// unobservable in the output.
-class AccumulationDoubleBuffer {
- public:
-  /// Borrows `primary` (the solver's buffer) and allocates the shadow
-  /// eagerly with the same shape, on the calling thread, so per-rank
-  /// memory tracking charges it to the owning rank.
-  explicit AccumulationDoubleBuffer(AccumulationBuffer& primary)
-      : primary_(&primary),
-        shadow_(std::in_place, primary.volume().slices(), primary.frame()) {}
-
-  [[nodiscard]] AccumulationBuffer& for_step(std::uint64_t step) {
-    return step % 2 == 0 ? *primary_ : *shadow_;
-  }
-
- private:
-  AccumulationBuffer* primary_;
-  std::optional<AccumulationBuffer> shadow_;
 };
 
 }  // namespace ptycho

@@ -159,9 +159,9 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
         const ckpt::Snapshot& snap = *config.restore;
         if (exact_resume) {
           // Same tiling: this rank's shard restores its state verbatim.
+          // (AccBuf stays zeroed: it is zero at every snapshot point.)
           const ckpt::Shard& shard = snap.shards[static_cast<usize>(ctx.rank())];
           copy_region(shard.volume, volume, tile.extended);
-          copy_region(shard.accbuf, accbuf.volume(), tile.extended);
           local_probe.emplace(shard.probe.clone());
           if (shard.probe_grad.rows() == probe_grad_field.rows()) {
             probe_grad_field = shard.probe_grad.clone();

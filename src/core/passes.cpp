@@ -312,7 +312,6 @@ PassAccess CheckpointPass::access_if_due(int next_iteration, int next_chunk) con
   a.read(Resource::kVolume)
       .read(Resource::kProbe)
       .read(Resource::kProbeGrad)
-      .read(Resource::kAccBuf)
       .read(Resource::kCost)
       .write(Resource::kCheckpointDir);
   if (!deferred_) a.write(Resource::kFabric);
@@ -343,7 +342,7 @@ void CheckpointPass::maybe_write(SolverState& state, int next_iteration, int nex
   const std::uint64_t shard_bytes = ckpt::write_shard(
       dir, ckpt::ShardView{rank, partial_cost,
                            state.ctx != nullptr ? state.ctx->rng().state() : RngState{},
-                           state.volume, &state.accbuf->volume(), &state.probe->field(),
+                           state.volume, nullptr, &state.probe->field(),
                            state.probe_grad_field});
   {
     static obs::Counter& shards = obs::registry().counter("checkpoint_shards_total");

@@ -122,23 +122,8 @@ void ReconstructionPipeline::validate_async() const {
 
 namespace {
 
-/// Shadow bit the executor remaps kAccBuf to on odd steps, so a hazard
-/// check between an in-flight background pass (step N) and a rank-lane
-/// pass (step N+1) sees two distinct resources when double buffering made
-/// them physically distinct.
-constexpr std::uint32_t kAccBufShadowBit = std::uint32_t{1} << kResourceCount;
-
-[[nodiscard]] PassAccess remap_accbuf(PassAccess access, std::uint64_t step,
-                                      bool double_buffered) {
-  if (!double_buffered || step % 2 == 0) return access;
-  const std::uint32_t bit = resource_bit(Resource::kAccBuf);
-  if (access.reads & bit) access.reads = (access.reads & ~bit) | kAccBufShadowBit;
-  if (access.writes & bit) access.writes = (access.writes & ~bit) | kAccBufShadowBit;
-  return access;
-}
-
-/// A background pass still (possibly) running, with the concrete access
-/// set it was dispatched under.
+/// A background pass still (possibly) running, with the access set it was
+/// dispatched under.
 struct InFlightPass {
   BackgroundTicket ticket;
   PassAccess access;
@@ -185,19 +170,6 @@ class HazardTracker {
   std::vector<InFlightPass> inflight_;
 };
 
-/// Restores state.accbuf on scope exit — the async run repoints it at the
-/// double buffer's shadow on odd steps, and the owning solver must get its
-/// own pointer back even when a pass throws.
-class AccbufRestorer {
- public:
-  explicit AccbufRestorer(SolverState& state) : state_(state), saved_(state.accbuf) {}
-  ~AccbufRestorer() { state_.accbuf = saved_; }
-
- private:
-  SolverState& state_;
-  AccumulationBuffer* saved_;
-};
-
 }  // namespace
 
 void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& schedule,
@@ -207,21 +179,14 @@ void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& sch
   const bool async = options.mode == PipelineMode::kAsync;
   if (async) validate_async();
 
-  // Declaration order matters: the worker must be destroyed (joining any
-  // still-queued task) before the shadow buffer it may be reading.
-  std::optional<AccumulationDoubleBuffer> accbufs;
   std::optional<BackgroundWorker> background;
-  if (async) {
-    if (state.accbuf != nullptr) accbufs.emplace(*state.accbuf);
-    background.emplace();
-  }
-  AccbufRestorer restore_accbuf(state);
+  if (async) background.emplace();
   HazardTracker inflight;
 
   // Dispatch one hook (chunk or iteration) on the right lane.
-  const auto dispatch = [&](Pass& pass, const PassAccess& concrete,
-                            const StepPoint* point, int iteration) {
-    if (async) inflight.wait_conflicting(concrete);
+  const auto dispatch = [&](Pass& pass, const PassAccess& access, const StepPoint* point,
+                            int iteration) {
+    if (async) inflight.wait_conflicting(access);
     if (async && pass.background_eligible()) {
       // Background passes see a value snapshot of the state taken at
       // dispatch (sweep_cost etc. frozen at the right program point);
@@ -239,7 +204,7 @@ void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& sch
           pass.on_iteration(snap, iteration);
         });
       }
-      inflight.admit(std::move(ticket), concrete, pass.name());
+      inflight.admit(std::move(ticket), access, pass.name());
       return;
     }
     if (point != nullptr) {
@@ -264,18 +229,9 @@ void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& sch
       point.chunks = schedule.chunks_per_iteration;
       point.begin = schedule.items * chunk / schedule.chunks_per_iteration;
       point.end = schedule.items * (chunk + 1) / schedule.chunks_per_iteration;
-      const std::uint64_t step =
-          static_cast<std::uint64_t>(iter) *
-              static_cast<std::uint64_t>(schedule.chunks_per_iteration) +
-          static_cast<std::uint64_t>(chunk);
-      if (accbufs) state.accbuf = &accbufs->for_step(step);
       {
         obs::SpanScope chunk_span("chunk", obs::Phase::kNone, iter, chunk);
-        for (const auto& pass : passes_) {
-          const PassAccess concrete =
-              remap_accbuf(pass->chunk_access(point), step, accbufs.has_value());
-          dispatch(*pass, concrete, &point, iter);
-        }
+        for (const auto& pass : passes_) dispatch(*pass, pass->chunk_access(point), &point, iter);
       }
       // Chunk boundary: fold this rank's span durations into its profiler
       // and move pending trace records out of the bounded rings. (The
@@ -287,19 +243,9 @@ void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& sch
     {
       // Iteration hooks carry no pass phase: probe refinement and cost
       // recording were never phase-accounted, and the checkpoint pass
-      // times its actual writes internally (snapshot-write spans). The
-      // hooks run after the iteration's last chunk, so the AccBuf parity
-      // they observe is that of the last step.
-      const std::uint64_t last_step =
-          static_cast<std::uint64_t>(iter) *
-              static_cast<std::uint64_t>(schedule.chunks_per_iteration) +
-          static_cast<std::uint64_t>(schedule.chunks_per_iteration - 1);
+      // times its actual writes internally (snapshot-write spans).
       obs::SpanScope iter_span("iteration-hooks", obs::Phase::kNone, iter);
-      for (const auto& pass : passes_) {
-        const PassAccess concrete =
-            remap_accbuf(pass->iteration_access(iter), last_step, accbufs.has_value());
-        dispatch(*pass, concrete, nullptr, iter);
-      }
+      for (const auto& pass : passes_) dispatch(*pass, pass->iteration_access(iter), nullptr, iter);
     }
     if (state.ctx != nullptr) state.ctx->merge_phases();
     if (obs::tracing_enabled()) obs::Tracer::instance().drain_all();

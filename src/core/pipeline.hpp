@@ -29,9 +29,9 @@
 //    tagless barrier makes reordering them unsound), but lifts
 //    background-eligible passes (checkpoint shard I/O) onto a per-rank
 //    BackgroundWorker slot. An in-flight background pass fences every
-//    later pass it has a read/write hazard with; the AccBuf is
-//    double-buffered per step parity so chunk N's in-flight checkpoint
-//    (reading buffer A) never hazards chunk N+1's sweep (writing B).
+//    later pass it has a read/write hazard with. A snapshot does not read
+//    the AccBuf (it is zero at every snapshot point, so shards omit it),
+//    so chunk N's in-flight checkpoint never fences chunk N+1's sweep.
 //
 // Because the rank lane never reorders and background passes operate on a
 // value snapshot of the state behind hazard fences, the async schedule is
@@ -90,17 +90,14 @@ struct StepPoint {
 
 // ---- resources & access sets ------------------------------------------------
 
-/// The named shared resources passes operate on. kAccBuf names the
-/// *current chunk's* accumulation buffer — with double buffering the
-/// executor remaps it per step parity, so a pass never needs to know
-/// which physical buffer it touches. Value members of SolverState
-/// (sweep_cost, step) are NOT resources: the rank lane mutates them in
-/// program order and background passes receive a value snapshot.
+/// The named shared resources passes operate on. Value members of
+/// SolverState (sweep_cost, step) are NOT resources: the rank lane mutates
+/// them in program order and background passes receive a value snapshot.
 enum class Resource : std::uint8_t {
   kVolume = 0,      ///< the rank's (extended-tile) object volume
   kProbe,           ///< the probe wavefield
   kProbeGrad,       ///< the accumulated probe-gradient field
-  kAccBuf,          ///< this step's accumulation buffer
+  kAccBuf,          ///< the rank's accumulation buffer
   kCost,            ///< the recorded CostHistory sink
   kFabric,          ///< the rank's message fabric + barriers (ordering!)
   kCheckpointDir,   ///< the snapshot directory tree on disk
@@ -160,7 +157,7 @@ struct PassDag {
 /// How ReconstructionPipeline::run schedules the pass graph.
 enum class PipelineMode {
   kSync,   ///< strict list order, single lane (the historical behavior)
-  kAsync,  ///< hazard-fenced background slot + double-buffered AccBuf
+  kAsync,  ///< hazard-fenced background slot for background-eligible passes
 };
 
 [[nodiscard]] const char* to_string(PipelineMode mode);
@@ -266,8 +263,7 @@ class ReconstructionPipeline {
 
   /// The dependency DAG the declared chunk accesses imply at `point`:
   /// dag.deps[i] holds the earlier pass indices pass i has a read/write
-  /// hazard with. No double-buffer remap is applied — within one chunk
-  /// every pass sees the same physical AccBuf.
+  /// hazard with.
   [[nodiscard]] PassDag chunk_dag(const StepPoint& point) const;
 
   /// Drive the pass graph over the schedule. Collective on tiled runs:

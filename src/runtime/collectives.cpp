@@ -1,5 +1,8 @@
 #include "runtime/collectives.hpp"
 
+#include <array>
+#include <bit>
+
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,15 +22,75 @@ Tag stage_tag(Phase phase, std::int64_t instance, int step, bool down) {
 }
 }  // namespace
 
+namespace {
+
+/// How a reduce-tree node folds a child's buffer into its own.
+using Combine = void (*)(std::vector<cplx>& acc, const std::vector<cplx>& incoming);
+
+void add_cplx(std::vector<cplx>& acc, const std::vector<cplx>& incoming) {
+  PTYCHO_CHECK(incoming.size() == acc.size(), "allreduce buffer size mismatch");
+  for (usize i = 0; i < acc.size(); ++i) acc[i] += incoming[i];
+}
+
+/// A double carried bit for bit in the 8 bytes of one cplx.
+cplx pack_f64(double value) {
+  const auto halves = std::bit_cast<std::array<real, 2>>(value);
+  return {halves[0], halves[1]};
+}
+
+double unpack_f64(const cplx& packed) {
+  return std::bit_cast<double>(std::array<real, 2>{packed.real(), packed.imag()});
+}
+
+void add_f64(std::vector<cplx>& acc, const std::vector<cplx>& incoming) {
+  PTYCHO_CHECK(incoming.size() == 1 && acc.size() == 1, "allreduce buffer size mismatch");
+  acc[0] = pack_f64(unpack_f64(acc[0]) + unpack_f64(incoming[0]));
+}
+
+void count_allreduce(usize bytes) {
+  if (!obs::metrics_enabled()) return;
+  static obs::Counter& calls = obs::registry().counter("collective_allreduce_total");
+  static obs::Counter& total = obs::registry().counter("collective_allreduce_bytes_total");
+  calls.add(1);
+  total.add(bytes);
+}
+
+/// Reduce to rank 0 over a binomial tree, then broadcast the result back
+/// down the same tree. A rank that `posted` its leaf send already has
+/// nothing left to contribute.
+void reduce_and_broadcast(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
+                          std::int64_t instance, bool posted, Combine combine) {
+  const int nranks = ctx.nranks();
+  const int rank = ctx.rank();
+  if (!posted) {
+    for (int step = 1; step < nranks; step <<= 1) {
+      if ((rank & step) != 0) {
+        ctx.isend(rank - step, stage_tag(phase, instance, step, false), std::move(buffer));
+        buffer.clear();
+        break;
+      }
+      if (rank + step < nranks) {
+        combine(buffer, ctx.recv(rank + step, stage_tag(phase, instance, step, false)));
+      }
+    }
+  }
+  int highest = 1;
+  while (highest < nranks) highest <<= 1;
+  for (int step = highest >> 1; step >= 1; step >>= 1) {
+    if ((rank & (2 * step - 1)) == 0 && rank + step < nranks) {
+      ctx.isend(rank + step, stage_tag(phase, instance, step, true), std::vector<cplx>(buffer));
+    } else if ((rank & (2 * step - 1)) == step) {
+      buffer = ctx.recv(rank - step, stage_tag(phase, instance, step, true));
+    }
+  }
+}
+
+}  // namespace
+
 AllreduceHandle::AllreduceHandle(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
                                  std::int64_t instance)
     : ctx_(ctx), buffer_(buffer), phase_(phase), instance_(instance) {
-  if (obs::metrics_enabled()) {
-    static obs::Counter& calls = obs::registry().counter("collective_allreduce_total");
-    static obs::Counter& bytes = obs::registry().counter("collective_allreduce_bytes_total");
-    calls.add(1);
-    bytes.add(buffer.size() * sizeof(cplx));
-  }
+  count_allreduce(buffer.size() * sizeof(cplx));
   // A rank whose first reduce-tree action is a send with no prior receive
   // (odd ranks: the lowest set bit is step 1) can post it now — the
   // parent's matching recv in finish() then completes without waiting a
@@ -43,37 +106,7 @@ AllreduceHandle::AllreduceHandle(RankContext& ctx, std::vector<cplx>& buffer, Ph
 void AllreduceHandle::finish() {
   PTYCHO_REQUIRE(!finished_, "AllreduceHandle::finish called twice");
   finished_ = true;
-  const int nranks = ctx_.nranks();
-  const int rank = ctx_.rank();
-
-  // Reduce to rank 0 over a binomial tree. A rank that already posted its
-  // leaf send at construction has nothing left to contribute.
-  if (!posted_) {
-    for (int step = 1; step < nranks; step <<= 1) {
-      if ((rank & step) != 0) {
-        ctx_.isend(rank - step, stage_tag(phase_, instance_, step, false), std::move(buffer_));
-        buffer_.clear();
-        break;
-      }
-      if (rank + step < nranks) {
-        std::vector<cplx> incoming =
-            ctx_.recv(rank + step, stage_tag(phase_, instance_, step, false));
-        PTYCHO_CHECK(incoming.size() == buffer_.size(), "allreduce buffer size mismatch");
-        for (usize i = 0; i < buffer_.size(); ++i) buffer_[i] += incoming[i];
-      }
-    }
-  }
-
-  // Broadcast the result back down the same tree.
-  int highest = 1;
-  while (highest < nranks) highest <<= 1;
-  for (int step = highest >> 1; step >= 1; step >>= 1) {
-    if ((rank & (2 * step - 1)) == 0 && rank + step < nranks) {
-      ctx_.isend(rank + step, stage_tag(phase_, instance_, step, true), std::vector<cplx>(buffer_));
-    } else if ((rank & (2 * step - 1)) == step) {
-      buffer_ = ctx_.recv(rank - step, stage_tag(phase_, instance_, step, true));
-    }
-  }
+  reduce_and_broadcast(ctx_, buffer_, phase_, instance_, posted_, add_cplx);
 }
 
 void allreduce_sum(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
@@ -87,15 +120,14 @@ void allreduce_sum(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
 
 double allreduce_sum_scalar(RankContext& ctx, double value, Phase phase,
                             std::int64_t instance) {
-  std::vector<cplx> packed(1);
-  // Split the double across real/imag of a cplx to keep full precision for
-  // moderate magnitudes; cost values fit float range in our workloads, but
-  // we sum in double at the reduce points via promotion below.
-  packed[0] = cplx(static_cast<real>(value), 0);
-  // For accuracy use a dedicated reduction (float is enough for the cost
-  // curves; sums are short). Reuse vector allreduce.
-  allreduce_sum(ctx, packed, phase, instance);
-  return static_cast<double>(packed[0].real());
+  // Same tree and tags as allreduce_sum, but every node adds in double:
+  // a tiled run's cost keeps the range and rounding of a double sum, and
+  // the fixed tree keeps it identical across transports.
+  obs::SpanScope span("allreduce");
+  count_allreduce(sizeof(cplx));
+  std::vector<cplx> packed{pack_f64(value)};
+  reduce_and_broadcast(ctx, packed, phase, instance, /*posted=*/false, add_f64);
+  return unpack_f64(packed[0]);
 }
 
 void broadcast(RankContext& ctx, std::vector<cplx>& buffer, int root, Phase phase,

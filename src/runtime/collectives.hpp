@@ -49,7 +49,8 @@ class AllreduceHandle {
   bool finished_ = false;
 };
 
-/// Allreduce of one double (packed into a cplx payload).
+/// Allreduce of one double, summed in double at every tree node (the
+/// value travels bit for bit in one cplx payload).
 [[nodiscard]] double allreduce_sum_scalar(RankContext& ctx, double value, Phase phase,
                                           std::int64_t instance = 0);
 

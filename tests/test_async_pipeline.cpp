@@ -178,9 +178,10 @@ TEST(ChunkDag, DerivesDependenciesFromDeclaredAccess) {
   EXPECT_EQ(dag.deps[1], (std::vector<int>{0}));
   // finalize reads the checkpoint dir — no hazard with sweep/update.
   EXPECT_TRUE(dag.deps[2].empty());
-  // The due checkpoint reads V and AccBuf (sweep wrote, update rewrote)
-  // and writes the directory the finalize pass reads.
-  EXPECT_EQ(dag.deps[3], (std::vector<int>{0, 1, 2}));
+  // The due checkpoint reads V (update wrote) and writes the directory
+  // the finalize pass reads. It does not read AccBuf, which is zero at
+  // every snapshot point, so it does not wait on the sweep.
+  EXPECT_EQ(dag.deps[3], (std::vector<int>{1, 2}));
 
   // Last chunk of the iteration: the chunk hook is not due, so the
   // checkpoint declares nothing and falls out of the chunk DAG entirely.
@@ -339,6 +340,29 @@ TEST(AsyncEquivalence, GdBitwiseAcrossThreads) {
     }
     expect_identical_trees(dir.path(), base_dir.path());
   }
+}
+
+TEST(AsyncEquivalence, CheckpointingGdCostsWhatSyncCosts) {
+  // A due snapshot does not read the AccBuf, so the background shard write
+  // overlaps the next sweep without a second buffer: each rank's tracked
+  // peak is the same in both modes.
+  const auto run = [](PipelineMode pipeline, const std::string& dir) {
+    GdConfig config;
+    config.nranks = 2;
+    config.iterations = 2;
+    config.mode = UpdateMode::kFullBatch;
+    config.exec.threads = 1;
+    config.exec.pipeline = pipeline;
+    config.exec.checkpoint = ckpt::Policy{dir, 1};
+    return reconstruct_gd(tiny_dataset(), config);
+  };
+  ScratchDir sync_dir("peak_sync");
+  ScratchDir async_dir("peak_async");
+  const ParallelResult sync = run(PipelineMode::kSync, sync_dir.path());
+  const ParallelResult async = run(PipelineMode::kAsync, async_dir.path());
+  ASSERT_EQ(sync.peak_bytes.size(), 2u);
+  EXPECT_GT(sync.peak_bytes[0], 0u);
+  EXPECT_EQ(async.peak_bytes, sync.peak_bytes);
 }
 
 TEST(AsyncEquivalence, HveBitwiseInBothLocalModes) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "ckpt/serialize.hpp"
@@ -140,7 +141,6 @@ TEST(CkptSnapshot, ManifestAndShardRoundTrip) {
   shard.rng.s[3] = 44;
   shard.volume = FramedVolume(2, Rect{-1, -1, 10, 10});
   shard.volume.data(1, 3, 4) = cplx(0.5f, -0.25f);
-  shard.accbuf = FramedVolume(2, Rect{-1, -1, 10, 10});
   shard.probe = CArray2D(4, 4);
   shard.probe(2, 2) = cplx(1, 1);
   shard.probe_grad = CArray2D(4, 4);
@@ -166,6 +166,92 @@ TEST(CkptSnapshot, ManifestAndShardRoundTrip) {
   EXPECT_EQ(s.volume.frame, shard.volume.frame);
   EXPECT_EQ(s.volume.data(1, 3, 4), cplx(0.5f, -0.25f));
   EXPECT_EQ(s.probe(2, 2), cplx(1, 1));
+}
+
+TEST(CkptSnapshot, ShardHoldsOnlyLiveState) {
+  // A solver-written shard is its header, scalars and the volume, probe
+  // and probe-gradient payloads: AccBuf, zero at every snapshot point, is
+  // not stored.
+  ScratchDir dir("shard_size");
+  GdConfig config;
+  config.nranks = 2;
+  config.iterations = 1;
+  config.mode = UpdateMode::kFullBatch;
+  config.exec.checkpoint = ckpt::Policy{dir.path(), 1};
+  (void)reconstruct_gd(tiny_dataset(), config);
+  const std::string step = ckpt::step_dir(dir.path(), 1);
+  const ckpt::Snapshot snap = ckpt::load_snapshot(step);
+  // An array is its element count, then one f32 (re, im) pair per element.
+  const auto array = [](index_t count) { return std::uintmax_t{8} + 8 * std::uintmax_t(count); };
+  for (const int rank : {0, 1}) {
+    const ckpt::Shard& shard = snap.shards[static_cast<usize>(rank)];
+    const std::uintmax_t header = 8 + 4;                  // magic, version
+    const std::uintmax_t scalars = 4 + 8 + 5 * 8 + 1;     // rank, partial cost, RNG
+    const std::uintmax_t volume = 4 * 8 + 8 + array(shard.volume.data.size());  // frame, slices
+    const std::uintmax_t probe = 8 + array(shard.probe.size());                 // side
+    const std::uintmax_t probe_grad = 8 + array(shard.probe_grad.size());
+    const std::uintmax_t trailer = 8 + 4;                 // footer, CRC
+    EXPECT_EQ(fs::file_size(step + (rank == 0 ? "/shard-0000.ckpt" : "/shard-0001.ckpt")),
+              header + scalars + volume + probe + probe_grad + trailer)
+        << "rank " << rank;
+  }
+}
+
+TEST(CkptSnapshot, RefusesAnOlderShardFormatAndFallsBack) {
+  ScratchDir dir("old_format");
+  ckpt::TileInfo tile;
+  tile.owned = Rect{0, 0, 8, 8};
+  tile.extended = Rect{-1, -1, 10, 10};
+  ckpt::Manifest manifest;
+  manifest.dataset_name = "unit";
+  manifest.slices = 2;
+  manifest.nranks = 1;
+  manifest.tiles = {tile};
+  ckpt::Shard shard;
+  shard.volume = FramedVolume(2, tile.extended);
+  shard.probe = CArray2D(4, 4);
+  shard.probe_grad = CArray2D(4, 4);
+  for (const int iteration : {1, 2}) {
+    const std::string step = ckpt::step_dir(dir.path(), iteration);
+    fs::create_directories(step);
+    manifest.iteration = iteration;
+    manifest.step = iteration;
+    ckpt::write_manifest(step, manifest);
+    ckpt::write_shard(step, shard);
+  }
+  // Replace the newer snapshot's shard with a format-2 one, laid out as
+  // format 2 wrote it: an AccBuf section after the volume.
+  const std::string newer = ckpt::step_dir(dir.path(), 2);
+  {
+    constexpr std::uint64_t kShardMagic = 0x5054594353485244ULL;  // "PTYCSHRD"
+    ckpt::Writer w(newer + "/shard-0000.ckpt", kShardMagic, 2);
+    w.u32(0);                                 // rank
+    w.f64(0.0);                               // partial cost
+    for (int i = 0; i < 5; ++i) w.u64(0);     // RNG words
+    w.u8(0);
+    for (int section = 0; section < 2; ++section) {  // volume, AccBuf
+      w.rect(tile.extended);
+      w.i64(2);
+      w.cplx_array(shard.volume.data.data(), static_cast<usize>(shard.volume.data.size()));
+    }
+    for (int section = 0; section < 2; ++section) {  // probe, probe gradient
+      w.i64(4);
+      w.cplx_array(shard.probe.data(), static_cast<usize>(shard.probe.size()));
+    }
+    w.finish();
+  }
+  try {
+    (void)ckpt::read_shard(newer, 0);
+    FAIL() << "a format-2 shard was read";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported shard format version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::optional<ckpt::Snapshot> found =
+      ckpt::load_newest_valid(dir.path(), ckpt::RestoreFilter{});
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->manifest.iteration, 1);
 }
 
 TEST(CkptSnapshot, LatestStepSkipsManifestlessDirs) {

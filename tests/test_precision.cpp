@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -359,6 +360,9 @@ TEST(PrecisionRange, PastF16RangeIsAnErrorNamingTheArray) {
   const Rect field = potential.field();
   FramedVolume warm(potential.spec.slices, field);
   warm.data(0, field.h / 2, field.w / 2) = cplx(real(0), real(-12) / spec.model.sigma);
+  // The same warm start with a NaN there: non-finite in any precision.
+  FramedVolume nan = warm.clone();
+  nan.data(0, field.h / 2, field.w / 2) = cplx(std::numeric_limits<real>::quiet_NaN(), 0);
 
   const auto run = [](const Dataset& dataset, Method method, const char* tier,
                       const FramedVolume* initial) {
@@ -380,21 +384,20 @@ TEST(PrecisionRange, PastF16RangeIsAnErrorNamingTheArray) {
       const std::string msg = error_message([&] { (void)run(dataset, method, "fast", initial); });
       EXPECT_NE(msg.find(array), std::string::npos) << to_string(method) << ": " << msg;
       EXPECT_NE(msg.find("--precision strict"), std::string::npos) << msg;
-      // Strict evaluates the same inputs in f32: its first cost is finite.
-      // (The step it then takes from so absorbing a voxel may diverge;
-      // that is the solver's business, not the storage's. GD's does, and
-      // its run ends at iteration 2 naming the non-finite cost.)
-      if (method == Method::kGradientDecomposition && !measurement) {
-        const std::string diverged =
-            error_message([&] { (void)run(dataset, method, "strict", initial); });
-        EXPECT_NE(diverged.find("cost of iteration 2 is inf"), std::string::npos) << diverged;
-        continue;
-      }
+      // Strict evaluates the same inputs in f32 and sums the cost in
+      // double: both costs are finite.
       const std::vector<double> strict = run(dataset, method, "strict", initial);
       ASSERT_EQ(strict.size(), 2u) << to_string(method);
-      EXPECT_TRUE(std::isfinite(strict[0])) << to_string(method) << " " << array;
-      if (measurement) {
-        EXPECT_TRUE(std::isfinite(strict[1])) << to_string(method);
+      for (const double cost : strict) {
+        EXPECT_TRUE(std::isfinite(cost)) << to_string(method) << " " << array;
+      }
+      // A GD cost that is non-finite even in double ends the run, naming it.
+      if (method == Method::kGradientDecomposition && !measurement) {
+        const std::string diverged =
+            error_message([&] { (void)run(dataset, method, "strict", &nan); });
+        EXPECT_NE(diverged.find("cost of iteration 1 is"), std::string::npos) << diverged;
+        EXPECT_NE(diverged.find("nan: the reconstruction diverged"), std::string::npos)
+            << to_string(method) << ": " << diverged;
       }
     }
   }

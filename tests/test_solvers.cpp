@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/cost.hpp"
 #include "core/reconstructor.hpp"
@@ -203,20 +205,36 @@ TEST(GdSolver, NonFiniteCostFailsNamingTheIteration) {
   request.iterations = 2;
   request.mode = UpdateMode::kFullBatch;
   try {
-    (void)Reconstructor(start.dataset).run(request, start.warm.clone());
+    (void)Reconstructor(start.dataset).run(request, start.nan.clone());
     FAIL() << "a diverged run finished";
   } catch (const rt::RankFailure& e) {
     FAIL() << "the named error was lost: " << e.what();
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("cost of iteration 2 is inf"), std::string::npos)
-        << e.what();
+    // NaN prints as "nan" or "-nan" by platform.
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("cost of iteration 1 is"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("nan: the reconstruction diverged"), std::string::npos) << msg;
   }
-  // A finite run is unaffected.
+}
+
+TEST(GdSolver, ReducesTheCostInDouble) {
+  // Past f32's range a tiled run's cost stays finite, as serial's does:
+  // the rank partial costs are summed in double.
+  const testing::AbsorbingWarmStart& start = testing::absorbing_warm_start();
+  ReconstructionRequest request;
+  request.nranks = 2;
+  request.iterations = 2;
+  request.mode = UpdateMode::kFullBatch;
+  const std::vector<double> gd =
+      Reconstructor(start.dataset).run(request, start.warm.clone()).cost.values();
   request.method = Method::kSerial;
-  const ReconstructionOutcome serial =
-      Reconstructor(start.dataset).run(request, start.warm.clone());
-  ASSERT_EQ(serial.cost.values().size(), 2u);
-  for (const double cost : serial.cost.values()) EXPECT_TRUE(std::isfinite(cost));
+  const std::vector<double> serial =
+      Reconstructor(start.dataset).run(request, start.warm.clone()).cost.values();
+  ASSERT_EQ(gd.size(), 2u);
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_GT(serial[1], double(std::numeric_limits<float>::max()));
+  EXPECT_TRUE(std::isfinite(gd[1]));
+  EXPECT_NEAR(gd[1], serial[1], 1e-3 * serial[1]);
 }
 
 TEST(GdSolver, BreakdownAndFabricPopulated) {

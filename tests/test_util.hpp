@@ -2,6 +2,8 @@
 // synthetic data once.
 #pragma once
 
+#include <limits>
+
 #include "data/simulate.hpp"
 
 namespace ptycho::testing {
@@ -26,22 +28,27 @@ inline const Dataset& tiny_noisy_dataset() {
 }
 
 /// A potential-model tiny dataset and a warm start whose absorption
-/// exp(-sigma * Im V) is exp(12) ~ 1.6e5 at the field's centre. From it the
-/// strict 2-rank GD full-batch run reaches cost inf at iteration 2; the
-/// serial run stays finite.
+/// exp(-sigma * Im V) is exp(12) ~ 1.6e5 at the field's centre. From it a
+/// strict full-batch run's cost reaches ~1e45 at iteration 2, past f32's
+/// range but finite in double, serial and tiled alike. `nan` is the same
+/// warm start with a NaN at that voxel: its first cost is NaN in any
+/// precision.
 struct AbsorbingWarmStart {
   Dataset dataset;
   FramedVolume warm;
+  FramedVolume nan;
 };
 
 inline const AbsorbingWarmStart& absorbing_warm_start() {
   static const AbsorbingWarmStart start = [] {
     DatasetSpec spec = repro_tiny_spec();
     spec.model.model = ObjectModel::kPotential;
-    AbsorbingWarmStart s{make_synthetic_dataset(spec), {}};
+    AbsorbingWarmStart s{make_synthetic_dataset(spec), {}, {}};
     const Rect field = s.dataset.field();
     s.warm = FramedVolume(spec.slices, field);
     s.warm.data(0, field.h / 2, field.w / 2) = cplx(real(0), real(-12) / spec.model.sigma);
+    s.nan = s.warm.clone();
+    s.nan.data(0, field.h / 2, field.w / 2) = cplx(std::numeric_limits<real>::quiet_NaN(), 0);
     return s;
   }();
   return start;
