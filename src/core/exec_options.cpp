@@ -30,7 +30,7 @@ struct ExecFlag {
 
 constexpr ExecFlag kExecFlags[] = {
     {"threads", "N", "sweep worker threads (0 = auto)"},
-    {"pipeline", "M", "pass-graph scheduling: sync|async"},
+    {"pipeline", "async", "accepted and ignored: async is the only pipeline mode"},
     {"checkpoint-dir", "PATH", "enable periodic checkpointing into PATH"},
     {"checkpoint-every", "N",
      "snapshot cadence in chunks (0 = disabled; pair with --checkpoint-dir)"},
@@ -58,7 +58,14 @@ ExecOptions parse_exec_options(const Options& options, const ExecOptions& defaul
   ExecOptions exec = defaults;
   exec.threads = static_cast<int>(options.get_int("threads", exec.threads));
   if (options.has("pipeline")) {
-    exec.pipeline = pipeline_mode_from_string(options.get_string("pipeline", ""));
+    // A one-value spelling kept for old command lines: overlapping
+    // checkpoint I/O is how every run executes.
+    const std::string mode = options.get_string("pipeline", "");
+    if (mode == "sync") {
+      throw Error("--pipeline sync was removed: every run overlaps checkpoint I/O "
+                  "with later chunks, with the same output");
+    }
+    if (mode != "async") throw Error("unknown pipeline mode: " + mode + " (expected async)");
   }
   exec.checkpoint.directory = options.get_string("checkpoint-dir", exec.checkpoint.directory);
   exec.checkpoint.every_chunks =

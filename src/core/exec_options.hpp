@@ -1,8 +1,8 @@
 // ExecOptions: the one struct for every knob that says *how* a solver
-// runs rather than *what* it computes — worker threads, pipeline mode,
-// checkpoint policy, telemetry sinks, progress cadence, the communication
-// transport and the numerics tier. The kernel backend is not a knob: CPU
-// detection picks it (backend/kernels.hpp).
+// runs rather than *what* it computes — worker threads, checkpoint policy,
+// telemetry sinks, progress cadence, the communication transport and the
+// numerics tier. The kernel backend is not a knob: CPU detection picks it
+// (backend/kernels.hpp).
 //
 // SerialConfig, GdConfig, HveConfig and ReconstructionRequest all embed
 // an ExecOptions as `exec`, so a new execution knob is added in exactly
@@ -22,7 +22,6 @@
 
 #include "ckpt/snapshot.hpp"
 #include "common/options.hpp"
-#include "core/pipeline.hpp"
 #include "core/precision.hpp"
 #include "runtime/transport.hpp"
 
@@ -35,10 +34,6 @@ struct ExecOptions {
   /// output is bitwise identical for any value; SGD sweeps are inherently
   /// sequential and ignore it.
   int threads = 0;
-  /// Pass-graph scheduling: kSync is strict list order; kAsync overlaps
-  /// background checkpoint I/O with later chunks behind hazard fences.
-  /// Output (including checkpoint bytes) is bitwise identical either way.
-  PipelineMode pipeline = PipelineMode::kSync;
   /// Periodic checkpointing (serial and GD; HVE takes no checkpoints and
   /// ignores it).
   ckpt::Policy checkpoint;
@@ -70,7 +65,7 @@ struct ExecOptions {
 
 /// Interpret the shared execution flags out of parsed options, over
 /// `defaults`:
-///   --threads N            --pipeline sync|async
+///   --threads N            --pipeline async (the only mode; sync is an error)
 ///   --checkpoint-dir PATH  --checkpoint-every N
 ///   --trace-out PATH       --metrics-out PATH       --progress N
 ///   --transport inproc|socket  --rank N  --peers host:port,host:port,...

@@ -188,19 +188,18 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
 
       // Per-rank pass graph (identical structure on every rank — the sync
       // and checkpoint passes are collective): sweep -> gradient sync ->
-      // update -> fault point -> mid-iteration checkpoint, then per
-      // iteration probe refinement -> convergence record -> checkpoint.
+      // update -> checkpoint finalize -> fault point -> mid-iteration
+      // checkpoint, then per iteration checkpoint finalize -> probe
+      // refinement -> convergence record -> checkpoint.
       // Full-batch sweeps auto-divide the host's cores across ranks so
       // K ranks x T threads ~= hardware; buffers allocate inside this rank's
       // tracked scope.
       const int threads = config.exec.threads != 0
                               ? config.exec.threads
                               : std::max(1, ThreadPool::hardware_threads() / ctx.nranks());
-      const bool async = config.exec.pipeline == PipelineMode::kAsync;
       const RefineSchedule refine{config.refine_probe, config.probe_warmup_iterations};
       ReconstructionPipeline pipeline;
-      auto ckpt_pass =
-          std::make_unique<CheckpointPass>(config.exec.checkpoint, run_info, /*deferred=*/async);
+      auto ckpt_pass = std::make_unique<CheckpointPass>(config.exec.checkpoint, run_info);
       pipeline.emplace<SweepPass>(engine, config.mode, threads,
                                   SweepPass::Items{&tile.own_probes}, refine,
                                   config.exec.precision);
@@ -208,9 +207,8 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
       pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/true);
       // The finalize pass precedes the fault point so a snapshot whose
       // shards completed by chunk N is manifest-complete before a rank loss
-      // at chunk N can fire — the same latest-complete snapshot a sync run
-      // leaves.
-      if (async) pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
+      // at chunk N can fire.
+      pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
       pipeline.emplace<FaultPointPass>();
       pipeline.emplace<ProbeRefinePass>(refine, config.probe_step, dataset.probe_count(),
                                         probe_energy);
@@ -238,7 +236,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
       schedule.start_chunk = start_chunk;
       schedule.restored_partial_cost = restored_partial_cost;
       schedule.items = static_cast<index_t>(tile.own_probes.size());
-      pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
+      pipeline.run(state, schedule);
     }
     // The sweep state is freed: return it to the OS before the result
     // is placed.

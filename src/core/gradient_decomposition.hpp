@@ -36,7 +36,7 @@ struct GdConfig {
   int passes_per_iteration = 1;
   UpdateMode mode = UpdateMode::kSgd;
   SyncPolicy sync;  ///< scheme + APPP on/off
-  /// Execution knobs (threads per rank, pipeline mode, checkpoint
+  /// Execution knobs (threads per rank, checkpoint
   /// policy, progress cadence, transport) — shared across every
   /// solver config; all bitwise-neutral (see ExecOptions). exec.threads=0
   /// means hardware concurrency divided by nranks, floored at 1, so the

@@ -105,7 +105,7 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
 
       PipelineSchedule schedule;
       schedule.iterations = config.iterations;
-      pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
+      pipeline.run(state, schedule);
     }
     // The sweep state is freed: return it to the OS before the result
     // is placed.

@@ -27,10 +27,9 @@ struct HveConfig {
   /// variant of the local algorithm — results differ from SGD, as they do
   /// for the other solvers' mode knob).
   UpdateMode mode = UpdateMode::kSgd;
-  /// Execution knobs (threads per rank, pipeline mode, transport) —
-  /// shared across every solver config (see ExecOptions). HVE takes no
-  /// checkpoints, so exec.checkpoint is ignored; async pipeline mode
-  /// changes nothing but exercises the same executor.
+  /// Execution knobs (threads per rank, transport) — shared across every
+  /// solver config (see ExecOptions). HVE takes no checkpoints, so
+  /// exec.checkpoint is ignored.
   ExecOptions exec;
   /// Rings of replicated neighbour probes ("two extra rows", Sec. VI-A).
   int extra_rings = 2;

@@ -314,7 +314,6 @@ PassAccess CheckpointPass::access_if_due(int next_iteration, int next_chunk) con
       .read(Resource::kProbeGrad)
       .read(Resource::kCost)
       .write(Resource::kCheckpointDir);
-  if (!deferred_) a.write(Resource::kFabric);
   return a;
 }
 
@@ -330,15 +329,10 @@ void CheckpointPass::maybe_write(SolverState& state, int next_iteration, int nex
                            next_chunk);
   const std::string dir = ckpt::step_dir(policy_.directory, step_count);
   const int rank = state.ctx != nullptr ? state.ctx->rank() : 0;
-  if (deferred_) {
-    // Fabric-free half only; runs on the background slot. Every rank
-    // creates the directory itself (idempotent) instead of waiting on a
-    // rank-0 barrier.
-    std::filesystem::create_directories(dir);
-  } else {
-    if (rank == 0) std::filesystem::create_directories(dir);
-    if (state.ctx != nullptr) state.ctx->barrier();
-  }
+  // Fabric-free half only; runs on the background slot. Every rank creates
+  // the directory itself (idempotent) instead of waiting on a rank-0
+  // barrier.
+  std::filesystem::create_directories(dir);
   const std::uint64_t shard_bytes = ckpt::write_shard(
       dir, ckpt::ShardView{rank, partial_cost,
                            state.ctx != nullptr ? state.ctx->rng().state() : RngState{},
@@ -350,33 +344,20 @@ void CheckpointPass::maybe_write(SolverState& state, int next_iteration, int nex
     shards.add(1);
     bytes.add(shard_bytes);
   }
-  if (deferred_) {
-    PendingSnapshot job;
-    job.dir = dir;
-    job.next_iteration = next_iteration;
-    job.next_chunk = next_chunk;
-    if (rank == 0) {
-      // The cost history is captured here — the executor's kCost hazard
-      // guarantees no later cost-record ran yet, so the values match what
-      // the inline protocol would have written.
-      std::unique_lock<std::mutex> lock;
-      if (state.cost_mutex != nullptr) lock = std::unique_lock<std::mutex>(*state.cost_mutex);
-      job.cost_values = state.cost->values();
-    }
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending_.push_back(std::move(job));
-    return;
-  }
-  if (state.ctx != nullptr) state.ctx->barrier();
-  // Written last (by rank 0): marks the snapshot complete.
-  if (rank != 0) return;
-  std::vector<double> cost_values;
-  {
+  PendingSnapshot job;
+  job.dir = dir;
+  job.next_iteration = next_iteration;
+  job.next_chunk = next_chunk;
+  if (rank == 0) {
+    // The cost history is captured here — the executor's kCost hazard
+    // guarantees no later cost-record ran yet, so the manifest carries the
+    // history as of this snapshot's position.
     std::unique_lock<std::mutex> lock;
     if (state.cost_mutex != nullptr) lock = std::unique_lock<std::mutex>(*state.cost_mutex);
-    cost_values = state.cost->values();
+    job.cost_values = state.cost->values();
   }
-  write_manifest_completion(dir, next_iteration, next_chunk, std::move(cost_values));
+  std::lock_guard<std::mutex> lock(pending_mutex_);
+  pending_.push_back(std::move(job));
 }
 
 void CheckpointPass::write_manifest_completion(const std::string& dir, int next_iteration,

@@ -368,22 +368,22 @@ class ProgressPass final : public Pass {
 /// ranks barrier, rank 0 writes the manifest — identical shape on the
 /// single-rank path with the barriers elided.
 ///
-/// In deferred mode (the async pipeline) the hook only does the fabric-free
-/// half — create the step directory, write this rank's shard, capture the
-/// cost history — and queues a pending record; a CheckpointFinalizePass on
-/// the rank lane later runs the barrier + manifest-last completion. The
-/// split lets the shard I/O run on the background slot while later chunks
-/// compute; an unfinalized snapshot simply has no manifest yet, so crash
-/// semantics are unchanged (find_latest_step ignores it).
+/// The hook does the fabric-free half on the background slot — create the
+/// step directory, write this rank's shard, capture the cost history — and
+/// queues a pending record; a CheckpointFinalizePass on the rank lane later
+/// runs the barrier + manifest-last completion. Shard I/O thus overlaps
+/// later chunks; an unfinalized snapshot simply has no manifest yet, so
+/// crash semantics are unchanged (find_latest_step ignores it).
 class CheckpointPass final : public Pass {
  public:
-  CheckpointPass(ckpt::Policy policy, ckpt::RunInfo run, bool deferred = false)
-      : policy_(std::move(policy)), run_(std::move(run)), deferred_(deferred) {}
+  CheckpointPass(ckpt::Policy policy, ckpt::RunInfo run)
+      : policy_(std::move(policy)), run_(std::move(run)) {}
 
   [[nodiscard]] const char* name() const override { return "checkpoint"; }
   /// A due snapshot reads every piece of state it serializes and writes
-  /// the directory tree; inline mode also barriers. Not-due points declare
-  /// nothing, so the common chunk never fences on background I/O.
+  /// the directory tree. Not-due points declare nothing, so the common
+  /// chunk never fences on background I/O (and runs the no-op hook on the
+  /// rank lane).
   [[nodiscard]] PassAccess chunk_access(const StepPoint& point) const override {
     return point.chunk + 1 < point.chunks
                ? access_if_due(point.iteration, point.chunk + 1)
@@ -392,14 +392,14 @@ class CheckpointPass final : public Pass {
   [[nodiscard]] PassAccess iteration_access(int iteration) const override {
     return access_if_due(iteration + 1, 0);
   }
-  [[nodiscard]] bool background_eligible() const override { return deferred_; }
+  [[nodiscard]] bool background_eligible() const override { return true; }
   void on_chunk(SolverState& state, const StepPoint& point) override;
   void on_iteration(SolverState& state, int iteration) override;
 
-  /// Complete every queued deferred snapshot: per record, all ranks
-  /// barrier (shards are known written — the caller's hazard fence waited
-  /// for the background task), then rank 0 writes the manifest. Called by
-  /// CheckpointFinalizePass on the rank lane; a no-op in inline mode.
+  /// Complete every queued snapshot: per record, all ranks barrier (shards
+  /// are known written — the caller's hazard fence waited for the
+  /// background task), then rank 0 writes the manifest. Called by
+  /// CheckpointFinalizePass on the rank lane.
   void finalize_pending(SolverState& state);
 
  private:
@@ -418,19 +418,17 @@ class CheckpointPass final : public Pass {
 
   ckpt::Policy policy_;
   ckpt::RunInfo run_;
-  bool deferred_ = false;
   std::mutex pending_mutex_;  ///< guards pending_ (background producer, rank-lane consumer)
   std::vector<PendingSnapshot> pending_;
 };
 
-/// Rank-lane completion stage for deferred checkpoints: runs the barrier +
+/// Rank-lane completion stage for checkpoints: runs the barrier +
 /// manifest-last half of the protocol for every snapshot whose shard write
 /// has finished. Its kCheckpointDir read hazards with the in-flight shard
 /// task's write, so the executor's fence guarantees every rank observes
 /// the same pending set — the per-snapshot barrier count is deterministic.
-/// Placed before the fault point so a snapshot completed by chunk N is
-/// manifest-complete before rank loss at chunk N can fire (matching which
-/// snapshot a sync run would have completed).
+/// Placed before the fault point so a snapshot whose shards completed by
+/// chunk N is manifest-complete before rank loss at chunk N can fire.
 class CheckpointFinalizePass final : public Pass {
  public:
   explicit CheckpointFinalizePass(CheckpointPass& writer) : writer_(writer) {}

@@ -22,55 +22,6 @@ const char* to_string(Resource resource) {
   return "?";
 }
 
-const char* to_string(PipelineMode mode) {
-  return mode == PipelineMode::kSync ? "sync" : "async";
-}
-
-PipelineMode pipeline_mode_from_string(const std::string& name) {
-  if (name == "sync") return PipelineMode::kSync;
-  if (name == "async") return PipelineMode::kAsync;
-  throw Error("unknown pipeline mode: " + name + " (expected sync|async)");
-}
-
-std::vector<int> topological_order(const std::vector<std::vector<int>>& deps) {
-  const int n = static_cast<int>(deps.size());
-  // Kahn's algorithm over the dependency lists. deps[i] -> i edges.
-  std::vector<int> remaining(static_cast<usize>(n), 0);
-  std::vector<std::vector<int>> dependents(static_cast<usize>(n));
-  for (int i = 0; i < n; ++i) {
-    remaining[static_cast<usize>(i)] = static_cast<int>(deps[static_cast<usize>(i)].size());
-    for (int d : deps[static_cast<usize>(i)]) {
-      PTYCHO_REQUIRE(d >= 0 && d < n, "dependency index out of range");
-      dependents[static_cast<usize>(d)].push_back(i);
-    }
-  }
-  std::vector<int> ready;
-  for (int i = 0; i < n; ++i) {
-    if (remaining[static_cast<usize>(i)] == 0) ready.push_back(i);
-  }
-  std::vector<int> order;
-  order.reserve(static_cast<usize>(n));
-  // Pop the smallest ready index first so the result matches list order
-  // whenever list order is a valid extension (it always is for
-  // hazard-derived DAGs, whose edges point backwards).
-  for (usize head = 0; head < ready.size(); ++head) {
-    // `ready` is kept sorted by construction below.
-    const int node = ready[head];
-    order.push_back(node);
-    for (int dep : dependents[static_cast<usize>(node)]) {
-      if (--remaining[static_cast<usize>(dep)] == 0) {
-        auto it = ready.begin() + static_cast<std::ptrdiff_t>(head) + 1;
-        while (it != ready.end() && *it < dep) ++it;
-        ready.insert(it, dep);
-      }
-    }
-  }
-  if (static_cast<int>(order.size()) != n) {
-    throw Error("pass dependency graph has a cycle");
-  }
-  return order;
-}
-
 Pass& ReconstructionPipeline::add(std::unique_ptr<Pass> pass) {
   PTYCHO_REQUIRE(pass != nullptr, "cannot add a null pass");
   passes_.push_back(std::move(pass));
@@ -86,23 +37,7 @@ std::string ReconstructionPipeline::describe() const {
   return out;
 }
 
-PassDag ReconstructionPipeline::chunk_dag(const StepPoint& point) const {
-  PassDag dag;
-  dag.deps.resize(passes_.size());
-  std::vector<PassAccess> access;
-  access.reserve(passes_.size());
-  for (const auto& pass : passes_) access.push_back(pass->chunk_access(point));
-  for (usize i = 0; i < passes_.size(); ++i) {
-    for (usize j = 0; j < i; ++j) {
-      if (access[j].hazard_with(access[i])) {
-        dag.deps[i].push_back(static_cast<int>(j));
-      }
-    }
-  }
-  return dag;
-}
-
-void ReconstructionPipeline::validate_async() const {
+void ReconstructionPipeline::validate_background() const {
   // Background hooks must never touch the fabric: collectives are matched
   // by program order (the barrier is tagless), so reordering them off the
   // rank lane would desynchronize ranks. A pass's access sets may vary
@@ -130,8 +65,8 @@ struct InFlightPass {
   const char* name = "";
 };
 
-/// The async lane's fence bookkeeping: before a pass runs anywhere, every
-/// in-flight background pass it has a hazard with must complete.
+/// The background lane's fence bookkeeping: before a pass runs anywhere,
+/// every in-flight background pass it has a hazard with must complete.
 class HazardTracker {
  public:
   void admit(BackgroundTicket ticket, PassAccess access, const char* name) {
@@ -172,25 +107,25 @@ class HazardTracker {
 
 }  // namespace
 
-void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& schedule,
-                                 const PipelineOptions& options) {
+void ReconstructionPipeline::run(SolverState& state, const PipelineSchedule& schedule) {
   PTYCHO_REQUIRE(!passes_.empty(), "pipeline has no passes");
   PTYCHO_REQUIRE(schedule.chunks_per_iteration >= 1, "need at least one chunk per iteration");
-  const bool async = options.mode == PipelineMode::kAsync;
-  if (async) validate_async();
+  validate_background();
 
+  // Started on the first background dispatch: a run that never takes a
+  // snapshot runs on the rank lane alone.
   std::optional<BackgroundWorker> background;
-  if (async) background.emplace();
   HazardTracker inflight;
 
   // Dispatch one hook (chunk or iteration) on the right lane.
   const auto dispatch = [&](Pass& pass, const PassAccess& access, const StepPoint* point,
                             int iteration) {
-    if (async) inflight.wait_conflicting(access);
-    if (async && pass.background_eligible()) {
+    inflight.wait_conflicting(access);
+    if (pass.background_eligible() && (access.reads | access.writes) != 0) {
       // Background passes see a value snapshot of the state taken at
       // dispatch (sweep_cost etc. frozen at the right program point);
       // pointed-to buffers are protected by the hazard fences above.
+      if (!background) background.emplace();
       BackgroundTicket ticket;
       if (point != nullptr) {
         const StepPoint at = *point;

@@ -3,9 +3,10 @@
 // A reconstruction is a pass graph driven over a fixed iteration/chunk
 // schedule:
 //
-//   per chunk:      sweep -> [sync] -> optimizer update -> [fault point]
-//                   -> [checkpoint finalize] -> checkpoint
-//   per iteration:  probe refinement -> convergence record -> checkpoint
+//   per chunk:      sweep -> [sync] -> optimizer update
+//                   -> checkpoint finalize -> [fault point] -> checkpoint
+//   per iteration:  checkpoint finalize -> probe refinement
+//                   -> convergence record -> checkpoint
 //
 // The serial solver, the gradient-decomposition solver and the HVE
 // baseline all instantiate this pipeline with different pass lists
@@ -16,27 +17,26 @@
 // positions, the per-iteration running cost) so restart/convergence
 // semantics cannot drift between solvers.
 //
-// Dependencies, not list order, are the semantic contract: every pass
-// declares the resources its hooks read and write (Resource / PassAccess
-// below), and the pipeline derives a dependency DAG per StepPoint from
-// those sets (chunk_dag()). Execution honors the DAG on a two-lane
-// schedule:
+// Every pass declares the resources its hooks read and write (Resource /
+// PassAccess below), and the executor runs the list on two lanes:
 //
-//  * kSync runs the historical strict list order — trivially a linear
-//    extension of the DAG — with zero overhead.
-//  * kAsync keeps fabric-touching passes on the rank lane in list order
-//    (collective matching order must be identical on every rank; the
-//    tagless barrier makes reordering them unsound), but lifts
-//    background-eligible passes (checkpoint shard I/O) onto a per-rank
-//    BackgroundWorker slot. An in-flight background pass fences every
-//    later pass it has a read/write hazard with. A snapshot does not read
-//    the AccBuf (it is zero at every snapshot point, so shards omit it),
-//    so chunk N's in-flight checkpoint never fences chunk N+1's sweep.
+//  * the rank lane runs every pass in list order. Fabric-touching passes
+//    must stay there: collective matching order must be identical on
+//    every rank, and the tagless barrier makes reordering them unsound.
+//  * a per-rank BackgroundWorker slot runs the hooks of
+//    background-eligible passes (checkpoint shard I/O). The worker thread
+//    starts on the first background dispatch, so a run that never takes a
+//    snapshot starts no extra thread. An in-flight background hook fences
+//    every later hook it has a read/write hazard with (HazardTracker). A
+//    snapshot does not read the AccBuf (it is zero at every snapshot
+//    point, so shards omit it), so chunk N's in-flight checkpoint never
+//    fences chunk N+1's sweep.
 //
-// Because the rank lane never reorders and background passes operate on a
-// value snapshot of the state behind hazard fences, the async schedule is
-// bitwise identical to the sync one — same volume, same cost history,
-// same snapshot bytes (asserted in tests/test_async_pipeline.cpp).
+// Because the rank lane never reorders and background hooks operate on a
+// value snapshot of the state behind hazard fences, a run's volume, cost
+// history and snapshot bytes do not depend on when background work
+// completes, and the same volume and cost history come out with
+// checkpointing on or off (asserted in tests/test_async_pipeline.cpp).
 //
 // Passes mutate shared per-rank state through SolverState, which carries
 // raw pointers into the owning solver's buffers (the pipeline borrows,
@@ -141,34 +141,11 @@ struct PassAccess {
   }
 };
 
-/// Dependency DAG over a pass list: deps[i] lists the indices of earlier
-/// passes pass i has a hazard with (its direct dependencies).
-struct PassDag {
-  std::vector<std::vector<int>> deps;
-};
-
-/// Topological order of a dependency graph given as per-node dependency
-/// lists; throws ptycho::Error when the graph has a cycle. List order is
-/// a valid linear extension of any hazard-derived PassDag (dependencies
-/// only ever point backwards), so this doubles as the cycle detector for
-/// hand-built graphs in tests.
-[[nodiscard]] std::vector<int> topological_order(const std::vector<std::vector<int>>& deps);
-
-/// How ReconstructionPipeline::run schedules the pass graph.
-enum class PipelineMode {
-  kSync,   ///< strict list order, single lane (the historical behavior)
-  kAsync,  ///< hazard-fenced background slot for background-eligible passes
-};
-
-[[nodiscard]] const char* to_string(PipelineMode mode);
-/// Parse "sync" / "async"; throws on others.
-[[nodiscard]] PipelineMode pipeline_mode_from_string(const std::string& name);
-
 /// One stage of the pass graph. A pass may act per chunk, per iteration,
 /// or both; the pipeline invokes the hooks of every pass in list order at
-/// each point. The list order is the reference execution order — a linear
-/// extension of the hazard DAG the declared access sets imply — and the
-/// async executor only ever deviates from it where those sets prove the
+/// each point. The list order is the reference execution order, and the
+/// executor only ever deviates from it (a background hook still running
+/// while later hooks start) where the declared access sets prove the
 /// deviation unobservable.
 class Pass {
  public:
@@ -185,10 +162,10 @@ class Pass {
   [[nodiscard]] virtual obs::Phase phase() const { return obs::Phase::kNone; }
 
   /// Resources the chunk hook reads/writes at `point`. The conservative
-  /// default serializes; passes override with tight sets so the async
-  /// executor can prove overlap safe. Access may depend on the point
-  /// (e.g. the sweep only writes kProbeGrad on refinement iterations) but
-  /// must be identical across ranks for a given point.
+  /// default serializes; passes override with tight sets so the executor
+  /// can prove overlap with a background hook safe. Access may depend on
+  /// the point (e.g. the sweep only writes kProbeGrad on refinement
+  /// iterations) but must be identical across ranks for a given point.
   [[nodiscard]] virtual PassAccess chunk_access(const StepPoint& point) const {
     (void)point;
     return PassAccess::all();
@@ -201,11 +178,12 @@ class Pass {
     return PassAccess::all();
   }
 
-  /// True when the pass's hooks may run on the background slot in async
-  /// mode: the hook must not touch kFabric (validated — collective order
-  /// must stay on the rank lane), must treat SolverState value members as
-  /// a snapshot, and must tolerate running concurrently with later
-  /// non-conflicting passes.
+  /// True when the pass's hooks run on the background slot: the hook must
+  /// not touch kFabric (validated — collective order must stay on the rank
+  /// lane), must treat SolverState value members as a snapshot, and must
+  /// tolerate running concurrently with later non-conflicting passes. A
+  /// hook that declares no access at its point (a checkpoint hook off its
+  /// cadence) has nothing to overlap and runs on the rank lane.
   [[nodiscard]] virtual bool background_eligible() const { return false; }
 
   /// Runs once per chunk.
@@ -238,11 +216,6 @@ struct PipelineSchedule {
   index_t items = 0;                    ///< local sweep items per full iteration
 };
 
-/// Execution knobs for ReconstructionPipeline::run.
-struct PipelineOptions {
-  PipelineMode mode = PipelineMode::kSync;
-};
-
 class ReconstructionPipeline {
  public:
   /// Append a pass; returns it for further configuration. List order is
@@ -261,22 +234,16 @@ class ReconstructionPipeline {
   /// string (logging and tests).
   [[nodiscard]] std::string describe() const;
 
-  /// The dependency DAG the declared chunk accesses imply at `point`:
-  /// dag.deps[i] holds the earlier pass indices pass i has a read/write
-  /// hazard with.
-  [[nodiscard]] PassDag chunk_dag(const StepPoint& point) const;
-
   /// Drive the pass graph over the schedule. Collective on tiled runs:
   /// every rank must run the same schedule with a structurally identical
-  /// pass list, and (in async mode) background completion never influences
-  /// rank-lane collective order.
-  void run(SolverState& state, const PipelineSchedule& schedule,
-           const PipelineOptions& options = {});
+  /// pass list, and background completion never influences rank-lane
+  /// collective order.
+  void run(SolverState& state, const PipelineSchedule& schedule);
 
  private:
-  /// Throws when the pass list is unsound for async execution (a
+  /// Throws when the pass list is unsound for background execution (a
   /// background-eligible pass declaring fabric access).
-  void validate_async() const;
+  void validate_background() const;
 
   std::vector<std::unique_ptr<Pass>> passes_;
 };

@@ -25,7 +25,7 @@ struct ReconstructionRequest {
   int iterations = 10;           ///< TOTAL iterations (a restore continues toward this)
   real step = real(0.1);
   int passes_per_iteration = 1;  ///< GD comm frequency / serial chunks
-  /// Execution knobs — threads, pipeline mode, checkpoint policy,
+  /// Execution knobs — threads, checkpoint policy,
   /// trace/metrics sinks, progress cadence, transport, numerics tier.
   /// Copied wholesale into whichever solver config the method selects;
   /// every field but the tier is bitwise-neutral (see ExecOptions).

@@ -85,21 +85,19 @@ SerialResult reconstruct_serial(const Dataset& dataset, const SerialConfig& conf
     run.tiles.push_back(std::move(tile));
   }
 
-  // Single-rank pass graph: sweep -> update -> probe refinement ->
-  // convergence record -> checkpoint. No sync/fault passes — there is no
-  // fabric — and the SGD update delta is zero with one rank, so the
-  // update pass only applies in full-batch mode. In async mode the
-  // checkpoint shard write is deferred to the background slot and a
-  // finalize pass completes the manifest on the rank lane.
-  const bool async = config.exec.pipeline == PipelineMode::kAsync;
+  // Single-rank pass graph: sweep -> update -> checkpoint finalize ->
+  // probe refinement -> convergence record -> checkpoint. No sync/fault
+  // passes — there is no fabric — and the SGD update delta is zero with
+  // one rank, so the update pass only applies in full-batch mode. The
+  // checkpoint shard write runs on the background slot and the finalize
+  // pass completes the manifest on the rank lane.
   const RefineSchedule refine{config.refine_probe, config.probe_warmup_iterations};
   ReconstructionPipeline pipeline;
-  auto ckpt_pass =
-      std::make_unique<CheckpointPass>(config.exec.checkpoint, std::move(run), /*deferred=*/async);
+  auto ckpt_pass = std::make_unique<CheckpointPass>(config.exec.checkpoint, std::move(run));
   pipeline.emplace<SweepPass>(engine, config.mode, config.exec.threads, SweepPass::Items{},
                               refine, config.exec.precision);
   pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/false);
-  if (async) pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
+  pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
   pipeline.emplace<ProbeRefinePass>(refine, config.probe_step, probe_count, probe_energy);
   pipeline.emplace<CostRecordPass>(config.record_cost);
   if (config.exec.progress_every > 0) {
@@ -122,7 +120,7 @@ SerialResult reconstruct_serial(const Dataset& dataset, const SerialConfig& conf
   schedule.start_chunk = start_chunk;
   schedule.restored_partial_cost = restored_partial_cost;
   schedule.items = probe_count;
-  pipeline.run(state, schedule, PipelineOptions{config.exec.pipeline});
+  pipeline.run(state, schedule);
 
   if (config.refine_probe) result.probe_field = probe.field().clone();
   result.wall_seconds = timer.seconds();

@@ -28,7 +28,7 @@ struct SerialConfig {
   /// chunks of the probe sweep; 1 = once per iteration).
   int chunks_per_iteration = 1;
   UpdateMode mode = UpdateMode::kSgd;
-  /// Execution knobs (threads, pipeline mode, checkpoint policy,
+  /// Execution knobs (threads, checkpoint policy,
   /// progress cadence) — shared across every solver config; all
   /// bitwise-neutral (see ExecOptions). The serial solver ignores the
   /// transport (it has no cluster).

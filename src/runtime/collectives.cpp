@@ -20,9 +20,6 @@ Tag stage_tag(Phase phase, std::int64_t instance, int step, bool down) {
                              (static_cast<std::int64_t>(step) << 1) | (down ? 1 : 0);
   return make_tag(phase, stage);
 }
-}  // namespace
-
-namespace {
 
 /// How a reduce-tree node folds a child's buffer into its own.
 using Combine = void (*)(std::vector<cplx>& acc, const std::vector<cplx>& incoming);
@@ -55,25 +52,12 @@ void count_allreduce(usize bytes) {
   total.add(bytes);
 }
 
-/// Reduce to rank 0 over a binomial tree, then broadcast the result back
-/// down the same tree. A rank that `posted` its leaf send already has
-/// nothing left to contribute.
-void reduce_and_broadcast(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
-                          std::int64_t instance, bool posted, Combine combine) {
+/// Send `buffer` from rank 0 down the binomial tree: every rank ends with
+/// rank 0's buffer.
+void broadcast_down(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
+                    std::int64_t instance) {
   const int nranks = ctx.nranks();
   const int rank = ctx.rank();
-  if (!posted) {
-    for (int step = 1; step < nranks; step <<= 1) {
-      if ((rank & step) != 0) {
-        ctx.isend(rank - step, stage_tag(phase, instance, step, false), std::move(buffer));
-        buffer.clear();
-        break;
-      }
-      if (rank + step < nranks) {
-        combine(buffer, ctx.recv(rank + step, stage_tag(phase, instance, step, false)));
-      }
-    }
-  }
   int highest = 1;
   while (highest < nranks) highest <<= 1;
   for (int step = highest >> 1; step >= 1; step >>= 1) {
@@ -85,37 +69,34 @@ void reduce_and_broadcast(RankContext& ctx, std::vector<cplx>& buffer, Phase pha
   }
 }
 
-}  // namespace
-
-AllreduceHandle::AllreduceHandle(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
-                                 std::int64_t instance)
-    : ctx_(ctx), buffer_(buffer), phase_(phase), instance_(instance) {
-  count_allreduce(buffer.size() * sizeof(cplx));
-  // A rank whose first reduce-tree action is a send with no prior receive
-  // (odd ranks: the lowest set bit is step 1) can post it now — the
-  // parent's matching recv in finish() then completes without waiting a
-  // full reduce latency.
-  const int rank = ctx_.rank();
-  if (ctx_.nranks() > 1 && (rank & 1) != 0) {
-    ctx_.isend(rank - 1, stage_tag(phase_, instance_, 1, false), std::move(buffer_));
-    buffer_.clear();
-    posted_ = true;
+/// Reduce to rank 0 over a binomial tree, then broadcast the result back
+/// down the same tree.
+void reduce_and_broadcast(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
+                          std::int64_t instance, Combine combine) {
+  const int nranks = ctx.nranks();
+  const int rank = ctx.rank();
+  for (int step = 1; step < nranks; step <<= 1) {
+    if ((rank & step) != 0) {
+      ctx.isend(rank - step, stage_tag(phase, instance, step, false), std::move(buffer));
+      buffer.clear();
+      break;
+    }
+    if (rank + step < nranks) {
+      combine(buffer, ctx.recv(rank + step, stage_tag(phase, instance, step, false)));
+    }
   }
+  broadcast_down(ctx, buffer, phase, instance);
 }
 
-void AllreduceHandle::finish() {
-  PTYCHO_REQUIRE(!finished_, "AllreduceHandle::finish called twice");
-  finished_ = true;
-  reduce_and_broadcast(ctx_, buffer_, phase_, instance_, posted_, add_cplx);
-}
+}  // namespace
 
 void allreduce_sum(RankContext& ctx, std::vector<cplx>& buffer, Phase phase,
                    std::int64_t instance) {
   // Phase kNone: the comm/wait time is attributed by isend/recv inside;
   // the span only marks the collective's extent in the trace.
   obs::SpanScope span("allreduce");
-  AllreduceHandle handle(ctx, buffer, phase, instance);
-  handle.finish();
+  count_allreduce(buffer.size() * sizeof(cplx));
+  reduce_and_broadcast(ctx, buffer, phase, instance, add_cplx);
 }
 
 double allreduce_sum_scalar(RankContext& ctx, double value, Phase phase,
@@ -126,7 +107,7 @@ double allreduce_sum_scalar(RankContext& ctx, double value, Phase phase,
   obs::SpanScope span("allreduce");
   count_allreduce(sizeof(cplx));
   std::vector<cplx> packed{pack_f64(value)};
-  reduce_and_broadcast(ctx, packed, phase, instance, /*posted=*/false, add_f64);
+  reduce_and_broadcast(ctx, packed, phase, instance, add_f64);
   return unpack_f64(packed[0]);
 }
 
@@ -140,17 +121,7 @@ void broadcast(RankContext& ctx, std::vector<cplx>& buffer, int root, Phase phas
     bytes.add(buffer.size() * sizeof(cplx));
   }
   PTYCHO_CHECK(root == 0, "broadcast currently supports root 0");
-  const int nranks = ctx.nranks();
-  const int rank = ctx.rank();
-  int highest = 1;
-  while (highest < nranks) highest <<= 1;
-  for (int step = highest >> 1; step >= 1; step >>= 1) {
-    if ((rank & (2 * step - 1)) == 0 && rank + step < nranks) {
-      ctx.isend(rank + step, stage_tag(phase, instance, step, true), std::vector<cplx>(buffer));
-    } else if ((rank & (2 * step - 1)) == step) {
-      buffer = ctx.recv(rank - step, stage_tag(phase, instance, step, true));
-    }
-  }
+  broadcast_down(ctx, buffer, phase, instance);
 }
 
 }  // namespace ptycho::rt

@@ -215,11 +215,14 @@ TEST(ReconstructionPipeline, DescribeListsPassGraphInOrder) {
   pipeline.emplace<SweepPass>(engine, UpdateMode::kFullBatch, 1, SweepPass::Items{},
                               RefineSchedule{});
   pipeline.emplace<ApplyUpdatePass>(UpdateMode::kFullBatch, false);
+  auto ckpt_pass = std::make_unique<CheckpointPass>(ckpt::Policy{}, ckpt::RunInfo{});
+  pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
   pipeline.emplace<ProbeRefinePass>(RefineSchedule{}, real(0.3), dataset.probe_count(), 1.0);
   pipeline.emplace<CostRecordPass>(true);
-  pipeline.emplace<CheckpointPass>(ckpt::Policy{}, ckpt::RunInfo{});
+  pipeline.add(std::move(ckpt_pass));
   EXPECT_EQ(pipeline.describe(),
-            "sweep -> update -> probe-refine -> cost-record -> checkpoint");
+            "sweep -> update -> checkpoint-finalize -> probe-refine -> cost-record -> "
+            "checkpoint");
 }
 
 // --- scheduler equivalence ---------------------------------------------------

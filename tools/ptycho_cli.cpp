@@ -56,7 +56,7 @@ int usage() {
                "  snapshot's iteration. --ranks may differ from the checkpointed run\n"
                "  (elastic restore re-tiles and redistributes the shards).\n"
                "  Results are bitwise identical across backends, thread counts,\n"
-               "  pipeline modes and transports.\n"
+               "  transports and checkpointing on or off.\n"
                "  Multi-process: either run one process per rank with\n"
                "  --transport socket --rank N --peers host:port,... (one entry per\n"
                "  rank, same roster everywhere), or let --launch K fork K local rank\n"

@@ -13,14 +13,14 @@ lane was busy with other work (sweeps, gradient sync, updates, manifest
 finalization) instead of extending the critical path. The rank lane's
 pass-wait stalls — where it fenced on the very write being measured —
 deliberately do NOT count as busy, so a "background" write the pipeline
-immediately blocks on scores zero. A sync pipeline scores exactly zero
-(its writes happen inline on the rank lane); the gate fails when the
+immediately blocks on scores zero, and so would one that wrote every
+shard inline on the rank lane; the gate fails when the
 ratio is below the given minimum or when no snapshot-write span exists.
 Busy means rank-lane activity of any phase, not compute alone: on the
 1-2 core runners CI uses, a background writer only gets CPU while the
 rank lane blocks in fabric waits, so intersecting with compute spans
 would measure OS scheduling luck, while time hidden under rank-lane
-activity is the invariant the async executor guarantees.
+activity is the invariant the pipeline executor guarantees.
 
 Usage:
   python3 tools/validate_trace.py --trace trace.json --metrics metrics.json \
