@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "common/log.hpp"
 #include "common/memory.hpp"
@@ -133,26 +132,21 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
 
     // --- per-rank state (all tracked as this rank's device memory) -------
     // The tile volume and the probe outlive the sweep state: the result
-    // placement reads the one, probe_field the other. Both are still
-    // allocated in sequence with it, in this order: the sweep's speed
-    // depends on where these buffers land relative to each other
-    // (allocating the two first cost ~9% CPU on gd-small, 4-vCPU x86-64 VM).
-    FramedVolume volume;
-    std::optional<Probe> local_probe;
+    // placement reads the one, probe_field the other.
+    FramedVolume volume(slices, tile.extended);
+    Probe local_probe = dataset.probe.clone();
     {
       // This tile's measurements, read in place: each rank reads only its
       // own probe locations' frames (the memory-reduction core claim), and
       // a rank process loads no other frames from disk. They are this
       // rank's memory, so its tracker is charged for them.
       const rt::ChargeScope frames(ctx.mem(), dataset.frame_bytes(tile.own_probes));
-      volume = FramedVolume(slices, tile.extended);
       AccumulationBuffer accbuf(slices, tile.extended);
 
       GradientEngine engine(dataset);
       const real step = config.step * engine.step_scale();
-      local_probe.emplace(dataset.probe.clone());
-      const double probe_energy = local_probe->total_intensity();
-      CArray2D probe_grad_field(local_probe->n(), local_probe->n());
+      const double probe_energy = local_probe.total_intensity();
+      CArray2D probe_grad_field(local_probe.n(), local_probe.n());
       double restored_partial_cost = 0.0;
 
       if (config.restore != nullptr) {
@@ -162,7 +156,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
           // (AccBuf stays zeroed: it is zero at every snapshot point.)
           const ckpt::Shard& shard = snap.shards[static_cast<usize>(ctx.rank())];
           copy_region(shard.volume, volume, tile.extended);
-          local_probe.emplace(shard.probe.clone());
+          local_probe = Probe(shard.probe.clone());
           if (shard.probe_grad.rows() == probe_grad_field.rows()) {
             probe_grad_field = shard.probe_grad.clone();
           }
@@ -171,7 +165,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
         } else {
           // Elastic: re-tile the old owned regions onto this partition,
           // redistributed from the coordinator through the fabric.
-          ckpt::scatter_restore(ctx, snap, partition, volume, local_probe->mutable_field());
+          ckpt::scatter_restore(ctx, snap, partition, volume, local_probe.mutable_field());
         }
       } else if (initial != nullptr) {
         copy_region(*initial, volume, tile.extended);
@@ -221,7 +215,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
 
       SolverState state;
       state.volume = &volume;
-      state.probe = &*local_probe;
+      state.probe = &local_probe;
       state.accbuf = &accbuf;
       state.probe_grad_field = &probe_grad_field;
       state.step = step;
@@ -246,7 +240,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
                        result.volume, result.image, result_mutex);
     if (ctx.rank() == 0 && config.refine_probe) {
       std::lock_guard<std::mutex> lock(result_mutex);
-      result.probe_field = local_probe->field().clone();
+      result.probe_field = local_probe.field().clone();
     }
   });
 

@@ -5,6 +5,7 @@
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
+#include "common/memory.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 
@@ -23,6 +24,16 @@ void note_transform(usize rows, usize cols) {
 /// Row-pass scratch stride: rows padded by 4 when a multiple of 16, so
 /// the transposes' strided column walks spread over the L1 sets.
 usize padded_lane_stride(usize rows) { return rows % 16 == 0 ? rows + 4 : rows; }
+
+/// `n` elements rounded up to whole cache lines.
+usize line_rounded(usize n) {
+  constexpr usize kPerLine = kBufferAlignment / sizeof(cplx);
+  return (n + kPerLine - 1) / kPerLine * kPerLine;
+}
+
+// Every Fft2D's row-pass scratch on this thread: sized by the largest plan
+// the thread has run, so alternating plan sizes reuse one allocation.
+thread_local detail::AlignedScratch t_scratch;
 }  // namespace
 
 Fft2D::Fft2D(usize rows, usize cols)
@@ -30,30 +41,17 @@ Fft2D::Fft2D(usize rows, usize cols)
       cols_(cols),
       lane_stride_(padded_lane_stride(rows)),
       row_plan_(cols),
-      col_plan_(rows) {
+      col_plan_(rows),
+      pad_offset_(line_rounded(cols * lane_stride_)),
+      // The column pass batches all cols_ lanes, the row pass all rows_ lanes.
+      pad_size_(std::max(col_plan_.strided_scratch_size(cols_),
+                         row_plan_.strided_scratch_size(rows_))) {
   PTYCHO_REQUIRE(rows >= 1 && cols >= 1, "Fft2D extents must be >= 1");
 }
 
-Fft2D::ScratchLease::~ScratchLease() {
-  std::lock_guard<std::mutex> lock(plan_.scratch_mutex_);
-  plan_.scratch_pool_.push_back(std::move(scratch_));
-}
-
-Fft2D::ScratchLease Fft2D::acquire_scratch() const {
-  {
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!scratch_pool_.empty()) {
-      std::unique_ptr<Scratch> scratch = std::move(scratch_pool_.back());
-      scratch_pool_.pop_back();
-      return ScratchLease(*this, std::move(scratch));
-    }
-  }
-  auto scratch = std::make_unique<Scratch>();
-  scratch->lanes.resize(cols_ * lane_stride_);
-  // The column pass batches all cols_ lanes, the row pass all rows_ lanes.
-  scratch->bluestein.resize(std::max(col_plan_.strided_scratch_size(cols_),
-                                     row_plan_.strided_scratch_size(rows_)));
-  return ScratchLease(*this, std::move(scratch));
+Fft2D::Scratch Fft2D::thread_scratch() const {
+  cplx* lanes = t_scratch.reserve(pad_offset_ + pad_size_);
+  return {lanes, pad_size_ == 0 ? nullptr : lanes + pad_offset_};
 }
 
 namespace {
@@ -101,11 +99,11 @@ void multiply_field_bitrev(View2D<cplx> field, const cplx* kernel, usize kernel_
 // Lane layout of the row pass: element x of row y sits at
 // lanes[x*lane_stride_ + y], so signal x-rows are contiguous over all
 // `rows` lanes.
-void Fft2D::run_forward(View2D<cplx> field, Scratch& scratch, const MultiplySpec* mul,
+void Fft2D::run_forward(View2D<cplx> field, const Scratch& scratch, const MultiplySpec* mul,
                         const cplx* alpha) const {
   const backend::Kernels& kern = backend::kernels();
-  cplx* lanes = scratch.lanes.data();
-  cplx* pad = scratch.bluestein.empty() ? nullptr : scratch.bluestein.data();
+  cplx* lanes = scratch.lanes;
+  cplx* pad = scratch.pad;
   const auto stride = static_cast<usize>(field.row_stride());
   const usize* xrev = row_plan_.bitrev();
   const usize* yrev = col_plan_.bitrev();
@@ -117,11 +115,11 @@ void Fft2D::run_forward(View2D<cplx> field, Scratch& scratch, const MultiplySpec
   if (alpha != nullptr) scale(*alpha, field);
 }
 
-void Fft2D::run_inverse(View2D<cplx> field, Scratch& scratch, const cplx* alpha,
+void Fft2D::run_inverse(View2D<cplx> field, const Scratch& scratch, const cplx* alpha,
                         bool rows_bitrev) const {
   const backend::Kernels& kern = backend::kernels();
-  cplx* lanes = scratch.lanes.data();
-  cplx* pad = scratch.bluestein.empty() ? nullptr : scratch.bluestein.data();
+  cplx* lanes = scratch.lanes;
+  cplx* pad = scratch.pad;
   const auto stride = static_cast<usize>(field.row_stride());
   const usize* xrev = row_plan_.bitrev();
   // A power-of-two axis runs its butterflies unnormalized; its 1/n rides
@@ -152,13 +150,13 @@ void Fft2D::run_inverse(View2D<cplx> field, Scratch& scratch, const cplx* alpha,
 void Fft2D::forward(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_forward(field, acquire_scratch().get(), nullptr, nullptr);
+  run_forward(field, thread_scratch(), nullptr, nullptr);
 }
 
 void Fft2D::inverse(View2D<cplx> field) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_inverse(field, acquire_scratch().get(), nullptr, false);
+  run_inverse(field, thread_scratch(), nullptr, false);
 }
 
 void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
@@ -167,7 +165,7 @@ void Fft2D::forward_multiply(View2D<cplx> field, View2D<const cplx> kernel,
   check_shape(kernel, rows_, cols_, "kernel");
   note_transform(rows_, cols_);
   const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel};
-  run_forward(field, acquire_scratch().get(), &mul, nullptr);
+  run_forward(field, thread_scratch(), &mul, nullptr);
 }
 
 void Fft2D::convolve(View2D<cplx> field, View2D<const cplx> kernel, bool conj_kernel) const {
@@ -175,31 +173,31 @@ void Fft2D::convolve(View2D<cplx> field, View2D<const cplx> kernel, bool conj_ke
   check_shape(kernel, rows_, cols_, "kernel");
   note_transform(rows_, cols_);
   note_transform(rows_, cols_);
-  const ScratchLease lease = acquire_scratch();
+  const Scratch scratch = thread_scratch();
   const MultiplySpec mul{kernel.data(), static_cast<usize>(kernel.row_stride()), conj_kernel};
   const usize* yrev = col_plan_.bitrev();
   if (yrev == nullptr) {
-    run_forward(field, lease.get(), &mul, nullptr);
-    run_inverse(field, lease.get(), nullptr, false);
+    run_forward(field, scratch, &mul, nullptr);
+    run_inverse(field, scratch, nullptr, false);
     return;
   }
-  run_forward(field, lease.get(), nullptr, nullptr);
+  run_forward(field, scratch, nullptr, nullptr);
   // The row-pass scratch is idle between the passes: its first cols_
   // elements serve as the swap buffer.
-  multiply_field_bitrev(field, mul.data, mul.stride, mul.conj, yrev, lease.get().lanes.data());
-  run_inverse(field, lease.get(), nullptr, true);
+  multiply_field_bitrev(field, mul.data, mul.stride, mul.conj, yrev, scratch.lanes);
+  run_inverse(field, scratch, nullptr, true);
 }
 
 void Fft2D::forward_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_forward(field, acquire_scratch().get(), nullptr, &alpha);
+  run_forward(field, thread_scratch(), nullptr, &alpha);
 }
 
 void Fft2D::inverse_scale(View2D<cplx> field, cplx alpha) const {
   check_shape(field, rows_, cols_, "field");
   note_transform(rows_, cols_);
-  run_inverse(field, acquire_scratch().get(), &alpha, false);
+  run_inverse(field, thread_scratch(), &alpha, false);
 }
 
 namespace {

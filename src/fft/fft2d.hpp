@@ -11,7 +11,7 @@
 //                `cols` columns (stride = row_stride, so windows of a
 //                larger array work as well);
 //   row pass:    the field is transposed (the backend's transpose_scale)
-//                into a pooled lane-major scratch, transformed, and
+//                into a lane-major scratch, transformed, and
 //                transposed back. The scratch's lane stride is `rows`,
 //                padded by 4 when `rows` is a multiple of 16: a stride of
 //                a large power of two maps a transpose's column walk onto
@@ -44,14 +44,12 @@
 //   inverse_scale    = inverse then field *= alpha (in the transpose back)
 //
 // Each fused call is bitwise identical to its composed sequence (the
-// folded op runs the same dispatched per-element kernels). Scratch lives
-// in a small plan-owned pool (acquired once per call), so a single Fft2D
-// is safe to share across concurrently executing workers.
+// folded op runs the same dispatched per-element kernels). The scratch is
+// the calling thread's own (a thread_local detail::AlignedScratch, 64-byte
+// aligned and grow-only), so a single Fft2D is safe to share across
+// concurrently executing workers, takes no lock per transform, and a
+// worker never picks up a buffer another core wrote last.
 #pragma once
-
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "fft/plan.hpp"
 #include "tensor/array.hpp"
@@ -99,38 +97,24 @@ class Fft2D {
     bool conj;
   };
 
-  /// Pooled per-call scratch: the cols x lane_stride_ lane-major
-  /// row-pass buffer and the batched-Bluestein pad (empty when both
-  /// extents are powers of two).
+  /// The calling thread's scratch for one call: the cols x lane_stride_
+  /// lane-major row-pass buffer and, after it, the batched-Bluestein pad
+  /// (null when both extents are powers of two). Both start on a
+  /// kBufferAlignment boundary.
   struct Scratch {
-    std::vector<cplx> lanes;
-    std::vector<cplx> bluestein;
+    cplx* lanes;
+    cplx* pad;
   };
 
-  /// RAII lease of a pooled scratch buffer; returns it on destruction.
-  class ScratchLease {
-   public:
-    ScratchLease(const Fft2D& plan, std::unique_ptr<Scratch> scratch)
-        : plan_(plan), scratch_(std::move(scratch)) {}
-    ~ScratchLease();
-    ScratchLease(const ScratchLease&) = delete;
-    ScratchLease& operator=(const ScratchLease&) = delete;
-    [[nodiscard]] Scratch& get() const { return *scratch_; }
-
-   private:
-    const Fft2D& plan_;
-    std::unique_ptr<Scratch> scratch_;
-  };
-
-  [[nodiscard]] ScratchLease acquire_scratch() const;
+  [[nodiscard]] Scratch thread_scratch() const;
 
   /// forward(field), then the optional multiply and alpha scale on the field.
-  void run_forward(View2D<cplx> field, Scratch& scratch, const MultiplySpec* mul,
+  void run_forward(View2D<cplx> field, const Scratch& scratch, const MultiplySpec* mul,
                    const cplx* alpha) const;
   /// inverse(field), then the optional alpha scale. `rows_bitrev`: the
   /// field's rows already sit in bitrev(y) order (power-of-two rows only),
   /// so the column pass skips its swap.
-  void run_inverse(View2D<cplx> field, Scratch& scratch, const cplx* alpha,
+  void run_inverse(View2D<cplx> field, const Scratch& scratch, const cplx* alpha,
                    bool rows_bitrev) const;
 
   usize rows_ = 0;
@@ -138,12 +122,8 @@ class Fft2D {
   usize lane_stride_ = 0;  // row-pass scratch stride (>= rows_, see the header)
   Plan1D row_plan_;  // length cols_ (transforms along x)
   Plan1D col_plan_;  // length rows_ (transforms along y)
-
-  // Pool of scratch buffers. Concurrent transforms each lease one
-  // (allocating on first use), so sharing one plan across workers is
-  // race-free and steady-state transforms allocate nothing.
-  mutable std::mutex scratch_mutex_;
-  mutable std::vector<std::unique_ptr<Scratch>> scratch_pool_;
+  usize pad_offset_ = 0;  // the pad's offset in the scratch: the lanes, line-rounded
+  usize pad_size_ = 0;    // batched-Bluestein pad elements (0: both extents pow2)
 };
 
 /// Swap quadrants so the zero frequency moves to the array center.

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <new>
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
+#include "common/memory.hpp"
 
 namespace ptycho::fft {
 
@@ -86,9 +89,28 @@ Plan1D::~Plan1D() = default;
 Plan1D::Plan1D(Plan1D&&) noexcept = default;
 Plan1D& Plan1D::operator=(Plan1D&&) noexcept = default;
 
-namespace {
-thread_local std::vector<cplx> t_scratch;
+namespace detail {
+AlignedScratch::~AlignedScratch() { std::free(data_); }
+
+cplx* AlignedScratch::reserve(usize count) {
+  if (count <= capacity_) return data_;
+  // std::aligned_alloc needs a size that is a multiple of the alignment.
+  constexpr usize kPerLine = kBufferAlignment / sizeof(cplx);
+  const usize grown = (count + kPerLine - 1) / kPerLine * kPerLine;
+  void* p = std::aligned_alloc(kBufferAlignment, grown * sizeof(cplx));
+  if (p == nullptr) throw std::bad_alloc();
+  std::free(data_);
+  data_ = static_cast<cplx*>(p);
+  capacity_ = grown;
+  return data_;
 }
+}  // namespace detail
+
+namespace {
+// The contiguous Bluestein transform's padded buffer. Fft2D keeps its own
+// thread_local scratch, so neither transform clobbers the other's.
+thread_local detail::AlignedScratch t_bluestein;
+}  // namespace
 
 void Plan1D::forward(cplx* data) const {
   if (pow2_) {
@@ -97,13 +119,14 @@ void Plan1D::forward(cplx* data) const {
   }
   const auto& bt = *bluestein_;
   const backend::Kernels& kern = backend::kernels();
-  t_scratch.assign(bt.m, cplx{});
-  kern.chirp_mul_lanes(t_scratch.data(), data, bt.chirp.data(), real(1), n_);
-  bt.pad.run(t_scratch.data(), -1);
-  kern.cmul_lanes(t_scratch.data(), t_scratch.data(), bt.filter_fft.data(), bt.m);
-  bt.pad.run(t_scratch.data(), +1);
+  cplx* pad = t_bluestein.reserve(bt.m);
+  std::fill_n(pad, bt.m, cplx{});
+  kern.chirp_mul_lanes(pad, data, bt.chirp.data(), real(1), n_);
+  bt.pad.run(pad, -1);
+  kern.cmul_lanes(pad, pad, bt.filter_fft.data(), bt.m);
+  bt.pad.run(pad, +1);
   const real inv_m = real(1) / static_cast<real>(bt.m);
-  kern.chirp_mul_lanes(data, t_scratch.data(), bt.chirp.data(), inv_m, n_);
+  kern.chirp_mul_lanes(data, pad, bt.chirp.data(), inv_m, n_);
 }
 
 void Plan1D::inverse(cplx* data) const {

@@ -10,7 +10,8 @@
 // radix-4 stage pairs (fft/radix4.cpp); any other size runs Bluestein's
 // chirp-z algorithm on a padded power-of-two transform through the same
 // kernel. Plans are immutable after construction and safe to share across
-// rank threads (scratch is per-thread).
+// rank threads: the contiguous Bluestein path works in a per-thread
+// detail::AlignedScratch, and the strided entry points in caller scratch.
 #pragma once
 
 #include <memory>
@@ -89,6 +90,27 @@ class Plan1D {
 };
 
 namespace detail {
+/// A grow-only kBufferAlignment-aligned cplx buffer, held `thread_local`
+/// as an FFT's working memory: no lock per transform, and a thread keeps
+/// writing its own cache-warm lines. It is untracked (std::aligned_alloc,
+/// not tracked_alloc): a thread_local outlives the rank's tracking scope,
+/// so a charge to it would never be released.
+class AlignedScratch {
+ public:
+  AlignedScratch() = default;
+  ~AlignedScratch();
+  AlignedScratch(const AlignedScratch&) = delete;
+  AlignedScratch& operator=(const AlignedScratch&) = delete;
+
+  /// At least `count` elements, contents unspecified. Reallocates only
+  /// when `count` exceeds the capacity; a smaller request reuses a prefix.
+  [[nodiscard]] cplx* reserve(usize count);
+
+ private:
+  cplx* data_ = nullptr;
+  usize capacity_ = 0;
+};
+
 /// Bit-reversal permutation for size n (pow2).
 [[nodiscard]] std::vector<usize> make_bitrev(usize n);
 

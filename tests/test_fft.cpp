@@ -1,11 +1,13 @@
 // Unit/property tests for src/fft: fast transforms vs the O(n^2)
 // reference, roundtrips, adjoint identities, shifts, the batched strided
 // paths and the whole-window 2-D layout, the radix-4 stage schedule, the
-// fused spectral entry points, and allocation-freedom of the shift helpers.
+// fused spectral entry points, the per-thread scratch, and
+// allocation-freedom of the shift helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -17,6 +19,7 @@
 
 #include "backend/kernels.hpp"
 #include "common/error.hpp"
+#include "common/memory.hpp"
 #include "common/random.hpp"
 #include "fft/fft2d.hpp"
 #include "fft/plan.hpp"
@@ -620,20 +623,35 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<index_t, index_t>{8, 100}, std::pair<index_t, index_t>{17, 64},
                       std::pair<index_t, index_t>{100, 100}));
 
+CArray2D random_field(usize n, std::uint64_t seed) {
+  const auto ni = static_cast<index_t>(n);
+  CArray2D field(ni, ni);
+  Rng rng(seed);
+  for (index_t y = 0; y < ni; ++y) {
+    for (index_t x = 0; x < ni; ++x) {
+      field(y, x) = cplx(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
+    }
+  }
+  return field;
+}
+
+// Runs `work(t)` on kThreads threads at once.
+constexpr int kThreads = 4;
+template <typename Work>
+void run_concurrently(const Work& work) {
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back([&work, t] { work(t); });
+  for (std::thread& t : threads) t.join();
+}
+
 TEST(Fft2D, OnePlanSharedAcrossConcurrentThreads) {
-  // One plan, four threads, each transforming its own field: the pooled
-  // scratch must keep them independent (run under TSan to verify raciness,
-  // value-compare here). 100 exercises the Bluestein pad in the pool too.
+  // One plan, four threads, each transforming its own field: each thread's
+  // own scratch must keep them independent (run under TSan to verify
+  // raciness, value-compare here). 100 exercises the Bluestein pad too.
   for (const usize n : {64, 100}) {
     Fft2D plan(n, n);
-    const auto ni = static_cast<index_t>(n);
-    CArray2D input(ni, ni);
-    Rng rng(n);
-    for (index_t y = 0; y < ni; ++y) {
-      for (index_t x = 0; x < ni; ++x) {
-        input(y, x) = cplx(static_cast<real>(rng.normal()), static_cast<real>(rng.normal()));
-      }
-    }
+    const CArray2D input = random_field(n, n);
     // Expected: the exact op sequence each thread will run, applied
     // sequentially — concurrent execution must be bitwise indistinguishable.
     const auto transform_sequence = [&plan](CArray2D& field) {
@@ -645,24 +663,71 @@ TEST(Fft2D, OnePlanSharedAcrossConcurrentThreads) {
     };
     CArray2D expected = input.clone();
     transform_sequence(expected);
-    constexpr int kThreads = 4;
     std::vector<CArray2D> results;
     results.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) results.push_back(input.clone());
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(kThreads);
-      for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back(
-            [&transform_sequence, &results, t] { transform_sequence(results[static_cast<usize>(t)]); });
-      }
-      for (std::thread& t : threads) t.join();
-    }
+    run_concurrently([&](int t) { transform_sequence(results[static_cast<usize>(t)]); });
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_DOUBLE_EQ(
           diff_norm_sq(results[static_cast<usize>(t)].view(), expected.view()), 0.0)
           << "n=" << n << " thread=" << t;
     }
+  }
+}
+
+TEST(Fft2D, ThreadsAlternatingTheirOwnPlanSizesMatchSequential) {
+  // Each thread alternates its own 64 and 100 plans, so its scratch
+  // serves the 64 plan from a prefix of the buffer the 100 plan grew, in
+  // which the Bluestein pad follows the row-pass lanes. The results must
+  // equal a sequential run bitwise.
+  const CArray2D input64 = random_field(64, 64);
+  const CArray2D input100 = random_field(100, 100);
+  const auto alternate = [&](CArray2D& f64, CArray2D& f100) {
+    const Fft2D plan64(64, 64);
+    const Fft2D plan100(100, 100);
+    for (int rep = 0; rep < 4; ++rep) {
+      plan64.forward(f64.view());
+      plan100.forward(f100.view());
+      plan64.convolve(f64.view(), input64.view());
+      plan100.convolve(f100.view(), input100.view(), /*conj_kernel=*/true);
+      plan100.inverse(f100.view());
+      plan64.inverse(f64.view());
+    }
+  };
+  CArray2D expected64 = input64.clone();
+  CArray2D expected100 = input100.clone();
+  alternate(expected64, expected100);
+  std::vector<CArray2D> results64;
+  std::vector<CArray2D> results100;
+  for (int t = 0; t < kThreads; ++t) {
+    results64.push_back(input64.clone());
+    results100.push_back(input100.clone());
+  }
+  run_concurrently([&](int t) {
+    alternate(results64[static_cast<usize>(t)], results100[static_cast<usize>(t)]);
+  });
+  for (usize t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(bitwise_equal(results64[t].data(), expected64.data(), expected64.size()))
+        << "64x64, thread " << t;
+    EXPECT_TRUE(bitwise_equal(results100[t].data(), expected100.data(), expected100.size()))
+        << "100x100, thread " << t;
+  }
+}
+
+TEST(AlignedScratch, AlignedAfterEveryGrowthAndReusesItsPrefix) {
+  detail::AlignedScratch scratch;
+  cplx* largest = nullptr;
+  usize largest_count = 0;
+  for (const usize count : {1, 7, 8, 9, 100, 4099, 64 * 68, 1 << 16}) {
+    cplx* p = scratch.reserve(count);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kBufferAlignment, 0U) << "count " << count;
+    p[count - 1] = cplx(1, 2);  // the whole request is writable (ASan)
+    largest = p;
+    largest_count = count;
+  }
+  // Smaller requests reuse a prefix of the largest allocation.
+  for (const usize count : {largest_count, usize{4096}, usize{8}, usize{1}}) {
+    EXPECT_EQ(scratch.reserve(count), largest) << "count " << count;
   }
 }
 

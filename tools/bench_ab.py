@@ -34,11 +34,12 @@ sys.path.insert(0, os.path.join(ROOT, "bench", "e2e"))
 import analysis  # noqa: E402  (bench/e2e, on the path above)
 
 # One workload per part of the pipeline a change can slow: the compute
-# sweep (gd-small), sync and receive waits (gd-tiny-sync), and checkpoint
-# I/O with no fabric (serial-small-ckpt). The fast-tier and socket
-# workloads run the same paths with another kernel table or transport and
-# would add two thirds to the job's time.
-WORKLOADS = ("gd-small", "gd-tiny-sync", "serial-small-ckpt")
+# sweep (gd-small), the fast tier's FMA tables, f16 storage and spectral
+# elision (gd-small-fast), sync and receive waits (gd-tiny-sync), and
+# checkpoint I/O with no fabric (serial-small-ckpt). The socket workload
+# runs gd-small's sweep over another transport and is left out: it would
+# add another quarter to the job's time.
+WORKLOADS = ("gd-small", "gd-small-fast", "gd-tiny-sync", "serial-small-ckpt")
 
 # Two rounds: each tree runs first once per workload, so neither side
 # always gets the warmer (or the quieter) slot.

@@ -44,6 +44,14 @@ class Merge(unittest.TestCase):
         self.assertEqual(sorted(merged["workloads"]), ["gd-small", "gd-tiny-sync"])
 
 
+class Workloads(unittest.TestCase):
+    def test_gates_only_declared_workloads_and_covers_the_fast_tier(self):
+        declared = {w["name"] for w in SPEC["workloads"]}
+        self.assertLessEqual(set(bench_ab.WORKLOADS), declared)
+        self.assertEqual(len(set(bench_ab.WORKLOADS)), len(bench_ab.WORKLOADS))
+        self.assertIn("gd-small-fast", bench_ab.WORKLOADS)
+
+
 class Verdicts(unittest.TestCase):
     ROUNDS = [[1.00, 1.02, 0.99, 1.01], [1.03, 0.98, 1.00]]
 
