@@ -9,7 +9,6 @@
 #include "data/simulate.hpp"
 #include "fft/fft2d.hpp"
 #include "runtime/cluster.hpp"
-#include "tensor/compact.hpp"
 #include "tensor/ops.hpp"
 
 namespace ptycho {
@@ -302,7 +301,7 @@ const int backend_benches_registered = [] {
   return 0;
 }();
 
-// ---- fast-tier benchmarks: FMA cmul head-to-head + compact codecs ----
+// ---- fast-tier benchmark: FMA cmul head-to-head ----
 
 // The fast tier's cmul in one row: the best available FMA table's (vector
 // when the CPU has one, scalar-fma otherwise).
@@ -312,29 +311,6 @@ void BM_BackendCmulFma(benchmark::State& state) {
   BM_BackendCmul(state, kern);
 }
 BENCHMARK(BM_BackendCmulFma)->Arg(256)->Arg(4096);
-
-/// f16 decode throughput: halves -> f32, the per-item cost the fast tier
-/// pays to read an encoded measurement frame or a cached transmittance
-/// plane.
-void BM_CompactDecodeF16(benchmark::State& state) {
-  const compact::Format format = compact::Format::kF16;
-  const auto n = static_cast<usize>(state.range(0));
-  std::vector<real> src(n);
-  for (usize i = 0; i < n; ++i) {
-    src[i] = real(0.25) + static_cast<real>(i % 977) * real(1e-2);
-  }
-  std::vector<std::uint16_t> packed(n);
-  compact::encode(format, packed.data(), src.data(), n, "the benchmark input");
-  std::vector<real> dst(n);
-  for (auto _ : state) {
-    compact::decode(format, dst.data(), packed.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(n * (sizeof(real) + sizeof(std::uint16_t))));
-}
-BENCHMARK(BM_CompactDecodeF16)->Arg(1024)->Arg(65536);
 
 }  // namespace
 }  // namespace ptycho

@@ -57,8 +57,6 @@ class PhaseProfiler {
     for (const auto& [name, secs] : other.phases_) phases_[name] += secs;
   }
 
-  void clear() { phases_.clear(); }
-
  private:
   std::map<std::string, double> phases_;
 };

@@ -58,7 +58,7 @@ struct ExecOptions {
   /// Numerics tier (--precision). The one exception to the "every knob is
   /// bitwise-neutral" rule above: the default (strict) keeps bitwise
   /// identity with all prior releases, but the fast tier swaps in FMA
-  /// kernels and compact storage and is tolerance-gated instead (see
+  /// kernels and spectral elision and is tolerance-gated instead (see
   /// core/precision.hpp). Checkpoints stay f32 and restore across tiers.
   PrecisionPolicy precision;
 };

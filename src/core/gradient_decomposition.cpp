@@ -195,8 +195,7 @@ ParallelResult reconstruct_gd(const Dataset& dataset, const GdConfig& config,
       ReconstructionPipeline pipeline;
       auto ckpt_pass = std::make_unique<CheckpointPass>(config.exec.checkpoint, run_info);
       pipeline.emplace<SweepPass>(engine, config.mode, threads,
-                                  SweepPass::Items{&tile.own_probes}, refine,
-                                  config.exec.precision);
+                                  SweepPass::Items{&tile.own_probes}, refine);
       pipeline.emplace<SyncGradientsPass>(partition, ctx.rank(), config.sync, config.mode);
       pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/true);
       // The finalize pass precedes the fault point so a snapshot whose

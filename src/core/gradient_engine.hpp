@@ -7,6 +7,7 @@
 #pragma once
 
 #include "data/dataset.hpp"
+#include "tensor/compact.hpp"
 
 namespace ptycho {
 
@@ -30,17 +31,18 @@ class GradientEngine {
     return static_cast<real>(1.0 / dataset_.probe.max_intensity());
   }
 
+  /// The format argument is accepted and ignored: it stays only because
+  /// bench/e2e/bench_layers.cpp passes PrecisionPolicy::storage here.
   [[nodiscard]] MultisliceWorkspace make_workspace(
-      compact::Format compact_trans = compact::Format::kNone) const {
+      compact::Format = compact::Format::kNone) const {
     return MultisliceWorkspace(static_cast<index_t>(dataset_.spec.grid.probe_n),
-                               dataset_.spec.slices, compact_trans);
+                               dataset_.spec.slices);
   }
 
   /// f_i plus gradient accumulation into `grad` over the window, for an
   /// explicit probe (the dataset's, or a refined one) and an explicit
-  /// measurement (the dataset's frame, or a decoded compact copy). The
-  /// probe gradient is accumulated into `probe_grad` when non-null (probe
-  /// refinement).
+  /// measurement (the dataset's frame, read in place). The probe gradient
+  /// is accumulated into `probe_grad` when non-null (probe refinement).
   double probe_gradient_joint(index_t probe_id, const Probe& probe,
                               View2D<const real> measurement, const FramedVolume& volume,
                               FramedVolume& grad, MultisliceWorkspace& ws,

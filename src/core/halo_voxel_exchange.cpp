@@ -87,8 +87,7 @@ ParallelResult reconstruct_hve(const Dataset& dataset, const HveConfig& config,
                               : std::max(1, ThreadPool::hardware_threads() / ctx.nranks());
       ReconstructionPipeline pipeline;
       pipeline.emplace<HveLocalSweepPass>(engine, probes, tile.own_probes.size(),
-                                          config.local_epochs, config.mode, threads,
-                                          config.exec.precision);
+                                          config.local_epochs, config.mode, threads);
       pipeline.emplace<HaloPastePass>(pastes);
       pipeline.emplace<CostRecordPass>(config.record_cost);
       if (config.exec.progress_every > 0) {

@@ -132,32 +132,18 @@ void PassEngine::run_allreduce(rt::RankContext& ctx, FramedVolume& buf) {
 // ---- pipeline passes --------------------------------------------------------
 
 SweepPass::SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, Items items,
-                     RefineSchedule refine, PrecisionPolicy precision)
-    : engine_(engine), mode_(mode), items_(items), refine_(refine), precision_(precision) {
-  // Compact measurement frames are indexed by ITEM: frame i of the stack
-  // is the frame of probe_id(i).
-  if (precision_.storage != compact::Format::kNone) {
-    const std::vector<RArray2D>& frames = engine_.dataset().measurements;
-    if (items_.ids != nullptr) {
-      compact_meas_.emplace(frames, *items_.ids, precision_.storage);
-    } else {
-      compact_meas_.emplace(frames, precision_.storage);
-    }
-  }
+                     RefineSchedule refine)
+    : engine_(engine), mode_(mode), items_(items), refine_(refine) {
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
-    sweeper_.emplace(engine_, *pool_, precision_.storage);
-    if (compact_meas_) sweeper_->set_compact_measurements(&*compact_meas_);
+    sweeper_.emplace(engine_, *pool_);
   } else {
     // SGD sweeps only ever mutate the volume through apply_gradient, so
     // the transmittance cache contract holds.
-    workspace_.emplace(engine_.make_workspace(precision_.storage));
+    workspace_.emplace(engine_.make_workspace());
     workspace_->cache_transmittance = true;
     const auto n = static_cast<index_t>(engine_.dataset().spec.grid.probe_n);
     grad_scratch_.emplace(engine_.dataset().spec.slices, Rect{0, 0, n, n});
-    if (compact_meas_) {
-      workspace_->meas_scratch = RArray2D(compact_meas_->rows(), compact_meas_->cols());
-    }
   }
 }
 
@@ -182,15 +168,8 @@ void SweepPass::on_chunk(SolverState& state, const StepPoint& point) {
       grad_scratch_->frame = engine_.window(id);
       grad_scratch_->data.fill(cplx{});
       View2D<cplx> pg_view = state.probe_grad_field->view();
-      View2D<const real> meas;
-      if (compact_meas_) {
-        compact_meas_->decode_into(static_cast<usize>(i), workspace_->meas_scratch.view());
-        meas = workspace_->meas_scratch.view();
-      } else {
-        meas = measurement(i);
-      }
       state.sweep_cost += engine_.probe_gradient_joint(
-          id, *state.probe, meas, *state.volume, *grad_scratch_, *workspace_,
+          id, *state.probe, measurement(i), *state.volume, *grad_scratch_, *workspace_,
           refine_now ? &pg_view : nullptr);
       accumulate_and_apply_gradient(state.accbuf->volume(), *state.volume, *grad_scratch_,
                                     grad_scratch_->frame, state.step);
@@ -395,8 +374,7 @@ void CheckpointPass::finalize_pending(SolverState& state) {
 
 HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
                                      const std::vector<index_t>& probes, usize own_count,
-                                     int epochs, UpdateMode mode, int threads,
-                                     PrecisionPolicy precision)
+                                     int epochs, UpdateMode mode, int threads)
     : engine_(engine),
       probes_(probes),
       own_count_(own_count),
@@ -404,11 +382,7 @@ HveLocalSweepPass::HveLocalSweepPass(const GradientEngine& engine,
       mode_(mode) {
   if (mode_ == UpdateMode::kFullBatch) {
     pool_.emplace(threads);
-    sweeper_.emplace(engine_, *pool_, precision.storage);
-    if (precision.storage != compact::Format::kNone && !probes_.empty()) {
-      compact_meas_.emplace(engine_.dataset().measurements, probes_, precision.storage);
-      sweeper_->set_compact_measurements(&*compact_meas_);
-    }
+    sweeper_.emplace(engine_, *pool_);
   } else {
     workspace_.emplace(engine.make_workspace());
     const auto n = static_cast<index_t>(engine.dataset().spec.grid.probe_n);

@@ -159,18 +159,13 @@ class SweepPass final : public Pass {
 
   /// `threads` is the resolved worker count for the full-batch sweeper
   /// (callers apply their own auto-division policy before constructing).
-  /// `precision` (fast tier) selects the FMA kernel column process-wide at
-  /// the dispatch layer — here it only controls compact storage: with a
-  /// 16-bit format the pass encodes its items' frames, in item order, into
-  /// a compact::FrameStack (decoded per item into workspace scratch) and the
-  /// pooled transmittance caches persist compactly. Strict default leaves
-  /// every byte of the historical path untouched.
   SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, Items items,
-            RefineSchedule refine, PrecisionPolicy precision = {});
-  /// Exists only for the bench_layers call; the tag is ignored.
+            RefineSchedule refine);
+  /// Exists only for the bench_layers call; the tag and the policy are
+  /// accepted and ignored.
   SweepPass(const GradientEngine& engine, UpdateMode mode, int threads, SweepSchedule,
-            Items items, RefineSchedule refine, PrecisionPolicy precision = {})
-      : SweepPass(engine, mode, threads, items, refine, precision) {}
+            Items items, RefineSchedule refine, PrecisionPolicy = {})
+      : SweepPass(engine, mode, threads, items, refine) {}
 
   [[nodiscard]] const char* name() const override { return "sweep"; }
   [[nodiscard]] obs::Phase phase() const override { return obs::Phase::kCompute; }
@@ -200,10 +195,6 @@ class SweepPass final : public Pass {
   UpdateMode mode_;
   Items items_;
   RefineSchedule refine_;
-  PrecisionPolicy precision_;
-  /// Fast tier: the pass's own compact copy of its items' frames,
-  /// item-indexed exactly like measurement(). Unset on the strict tier.
-  std::optional<compact::FrameStack> compact_meas_;
   // Full-batch machinery (unset in SGD mode).
   std::optional<ThreadPool> pool_;
   std::optional<BatchSweeper> sweeper_;
@@ -463,13 +454,10 @@ class HveLocalSweepPass final : public Pass {
   /// `probes` lists the own probes first, then the replicated ones, whose
   /// frames are read in place from the engine's dataset. `threads` sizes
   /// the full-batch sweeper's pool; SGD mode ignores them (its machinery is
-  /// inherently sequential). `precision` compacts the full-batch sweeper's
-  /// measurement frames and workspace caches like SweepPass; the SGD loop
-  /// reads the f32 frames (its sequential per-probe walk is not
-  /// bandwidth-bound).
+  /// inherently sequential).
   HveLocalSweepPass(const GradientEngine& engine, const std::vector<index_t>& probes,
                     usize own_count, int epochs, UpdateMode mode = UpdateMode::kSgd,
-                    int threads = 1, PrecisionPolicy precision = {});
+                    int threads = 1);
 
   [[nodiscard]] const char* name() const override { return "hve-local-sweep"; }
   [[nodiscard]] obs::Phase phase() const override { return obs::Phase::kCompute; }
@@ -496,7 +484,6 @@ class HveLocalSweepPass final : public Pass {
   // tile volume on the first chunk.
   std::optional<ThreadPool> pool_;
   std::optional<BatchSweeper> sweeper_;
-  std::optional<compact::FrameStack> compact_meas_;  ///< fast tier only
   std::optional<AccumulationBuffer> accbuf_;
 };
 

@@ -10,10 +10,6 @@ PrecisionPolicy parse_precision(std::string_view spec) {
   PTYCHO_REQUIRE(spec == "fast",
                  "--precision must be strict | fast, not '" << spec << "'");
   policy.tier = backend::Precision::kFast;
-  // f16's 11-bit mantissa keeps measurement quantization (~5e-4
-  // relative) inside the 1e-3 tolerance gate; its range is checked where
-  // each array is encoded (compact::encode).
-  policy.storage = compact::Format::kF16;
   return policy;
 }
 

@@ -1,16 +1,13 @@
 // Engine-wide precision policy: which numerics tier the backend kernels
-// run at, and which compact storage format (if any) holds the fast tier's
-// read-mostly arrays. Parsed from --precision, carried by ExecOptions;
-// it is the only numerics option (the kernel table's ISA always comes
-// from CPU detection).
+// run at. Parsed from --precision, carried by ExecOptions; it is the only
+// numerics option (the kernel table's ISA always comes from CPU
+// detection).
 //
 //   strict  — the bitwise-deterministic no-FMA f32 path (default).
-//   fast    — FMA kernel tables + f16 compact storage of the measurement
-//             stack and the transmittance cache + spectral roundtrip
-//             elision in the multislice operator (the far-field F·F⁻¹
-//             pairs, see physics/multislice.cpp). f16 quantization stays
-//             inside the 1e-3 tolerance gate; a value past f16's range
-//             (|x| >= 65520) is an error that points at strict.
+//   fast    — FMA kernel tables + spectral roundtrip elision in the
+//             multislice operator (the far-field F·F⁻¹ pairs, see
+//             physics/multislice.cpp). Both tiers read the same f32
+//             frames and keep the same f32 transmittance cache.
 //
 // Strict-tier guarantees (bitwise identity across backends, thread
 // counts, transports) are untouched by this knob at its default.
@@ -29,12 +26,15 @@ namespace ptycho {
 
 struct PrecisionPolicy {
   backend::Precision tier = backend::Precision::kStrict;
+  /// Accepted and ignored: always kNone, read by nothing in the engine.
+  /// It stays only because bench/e2e/bench_layers.cpp passes it to
+  /// GradientEngine::make_workspace.
   compact::Format storage = compact::Format::kNone;
 
   [[nodiscard]] bool fast() const { return tier == backend::Precision::kFast; }
 
   friend bool operator==(const PrecisionPolicy& a, const PrecisionPolicy& b) {
-    return a.tier == b.tier && a.storage == b.storage;
+    return a.tier == b.tier;
   }
 };
 
@@ -42,8 +42,7 @@ struct PrecisionPolicy {
 /// (flag values are user input; fail loudly, not quietly strict).
 [[nodiscard]] PrecisionPolicy parse_precision(std::string_view spec);
 
-/// Apply the tier to the process-wide backend dispatch (storage is applied
-/// locally by the passes that own compact arrays).
+/// Apply the tier to the process-wide backend dispatch.
 void apply_precision(const PrecisionPolicy& policy);
 
 }  // namespace ptycho

@@ -95,7 +95,7 @@ SerialResult reconstruct_serial(const Dataset& dataset, const SerialConfig& conf
   ReconstructionPipeline pipeline;
   auto ckpt_pass = std::make_unique<CheckpointPass>(config.exec.checkpoint, std::move(run));
   pipeline.emplace<SweepPass>(engine, config.mode, config.exec.threads, SweepPass::Items{},
-                              refine, config.exec.precision);
+                              refine);
   pipeline.emplace<ApplyUpdatePass>(config.mode, /*apply_in_sgd=*/false);
   pipeline.emplace<CheckpointFinalizePass>(*ckpt_pass);
   pipeline.emplace<ProbeRefinePass>(refine, config.probe_step, probe_count, probe_energy);

@@ -43,17 +43,8 @@ class BatchSweeper {
 
   /// Allocates one workspace per pool slot and kBatch item-gradient
   /// buffers up front (on the calling thread, so per-rank memory tracking
-  /// sees them); sweeps reuse them. `compact_trans` (fast tier only) makes
-  /// the pooled transmittance caches persist their planes in 16-bit form.
-  BatchSweeper(const GradientEngine& engine, ThreadPool& pool,
-               compact::Format compact_trans = compact::Format::kNone);
-
-  /// Fast-tier measurement source: when set, items are read by decoding
-  /// frame `item` of `frames` into per-slot scratch instead of calling
-  /// `measurement_of` — frames must be indexed exactly like the
-  /// measurement callback. Pass nullptr to restore the callback path. The
-  /// stack must outlive every subsequent sweep() call.
-  void set_compact_measurements(const compact::FrameStack* frames);
+  /// sees them); sweeps reuse them.
+  BatchSweeper(const GradientEngine& engine, ThreadPool& pool);
 
   /// Evaluate items [begin, end): per-item object gradients are merged
   /// into `accbuf` in item order, per-item probe gradients (when
@@ -74,7 +65,6 @@ class BatchSweeper {
   std::vector<FramedVolume> item_grad_;  ///< kBatch window gradients
   std::vector<CArray2D> item_probe_grad_;  ///< kBatch probe gradients
   std::vector<double> item_cost_;
-  const compact::FrameStack* compact_meas_ = nullptr;  ///< fast tier only
 };
 
 }  // namespace ptycho

@@ -82,8 +82,6 @@ void CsvWriter::row(const std::vector<double>& values) {
   impl_->out << line.str() << '\n';
 }
 
-void CsvWriter::raw_row(const std::string& line) { impl_->out << line << '\n'; }
-
 namespace {
 constexpr std::uint64_t kVolumeMagic = 0x50545943484F564CULL;  // "PTYCHOVL"
 

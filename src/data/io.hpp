@@ -26,7 +26,6 @@ class CsvWriter {
 
   void header(const std::vector<std::string>& names);
   void row(const std::vector<double>& values);
-  void raw_row(const std::string& line);
 
  private:
   struct Impl;

@@ -66,12 +66,6 @@ void PhaseLedger::merge_into(PhaseProfiler& prof) noexcept {
   }
 }
 
-void PhaseLedger::reset() noexcept {
-  for (Cell& cell : cells_) {
-    for (auto& ns : cell.ns) ns.store(0, std::memory_order_relaxed);
-  }
-}
-
 // ---- thread context ---------------------------------------------------------
 
 ThreadContext thread_context() noexcept { return t_context; }

@@ -84,8 +84,6 @@ class PhaseLedger {
   /// never double-count). kNone durations are not accumulated.
   void merge_into(PhaseProfiler& prof) noexcept;
 
-  void reset() noexcept;
-
  private:
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> ns[kPhaseCount];

@@ -8,42 +8,31 @@
 
 namespace ptycho {
 
-MultisliceWorkspace::MultisliceWorkspace(index_t probe_n, index_t slices,
-                                         compact::Format compact_trans_format)
+MultisliceWorkspace::MultisliceWorkspace(index_t probe_n, index_t slices)
     : psi(probe_n, probe_n),
       far(probe_n, probe_n),
       grad(probe_n, probe_n),
-      scratch(probe_n, probe_n),
-      compact_trans(compact_trans_format) {
+      scratch(probe_n, probe_n) {
   psi_in.reserve(static_cast<usize>(slices));
   for (index_t s = 0; s < slices; ++s) psi_in.emplace_back(probe_n, probe_n);
-  // The f32 transmittance planes stay unallocated (0x0) until a kPotential
-  // evaluation without the compact cache needs them (compute_transmittance):
-  // kTransmittance reads the volume directly.
+  // The transmittance planes stay unallocated (0x0) until a kPotential
+  // evaluation needs them (compute_transmittance): kTransmittance reads the
+  // volume directly.
   trans.resize(static_cast<usize>(slices));
 }
 
 WorkspacePool::WorkspacePool(index_t probe_n, index_t slices, int slots,
-                             bool cache_transmittance, compact::Format compact_trans) {
+                             bool cache_transmittance) {
   PTYCHO_REQUIRE(slots >= 1, "workspace pool needs at least one slot");
   workspaces_.reserve(static_cast<usize>(slots));
   for (int s = 0; s < slots; ++s) {
-    workspaces_.emplace_back(probe_n, slices, cache_transmittance ? compact_trans
-                                                                  : compact::Format::kNone);
+    workspaces_.emplace_back(probe_n, slices);
     workspaces_.back().cache_transmittance = cache_transmittance;
   }
 }
 
 MultisliceOperator::MultisliceOperator(const OpticsGrid& grid, MultisliceConfig config)
     : grid_(grid), config_(config), propagator_(grid) {}
-
-bool MultisliceOperator::compact_cache_active(const MultisliceWorkspace& ws) const {
-  // Compact storage rides the transmittance *cache*: without the cache the
-  // planes are rebuilt per evaluation and encoding them would only add
-  // work. kTransmittance evaluations always run f32.
-  return ws.compact_trans != compact::Format::kNone &&
-         config_.model == ObjectModel::kPotential && ws.cache_transmittance;
-}
 
 double far_magnitude(cplx z) {
   const auto re = static_cast<double>(z.real());
@@ -64,16 +53,10 @@ real seed_magnitude(cplx z) { return seed_from_far(far_magnitude(z), z); }
 
 View2D<const cplx> MultisliceOperator::slice_transmittance(const FramedVolume& volume,
                                                            const Rect& window,
-                                                           MultisliceWorkspace& ws,
+                                                           const MultisliceWorkspace& ws,
                                                            index_t s) const {
   if (config_.model == ObjectModel::kTransmittance) return volume.window(s, window);
-  const auto us = static_cast<usize>(s);
-  if (!compact_cache_active(ws)) return ws.trans[us].view();
-  const auto n = static_cast<index_t>(grid_.probe_n);
-  if (ws.trans_scratch.empty()) ws.trans_scratch = CArray2D(n, n);
-  compact::decode(ws.compact_trans, reinterpret_cast<real*>(ws.trans_scratch.data()),
-                  ws.trans_c[us].data(), static_cast<usize>(n) * static_cast<usize>(n) * 2);
-  return ws.trans_scratch.view();
+  return ws.trans[static_cast<usize>(s)].view();
 }
 
 void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const Rect& window,
@@ -97,23 +80,13 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
     static obs::Counter& misses = obs::registry().counter("workspace_cache_misses_total");
     misses.add(1);
   }
-  const bool compact = compact_cache_active(ws);
   const auto n = static_cast<index_t>(grid_.probe_n);
-  if (compact) {
-    const usize plane = static_cast<usize>(n) * static_cast<usize>(n) * 2;
-    if (ws.trans_c.size() != static_cast<usize>(slices)) {
-      ws.trans_c.assign(static_cast<usize>(slices), std::vector<std::uint16_t>(plane));
-    }
-    if (ws.trans_scratch.empty()) ws.trans_scratch = CArray2D(n, n);
-  }
   for (index_t s = 0; s < slices; ++s) {
     View2D<const cplx> v = volume.window(s, window);
-    // The f32 planes are allocated on first use (see the workspace
-    // constructor).
-    if (!compact && ws.trans[static_cast<usize>(s)].empty()) {
-      ws.trans[static_cast<usize>(s)] = CArray2D(n, n);
-    }
-    View2D<cplx> t = compact ? ws.trans_scratch.view() : ws.trans[static_cast<usize>(s)].view();
+    // The planes are allocated on first use (see the workspace constructor).
+    CArray2D& plane = ws.trans[static_cast<usize>(s)];
+    if (plane.empty()) plane = CArray2D(n, n);
+    View2D<cplx> t = plane.view();
     // t = exp(i * sigma * V): exp(i s (a+bi)) = exp(-s b) * (cos(sa) + i sin(sa))
     const real sigma = config_.sigma;
     for (index_t y = 0; y < v.rows(); ++y) {
@@ -124,12 +97,6 @@ void MultisliceOperator::compute_transmittance(const FramedVolume& volume, const
         const real phase = sigma * vr[x].real();
         tr[x] = cplx(amp * std::cos(phase), amp * std::sin(phase));
       }
-    }
-    if (compact) {
-      compact::encode(ws.compact_trans, ws.trans_c[static_cast<usize>(s)].data(),
-                      reinterpret_cast<const real*>(ws.trans_scratch.data()),
-                      static_cast<usize>(n) * static_cast<usize>(n) * 2,
-                      "a transmittance plane");
     }
   }
   if (cacheable) {

@@ -14,7 +14,6 @@
 
 #include "physics/probe.hpp"
 #include "physics/propagator.hpp"
-#include "tensor/compact.hpp"
 #include "tensor/framed.hpp"
 #include "tensor/ops.hpp"
 
@@ -47,23 +46,8 @@ struct MultisliceWorkspace {
   std::uint64_t trans_revision = 0;  ///< revision ws.trans was built from (0 = none)
   Rect trans_window{};               ///< window ws.trans was built for
 
-  /// Fast-tier compact transmittance cache (kNone on the strict tier):
-  /// when set AND the cache above is engaged (kPotential + enabled), the
-  /// cached planes persist as 16-bit payloads in `trans_c` — half the
-  /// resident footprint and half the read bandwidth per hit — and each
-  /// slice is decoded into `trans_scratch` at use. The f32 `trans` planes
-  /// are then never allocated. Tolerance-gated like all fast-tier state.
-  compact::Format compact_trans = compact::Format::kNone;
-  std::vector<std::vector<std::uint16_t>> trans_c;  ///< encoded planes (2*n*n halves each)
-  CArray2D trans_scratch;                           ///< per-use decode target (one plane)
-
-  /// Fast-tier measurement decode target (lazily sized by the sweep when
-  /// measurements are held compact; unused otherwise).
-  RArray2D meas_scratch;
-
   MultisliceWorkspace() = default;
-  MultisliceWorkspace(index_t probe_n, index_t slices,
-                      compact::Format compact_trans = compact::Format::kNone);
+  MultisliceWorkspace(index_t probe_n, index_t slices);
 };
 
 /// One workspace per execution slot of a sweep's thread pool. The pool is
@@ -74,8 +58,7 @@ struct MultisliceWorkspace {
 /// which slot (and therefore which workspace) evaluated them.
 class WorkspacePool {
  public:
-  WorkspacePool(index_t probe_n, index_t slices, int slots, bool cache_transmittance,
-                compact::Format compact_trans = compact::Format::kNone);
+  WorkspacePool(index_t probe_n, index_t slices, int slots, bool cache_transmittance);
 
   [[nodiscard]] int slots() const { return static_cast<int>(workspaces_.size()); }
   [[nodiscard]] MultisliceWorkspace& operator[](int slot) {
@@ -146,21 +129,15 @@ class MultisliceOperator {
               View2D<const real> y_mag, MultisliceWorkspace& ws) const;
 
  private:
-  /// Fill ws.trans[s] (or ws.trans_c[s] when the compact cache is active)
-  /// from the volume window. A no-op for kTransmittance.
+  /// Fill ws.trans[s] from the volume window. A no-op for kTransmittance.
   void compute_transmittance(const FramedVolume& volume, const Rect& window,
                              MultisliceWorkspace& ws) const;
 
-  /// True when this evaluation stores/reads the transmittance compactly.
-  [[nodiscard]] bool compact_cache_active(const MultisliceWorkspace& ws) const;
-
   /// Slice transmittance for use in the forward/adjoint chain: the volume
-  /// window itself (kTransmittance), the f32 plane, or a decode of the
-  /// compact plane into ws.trans_scratch (valid until the next slice is
-  /// requested).
+  /// window itself (kTransmittance) or the plane ws.trans[s] (kPotential).
   [[nodiscard]] View2D<const cplx> slice_transmittance(const FramedVolume& volume,
                                                        const Rect& window,
-                                                       MultisliceWorkspace& ws,
+                                                       const MultisliceWorkspace& ws,
                                                        index_t s) const;
 
   OpticsGrid grid_;

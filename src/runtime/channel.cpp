@@ -104,7 +104,7 @@ void Fabric::isend(int src, int dst, Tag tag, std::vector<cplx> payload) {
 }
 
 void Fabric::deliver(int src, int dst, Tag tag, std::vector<cplx> payload) {
-  if (poisoned()) return;  // clear_poison() drains; don't re-litter mailboxes
+  if (poisoned()) return;  // a poisoned fabric is dead: don't re-litter mailboxes
   Mailbox& box = mailbox(dst);
   {
     std::lock_guard<std::mutex> lock(box.mutex);
@@ -133,14 +133,6 @@ std::vector<cplx> Fabric::recv(int dst, int src, Tag tag, double* wait_seconds) 
 FabricStats Fabric::stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
-}
-
-void Fabric::clear_poison() noexcept {
-  for (auto& box : mailboxes_) {
-    std::lock_guard<std::mutex> lock(box->mutex);
-    box->queues.clear();
-  }
-  poisoned_.store(false, std::memory_order_release);
 }
 
 void Fabric::poison_local() noexcept {

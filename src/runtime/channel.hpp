@@ -183,12 +183,6 @@ class Fabric {
     return poisoned_.load(std::memory_order_acquire);
   }
 
-  /// Re-arm a poisoned fabric (fresh run on the same cluster object).
-  /// Also drains every mailbox: messages a dead run left queued must not
-  /// be matched by the next run's receives (tags are reused per
-  /// iteration, so collisions would be the norm, not the exception).
-  void clear_poison() noexcept;
-
   /// Bound every blocking mailbox wait: a receive that stays unmatched
   /// for this long poisons the fabric and throws RankFailure instead of
   /// blocking forever (0 = wait indefinitely). Collectives ride on recv,

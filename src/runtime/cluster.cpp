@@ -145,19 +145,6 @@ usize VirtualCluster::max_peak_bytes() const {
   return best;
 }
 
-void VirtualCluster::reset_instrumentation() {
-  for (auto& t : trackers_) t.reset();
-  for (auto& p : profilers_) p.clear();
-  for (auto& l : ledgers_) l.reset();
-  fabric_.clear_poison();
-  fault_fired_.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(barrier_mutex_);
-    barrier_count_ = 0;
-    barrier_poisoned_ = false;
-  }
-}
-
 void VirtualCluster::barrier_wait_distributed() {
   // Dissemination barrier over fabric messages: ceil(log2 n) rounds, in
   // round k rank r pings (r + 2^k) mod n and waits for (r - 2^k) mod n.

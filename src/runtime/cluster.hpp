@@ -148,9 +148,6 @@ class VirtualCluster {
   [[nodiscard]] double mean_peak_bytes() const;
   [[nodiscard]] usize max_peak_bytes() const;
 
-  /// Reset trackers, profilers and barrier state for a fresh run.
-  void reset_instrumentation();
-
   /// Arm fault injection for the next run() (see FaultPlan).
   void inject_fault(const FaultPlan& plan) { fault_ = plan; }
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_; }

@@ -33,11 +33,6 @@ class MemTracker {
   }
   [[nodiscard]] std::size_t peak() const noexcept { return peak_.load(std::memory_order_relaxed); }
 
-  void reset() noexcept {
-    current_.store(0, std::memory_order_relaxed);
-    peak_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<std::size_t> current_{0};
   std::atomic<std::size_t> peak_{0};

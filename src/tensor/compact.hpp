@@ -1,7 +1,8 @@
 // Compact (half-width) storage for read-mostly f32 arrays: f16
-// encode/decode between float and 16-bit payloads, halving the footprint
-// and read bandwidth of the two biggest fast-tier arrays — measurement
-// frames and the transmittance cache.
+// encode/decode between float and 16-bit payloads, and a FrameStack of
+// encoded frames. No reconstruction path stores a compact array (both
+// precision tiers read f32 frames); the codec stays for the end-to-end
+// benchmark's compact.decode_mib_per_s layer (bench/e2e/bench_layers.cpp).
 //
 // Contract (tests/test_compact.cpp):
 //  - f16 encode is IEEE binary16 round-to-nearest-even, bitwise identical
@@ -16,8 +17,7 @@
 //    encode() throws. Inf and NaN inputs pass through unflagged.
 //
 // Encoding is monotone on ordered finite inputs and loses at most half a
-// ULP of the destination format — which is why compact storage is a
-// fast-tier (tolerance-gated) feature, never applied on the strict tier.
+// ULP of the destination format.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,7 @@ void encode(Format f, std::uint16_t* dst, const float* src, usize n, const char*
 void decode(Format f, float* dst, const std::uint16_t* src, usize n);
 
 /// A stack of equally-sized f32 frames held in compact form. Frames are
-/// encoded once at build time and decoded per use into caller scratch —
-/// the fast-tier storage for measurement stacks.
+/// encoded once at build time and decoded per use into caller scratch.
 class FrameStack {
  public:
   FrameStack() = default;
@@ -73,10 +72,6 @@ class FrameStack {
   /// Encode `frames` (all rows*cols-identical) into one contiguous block.
   /// Throws ptycho::Error if a value overflows the format.
   FrameStack(const std::vector<RArray2D>& frames, Format format);
-  /// Encode frames[ids[0]], frames[ids[1]], ... in that order: frame i of
-  /// the stack is frames[ids[i]].
-  FrameStack(const std::vector<RArray2D>& frames, const std::vector<index_t>& ids,
-             Format format);
 
   [[nodiscard]] bool empty() const { return count_ == 0; }
   [[nodiscard]] usize count() const { return count_; }

@@ -64,15 +64,6 @@ void multiply_inplace(View2D<const cplx> src, View2D<cplx> dst) {
   }
 }
 
-void multiply_conj_inplace(View2D<const cplx> src, View2D<cplx> dst) {
-  check_same_shape(src, dst);
-  const backend::Kernels& kern = backend::kernels();
-  for (index_t y = 0; y < src.rows(); ++y) {
-    cplx* d = dst.row(y);
-    kern.cmul_conj_lanes(d, d, src.row(y), static_cast<usize>(src.cols()));
-  }
-}
-
 double norm_sq(View2D<const cplx> v) {
   double acc = 0.0;
   for (index_t y = 0; y < v.rows(); ++y) {
@@ -140,13 +131,6 @@ void copy_region(const FramedVolume& src, FramedVolume& dst, const Rect& r) {
   for (index_t s = 0; s < src.slices(); ++s) {
     copy(const_cast<FramedVolume&>(src).window(s, r), dst.window(s, r));
   }
-}
-
-double norm_sq_region(const FramedVolume& v, const Rect& r) {
-  if (r.empty()) return 0.0;
-  double acc = 0.0;
-  for (index_t s = 0; s < v.slices(); ++s) acc += norm_sq(v.window(s, r));
-  return acc;
 }
 
 std::vector<cplx> pack_region(const FramedVolume& src, const Rect& r) {

@@ -32,9 +32,6 @@ void fill(View2D<cplx> dst, cplx value);
 /// Hadamard: dst(i) *= src(i).
 void multiply_inplace(View2D<const cplx> src, View2D<cplx> dst);
 
-/// dst(i) *= conj(src(i)).
-void multiply_conj_inplace(View2D<const cplx> src, View2D<cplx> dst);
-
 // ---- reductions -------------------------------------------------------------
 
 /// Sum of |v|^2 over the view.
@@ -57,9 +54,6 @@ void add_region(const FramedVolume& src, FramedVolume& dst, const Rect& r);
 
 /// For each slice: dst[r] := src[r].
 void copy_region(const FramedVolume& src, FramedVolume& dst, const Rect& r);
-
-/// Per-slice norm-squared over a global rect of a framed volume.
-[[nodiscard]] double norm_sq_region(const FramedVolume& v, const Rect& r);
 
 // ---- message payload (de)serialization ---------------------------------------
 

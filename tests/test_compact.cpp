@@ -1,8 +1,7 @@
 // Compact-storage codec tests (tensor/compact.hpp): f16 round-trip
 // accuracy and monotonicity, exact behavior on denormals/inf/NaN, the
-// overflow check (the end-to-end cases are in test_precision), bitwise
-// identity of the vector codec against the scalar reference, FrameStack
-// round trips, and f32-vs-compact parity of the transmittance cache.
+// overflow check, bitwise identity of the vector codec against the scalar
+// reference, and FrameStack round trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +14,6 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
-#include "data/synthetic.hpp"
-#include "physics/multislice.hpp"
 #include "tensor/compact.hpp"
 
 namespace ptycho::compact {
@@ -228,51 +225,6 @@ TEST(FrameStack, RoundTripAndShape) {
     }
   }
   EXPECT_TRUE(FrameStack().empty());
-}
-
-TEST(TransmittanceCache, CompactMatchesF32) {
-  // kPotential model with the cache on: the compact workspace must (a)
-  // produce per-probe costs within codec tolerance of the f32 cache, and
-  // (b) reuse its encoded planes across evaluations exactly like the f32
-  // cache reuses its planes (identical results on a repeat evaluation).
-  OpticsGrid grid;
-  grid.probe_n = 16;
-  MultisliceConfig config;
-  config.model = ObjectModel::kPotential;
-  config.sigma = real(0.8);
-  MultisliceOperator op(grid, config);
-  Probe probe(grid, ProbeParams{});
-  const index_t n = 16;
-  FramedVolume volume(3, Rect{0, 0, n, n});
-  Rng rng(21);
-  for (index_t s = 0; s < 3; ++s) {
-    for (index_t y = 0; y < n; ++y) {
-      for (index_t x = 0; x < n; ++x) {
-        volume.data(s, y, x) = real(0.1) * cplx(static_cast<real>(rng.normal()),
-                                                static_cast<real>(std::abs(rng.normal())));
-      }
-    }
-  }
-  RArray2D meas(n, n);
-  for (index_t y = 0; y < n; ++y) {
-    for (index_t x = 0; x < n; ++x) meas(y, x) = real(0.01);
-  }
-
-  MultisliceWorkspace ws_f32(n, 3);
-  ws_f32.cache_transmittance = true;
-  const double cost_f32 = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_f32);
-
-  MultisliceWorkspace ws_c(n, 3, Format::kF16);
-  ws_c.cache_transmittance = true;
-  const double first = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_c);
-  // Same (revision, window): the second evaluation must hit the encoded
-  // cache and reproduce the first bitwise.
-  const double second = op.cost(probe, volume, Rect{0, 0, n, n}, meas.view(), ws_c);
-  EXPECT_EQ(first, second);
-  EXPECT_NEAR(first, cost_f32, std::abs(cost_f32) * 2e-2);
-  // The compact cache must not have allocated the f32 planes.
-  for (const CArray2D& plane : ws_c.trans) EXPECT_TRUE(plane.empty());
-  EXPECT_FALSE(ws_c.trans_c.empty());
 }
 
 }  // namespace

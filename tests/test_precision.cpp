@@ -1,7 +1,8 @@
 // Precision-tier tests: --precision parsing, the fast dispatch column
 // (FMA tables), the fast-tier bitwise contract (scalar-fma == vector-fma),
 // strict-default bitwise stability, the tolerance gate of fast vs strict
-// reconstructions, the f16 range check, and cross-tier checkpoint restore.
+// reconstructions, inputs past f16's range, and cross-tier checkpoint
+// restore.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,7 +67,6 @@ TEST(PrecisionPolicy, Parse) {
   EXPECT_EQ(parse_precision(""), PrecisionPolicy{});
   const PrecisionPolicy fast = parse_precision("fast");
   EXPECT_EQ(fast.tier, backend::Precision::kFast);
-  EXPECT_EQ(fast.storage, compact::Format::kF16);
   // Exactly two spellings: the retired storage suffixes are rejected by
   // value, like any other typo.
   for (const char* spec : {"turbo", "fast:f8", "fast:bf16", "fast:f16", "Fast", "strict:f16"}) {
@@ -80,7 +80,6 @@ TEST(PrecisionPolicy, ThroughExecOptions) {
   opts.set("precision", "fast");
   const ExecOptions exec = parse_exec_options(opts, ExecOptions{});
   EXPECT_TRUE(exec.precision.fast());
-  EXPECT_EQ(exec.precision.storage, compact::Format::kF16);
   // Default: no flag -> strict, storage none.
   EXPECT_EQ(parse_exec_options(Options{}, ExecOptions{}).precision, PrecisionPolicy{});
   Options retired;
@@ -307,9 +306,10 @@ TEST(PrecisionSolver, StrictDefaultBitwiseStable) {
 TEST(PrecisionTolerance, FastTracksStrict) {
   // The fast-tier acceptance gate: per-iteration costs within a relative
   // epsilon of the strict trajectory, and a close final volume. Both
-  // update modes (full-batch exercises the FrameStack + pooled compact
-  // caches; SGD the per-probe decode path). f16 carries ~5e-4 measurement
-  // quantization and meets the 1e-3 gate with ~30x margin.
+  // update modes (full-batch exercises the BatchSweeper's pooled
+  // workspaces; SGD the sequential per-probe loop). The fast tier differs
+  // from strict only in FMA rounding and the elided far-field transform
+  // pair, so it meets the 1e-3 gate with a wide margin.
   //
   // The compared trajectories start from one strict warm-up iteration, not
   // from the vacuum initial guess: at the perfectly flat vacuum start the
@@ -341,11 +341,11 @@ TEST(PrecisionTolerance, FastTracksStrict) {
   }
 }
 
-// f16 tops out at 65504. A measurement or transmittance value past it
-// would become inf in the fast tier's compact storage and poison the
-// cost, so the run stops instead, with an error naming the array and
-// pointing at the strict tier, which evaluates the same inputs.
-TEST(PrecisionRange, PastF16RangeIsAnErrorNamingTheArray) {
+// Values past f16's range (65504) — a measurement frame scaled to 70000,
+// a transmittance of exp(12) — are ordinary f32 inputs: both tiers store
+// frames and transmittance planes in f32, so the fast tier runs them to
+// finite costs exactly as strict does.
+TEST(PrecisionRange, FastRunsPastF16RangeInputsToFiniteCosts) {
   TierGuard guard;
   // One measurement frame scaled past 65504.
   Dataset loud = make_synthetic_dataset(repro_tiny_spec());
@@ -381,9 +381,11 @@ TEST(PrecisionRange, PastF16RangeIsAnErrorNamingTheArray) {
       const Dataset& dataset = measurement ? loud : potential;
       const FramedVolume* initial = measurement ? nullptr : &warm;
       const char* array = measurement ? "measurement stack" : "transmittance plane";
-      const std::string msg = error_message([&] { (void)run(dataset, method, "fast", initial); });
-      EXPECT_NE(msg.find(array), std::string::npos) << to_string(method) << ": " << msg;
-      EXPECT_NE(msg.find("--precision strict"), std::string::npos) << msg;
+      const std::vector<double> fast = run(dataset, method, "fast", initial);
+      ASSERT_EQ(fast.size(), 2u) << to_string(method);
+      for (const double cost : fast) {
+        EXPECT_TRUE(std::isfinite(cost)) << to_string(method) << " fast " << array;
+      }
       // Strict evaluates the same inputs in f32 and sums the cost in
       // double: both costs are finite.
       const std::vector<double> strict = run(dataset, method, "strict", initial);

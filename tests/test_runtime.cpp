@@ -127,14 +127,6 @@ TEST(Cluster, PerRankMemoryTracking) {
   EXPECT_GE(cluster.max_peak_bytes(), cluster.mem(2).peak());
 }
 
-TEST(Cluster, ResetInstrumentation) {
-  VirtualCluster cluster(2);
-  cluster.run([](RankContext&) { CArray2D a(64, 64); });
-  EXPECT_GT(cluster.max_peak_bytes(), 0u);
-  cluster.reset_instrumentation();
-  EXPECT_EQ(cluster.max_peak_bytes(), 0u);
-}
-
 TEST(Cluster, RngStreamsDifferPerRank) {
   VirtualCluster cluster(2);
   std::atomic<std::uint64_t> v0{0};

@@ -134,7 +134,7 @@ TEST(Ops, ShapeMismatchThrows) {
   EXPECT_THROW(add(a.view(), b.view()), Error);
 }
 
-TEST(Ops, MultiplyAndConj) {
+TEST(Ops, Multiply) {
   CArray2D a(1, 2);
   CArray2D b(1, 2);
   a(0, 0) = cplx(0, 1);
@@ -143,9 +143,6 @@ TEST(Ops, MultiplyAndConj) {
   multiply_inplace(a.view(), b.view());
   EXPECT_EQ(b(0, 0), cplx(-1, 1));
   EXPECT_EQ(b(0, 1), cplx(2, 2));
-  b.fill(cplx(1, 1));
-  multiply_conj_inplace(a.view(), b.view());
-  EXPECT_EQ(b(0, 0), cplx(1, -1));  // (1+i) * conj(i) = (1+i)(-i) = 1 - i
 }
 
 TEST(Ops, Reductions) {
@@ -214,13 +211,6 @@ TEST(Framed, PackUnpackRoundtrip) {
 
   std::vector<cplx> wrong(payload.size() + 1);
   EXPECT_THROW(unpack_replace_region(wrong, dst, region), Error);
-}
-
-TEST(Framed, NormSqRegion) {
-  FramedVolume v(2, Rect{0, 0, 3, 3});
-  v.data.fill(cplx(1, 0));
-  EXPECT_DOUBLE_EQ(norm_sq_region(v, Rect{0, 0, 2, 2}), 8.0);  // 2 slices * 4 px
-  EXPECT_DOUBLE_EQ(norm_sq_region(v, Rect{}), 0.0);
 }
 
 }  // namespace
