@@ -9,6 +9,13 @@
 // threads of this process, or TCP frames when each rank is its own
 // process. Payloads are moved, never copied, on the in-process path; the
 // *modeled* wire cost lives in runtime/perfmodel.
+//
+// Every transport ends in the same mailbox (Fabric::deliver), and every
+// blocking receive takes one path: it polls the mailbox's arrival counter
+// for a short wall-clock budget, yielding between polls, and only then
+// parks on the mailbox's condition variable. A message that is
+// microseconds away is taken without a futex sleep and wake-up; a long
+// wait costs one budget of polling more than a bare park.
 #pragma once
 
 #include <atomic>
@@ -118,7 +125,9 @@ class RecvRequest {
   /// True once a matching message has arrived (non-blocking).
   [[nodiscard]] bool test();
 
-  /// Block until the message arrives; returns seconds spent blocked.
+  /// Block until the message arrives: poll briefly, then park. Returns
+  /// the seconds from entry to arrival. Throws RankFailure when the
+  /// fabric is poisoned or the recv deadline (counted from entry) passes.
   double wait();
 
   /// Take the payload (wait()s first if needed).
@@ -216,6 +225,8 @@ class Fabric {
   obs::Counter* bytes_counter_ = nullptr;
   obs::Counter* backend_messages_counter_ = nullptr;
   obs::Counter* backend_bytes_counter_ = nullptr;
+  obs::Counter* recv_polled_counter_ = nullptr;
+  obs::Counter* recv_parked_counter_ = nullptr;
 };
 
 }  // namespace ptycho::rt

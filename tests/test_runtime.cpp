@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
+#include "obs/metrics.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/collectives.hpp"
 #include "runtime/topology.hpp"
@@ -73,6 +76,112 @@ TEST(Fabric, InvalidRankThrows) {
   EXPECT_THROW(fabric.isend(0, 5, make_tag(Phase::kTest, 0), {}), Error);
   EXPECT_THROW(fabric.isend(-1, 0, make_tag(Phase::kTest, 0), {}), Error);
   EXPECT_THROW((void)fabric.irecv(0, 9, make_tag(Phase::kTest, 0)), Error);
+}
+
+// A blocking receive polls the mailbox for a short budget (100 us), then
+// parks on its condition variable. fabric_recv_parked_total moves just
+// before the park, so a test can wait for a receiver to be parked.
+using Clock = std::chrono::steady_clock;
+
+struct MetricsOn {
+  MetricsOn() { obs::set_metrics_enabled(true); }
+  ~MetricsOn() { obs::set_metrics_enabled(false); }
+};
+
+obs::Counter& parked_counter() { return obs::registry().counter("fabric_recv_parked_total"); }
+
+// Spin until the parked counter passes `before` (bounded, so a receiver
+// that never parks fails the test instead of hanging it).
+bool wait_until_parked(std::uint64_t before) {
+  const auto give_up = Clock::now() + std::chrono::seconds(10);
+  while (parked_counter().value() <= before) {
+    if (Clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return true;
+}
+
+// Runs one receive of (src 0, kTest 0) at rank 1 on its own thread and
+// records whether it threw RankFailure and when it returned.
+struct BlockedReceiver {
+  explicit BlockedReceiver(Fabric& fabric)
+      : thread([this, &fabric] {
+          entered.store(true);
+          try {
+            (void)fabric.recv(1, 0, make_tag(Phase::kTest, 0));
+          } catch (const RankFailure&) {
+            threw_rank_failure = true;
+          }
+          returned_at = Clock::now();
+        }) {}
+  std::atomic<bool> entered{false};
+  bool threw_rank_failure = false;
+  Clock::time_point returned_at;
+  std::thread thread;
+};
+
+TEST(Fabric, PoisonEndsAPollingReceiveAtOnce) {
+  Fabric fabric(2);
+  BlockedReceiver receiver(fabric);
+  while (!receiver.entered.load()) std::this_thread::yield();
+  // Poisoned within microseconds of the receive's entry: inside the poll.
+  const auto poisoned_at = Clock::now();
+  fabric.poison();
+  receiver.thread.join();
+  EXPECT_TRUE(receiver.threw_rank_failure);
+  EXPECT_LT(receiver.returned_at - poisoned_at, std::chrono::milliseconds(500));
+}
+
+TEST(Fabric, PoisonWakesAParkedReceive) {
+  MetricsOn metrics;
+  Fabric fabric(2);
+  const std::uint64_t before = parked_counter().value();
+  BlockedReceiver receiver(fabric);
+  const bool parked = wait_until_parked(before);
+  const auto poisoned_at = Clock::now();
+  fabric.poison();
+  receiver.thread.join();
+  EXPECT_TRUE(parked);
+  EXPECT_TRUE(receiver.threw_rank_failure);
+  EXPECT_LT(receiver.returned_at - poisoned_at, std::chrono::milliseconds(500));
+}
+
+TEST(Fabric, RecvDeadlineCountsFromTheStartOfTheWait) {
+  Fabric fabric(2);
+  fabric.set_recv_deadline_ms(150);
+  const auto start = Clock::now();
+  EXPECT_THROW((void)fabric.recv(1, 0, make_tag(Phase::kTest, 0)), RankFailure);
+  const auto waited = Clock::now() - start;
+  EXPECT_TRUE(fabric.poisoned());
+  EXPECT_GE(waited, std::chrono::milliseconds(150));
+  // The poll is part of the deadline, not added after it: 150 ms plus one
+  // 100 us poll budget plus scheduler slack.
+  EXPECT_LT(waited, std::chrono::milliseconds(150) + std::chrono::microseconds(100) +
+                        std::chrono::milliseconds(100));
+}
+
+TEST(Fabric, FifoAcrossThePollAndThePark) {
+  MetricsOn metrics;
+  Fabric fabric(2);
+  const Tag tag = make_tag(Phase::kTest, 7);
+  std::vector<cplx> got;
+  std::thread receiver([&] {
+    for (int i = 0; i < 4; ++i) got.push_back(fabric.recv(1, 0, tag)[0]);
+  });
+  // A non-matching arrival moves the mailbox's arrival counter without
+  // satisfying the receive; 1 and 2 land at entry or during the poll.
+  fabric.isend(0, 1, make_tag(Phase::kTest, 8), {cplx(99, 0)});
+  fabric.isend(0, 1, tag, {cplx(1, 0)});
+  fabric.isend(0, 1, tag, {cplx(2, 0)});
+  // 3 and 4 land after the receive for 3 has parked.
+  const std::uint64_t before = parked_counter().value();
+  const bool parked = wait_until_parked(before);
+  fabric.isend(0, 1, tag, {cplx(3, 0)});
+  fabric.isend(0, 1, tag, {cplx(4, 0)});
+  receiver.join();
+  EXPECT_TRUE(parked);
+  EXPECT_EQ(got, (std::vector<cplx>{cplx(1, 0), cplx(2, 0), cplx(3, 0), cplx(4, 0)}));
+  EXPECT_EQ(fabric.recv(1, 0, make_tag(Phase::kTest, 8))[0], cplx(99, 0));
 }
 
 TEST(Cluster, RanksRunAndCommunicate) {

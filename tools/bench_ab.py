@@ -35,11 +35,12 @@ import analysis  # noqa: E402  (bench/e2e, on the path above)
 
 # One workload per part of the pipeline a change can slow: the compute
 # sweep (gd-small), the fast tier's FMA tables and spectral elision
-# (gd-small-fast), sync and receive waits (gd-tiny-sync), and
-# checkpoint I/O with no fabric (serial-small-ckpt). The socket workload
-# runs gd-small's sweep over another transport and is left out: it would
-# add another quarter to the job's time.
-WORKLOADS = ("gd-small", "gd-small-fast", "gd-tiny-sync", "serial-small-ckpt")
+# (gd-small-fast), sync and receive waits (gd-tiny-sync), the
+# multi-process path over loopback TCP (gd-small-socket), and checkpoint
+# I/O with no fabric (serial-small-ckpt). That is every workload
+# BENCHMARK.json declares.
+WORKLOADS = ("gd-small", "gd-small-fast", "gd-tiny-sync", "gd-small-socket",
+             "serial-small-ckpt")
 
 # Two rounds: each tree runs first once per workload, so neither side
 # always gets the warmer (or the quieter) slot.

@@ -38,8 +38,10 @@ using namespace ptycho;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
+// The usage text, to `out`: stdout when asked for with --help or -h
+// (exit 0), stderr after a bad invocation (exit 2).
+int usage(std::FILE* out, int status) {
+  std::fprintf(out,
                "usage: ptycho <simulate|info|reconstruct> [options]\n"
                "  simulate   --spec tiny|small|large [--dose E] [--seed N] --out FILE\n"
                "  info       FILE\n"
@@ -62,7 +64,7 @@ int usage() {
                "  rank, same roster everywhere), or let --launch K fork K local rank\n"
                "  processes wired over loopback ports [--port-base P, default 38400].\n",
                exec_options_help().c_str());
-  return 2;
+  return status;
 }
 
 DatasetSpec spec_by_name(const std::string& name) {
@@ -411,17 +413,26 @@ int cmd_launch(const Options& opts, int nprocs) {
   }
 }
 
+bool help_requested(const Options& opts) {
+  const auto& positional = opts.positional();
+  return opts.has("help") || std::find(positional.begin(), positional.end(), "-h") != positional.end();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+  if (argc < 2) return usage(stderr, 2);
   const std::string command = argv[1];
-  const Options opts = Options::parse(argc - 1, argv + 1);
+  if (command == "--help" || command == "-h") return usage(stdout, 0);
   try {
+    const Options opts = Options::parse(argc - 1, argv + 1);
+    if (command != "simulate" && command != "info" && command != "reconstruct") {
+      return usage(stderr, 2);
+    }
+    if (help_requested(opts)) return usage(stdout, 0);
     if (command == "simulate") return cmd_simulate(opts);
     if (command == "info") return cmd_info(opts);
-    if (command == "reconstruct") return cmd_reconstruct(opts);
-    return usage();
+    return cmd_reconstruct(opts);
   } catch (const rt::RankFailure& e) {
     // Recoverable by a supervisor: a --launch parent reads exit 75 as
     // "survivor, respawn me from the newest checkpoint".

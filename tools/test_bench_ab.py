@@ -50,6 +50,7 @@ class Workloads(unittest.TestCase):
         self.assertLessEqual(set(bench_ab.WORKLOADS), declared)
         self.assertEqual(len(set(bench_ab.WORKLOADS)), len(bench_ab.WORKLOADS))
         self.assertIn("gd-small-fast", bench_ab.WORKLOADS)
+        self.assertIn("gd-small-socket", bench_ab.WORKLOADS)
 
 
 class Verdicts(unittest.TestCase):
